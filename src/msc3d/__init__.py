@@ -18,7 +18,7 @@ from .complexity import (
     overlap,
     shift_overlap_axes,
 )
-from .coarse import block_downsample, block_upsample, sliding_mean, sliding_mean_integral
+from .coarse import block_downsample, block_upsample, sliding_mean
 from .npy_io import (
     Manifest,
     ManifestEntry,
@@ -78,7 +78,6 @@ __all__ = [
     "read_npy_header",
     "shift_overlap_axes",
     "sliding_mean",
-    "sliding_mean_integral",
     "spatial_mean",
     "table_to_csv",
     "table_to_text",

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coarse import block_downsample, block_upsample, sliding_mean_integral
+from .coarse import block_downsample, block_upsample, sliding_mean
 from .errors import ScheduleError, ShapeMismatchError
 from .volume import Volume3D
 
@@ -166,14 +166,22 @@ class RunResult:
     scale_reports: tuple[ScaleReport, ...] = field(default_factory=tuple)
 
 
+def _difference_overlap(a: np.ndarray, b: np.ndarray) -> float:
+    """-<(a - b)^2>/2, never -0.0: the overlap in the form a DC offset cannot cancel."""
+    d = a - b
+    np.square(d, out=d)
+    return -0.5 * float(d.mean()) + 0.0
+
+
 def overlap(a: Volume3D, b: Volume3D) -> float:
-    """Overlap <ab> - (<a^2> + <b^2>)/2 of two same-shape volumes; always <= 0."""
+    """Overlap <ab> - (<a^2> + <b^2>)/2 of two same-shape volumes; always <= 0.
+
+    Evaluated as -<(a - b)^2>/2, which keeps full precision under a large
+    common offset, where the expanded form cancels catastrophically.
+    """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"volume shapes differ: {a.shape} vs {b.shape}")
-    ab = np.mean(a.data * b.data)
-    aa = np.mean(a.data * a.data)
-    bb = np.mean(b.data * b.data)
-    return min(0.0, float(ab - 0.5 * (aa + bb)))
+    return _difference_overlap(a.data, b.data)
 
 
 def shift_overlap_axes(block: np.ndarray) -> tuple[float, float, float]:
@@ -189,13 +197,11 @@ def shift_overlap_axes(block: np.ndarray) -> tuple[float, float, float]:
     if min(b.shape) < 2:
         raise BlockTooSmallError(f"block dims must be >= 2 per axis, got {b.shape}")
     core = b[:-1, :-1, :-1]
-    o_core = np.mean(core * core)
-    shifts = (b[1:, :-1, :-1], b[:-1, 1:, :-1], b[:-1, :-1, 1:])
-    out = []
-    for shifted in shifts:
-        o = np.mean(core * shifted) - 0.5 * (o_core + np.mean(shifted * shifted))
-        out.append(min(0.0, float(o)))
-    return (out[0], out[1], out[2])
+    return (
+        _difference_overlap(b[1:, :-1, :-1], core),
+        _difference_overlap(b[:-1, 1:, :-1], core),
+        _difference_overlap(b[:-1, :-1, 1:], core),
+    )
 
 
 def complexity_map(
@@ -246,6 +252,10 @@ def _incremental_factors(factors: tuple[int, ...]) -> list[int]:
 
 
 def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunResult:
+    # Complexity ignores a DC offset. Block means taken relative to the first
+    # voxel round at the scale of the texture, not of the offset. Factor 1
+    # keeps the volume as it is: its forward differences are already exact.
+    ref = float(v.data.flat[0])
     entries = []
     maps = []
     reports = []
@@ -255,7 +265,7 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> Ru
             raise ScheduleInfeasibleError(
                 f"factor {factor} reduces volume {v.shape} below the 2-voxel minimum"
             )
-        u = block_downsample(v, factor)
+        u = block_downsample(v, factor, offset=ref if factor > 1 else 0.0)
         w_used = tuple(max(2, min(w, d)) for w, d in zip(schedule.window, u.shape))
         s_used = tuple(max(1, min(s, d)) for s, d in zip(schedule.stride, u.shape))
         cmap = complexity_map(u, w_used, s_used, scale_factor=factor)
@@ -291,7 +301,7 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunRe
             o = overlap(current, recon)
             nxt = coarse
         else:
-            coarse = sliding_mean_integral(current, inc)
+            coarse = sliding_mean(current, inc)
             o = overlap(current, coarse)
             nxt = coarse
         entries.append(ProfileEntry(k, factor, abs(o), o))

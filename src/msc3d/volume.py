@@ -146,9 +146,9 @@ def generate_phantom(spec: PhantomSpec) -> Volume3D:
     rng = np.random.Generator(np.random.PCG64(spec.rng_seed))
     if spec.kind == "white_noise":
         return Volume3D(rng.random(spec.shape) * spec.level)
-    # smoothed_noise: reuse the box-filter fast path on unit noise
-    from .coarse import sliding_mean_integral
+    # smoothed_noise: box-filter unit noise with the sliding-mean kernel
+    from .coarse import sliding_mean
 
     noise = Volume3D(rng.random(spec.shape))
     side = 2 * int(spec.level) + 1
-    return sliding_mean_integral(noise, side)
+    return sliding_mean(noise, side)

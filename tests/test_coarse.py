@@ -13,9 +13,9 @@ from msc3d import (
     generate_phantom,
     pad_to_multiple,
     sliding_mean,
-    sliding_mean_integral,
     spatial_mean,
 )
+from msc3d import coarse
 from msc3d.errors import ShapeMismatchError
 
 from . import oracles
@@ -26,6 +26,13 @@ dyadic_volumes = st.builds(
     seed=st.integers(0, 2**32 - 1),
     dims=st.tuples(*(st.integers(2, 8),) * 3),
 )
+
+
+def sliding_mean_running_sum(v: Volume3D, side: int) -> Volume3D:
+    """``sliding_mean`` with the crossover moved so every side takes the running-sum path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coarse, "_SHIFT_ADD_MAX_SIDE", 1)
+        return sliding_mean(v, side)
 
 
 class TestBlockDownsample:
@@ -51,6 +58,13 @@ class TestBlockDownsample:
         assert out.shape == (2, 2, 3)
         ref = oracles.block_means(oracles.pad_replicate(arr, 4), 4)
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-15)
+
+    def test_offset_comes_off_the_means(self, rng):
+        arr = rng.random((5, 7, 9))
+        for factor in (1, 2, 3):
+            out = block_downsample(Volume3D(arr), factor, offset=0.75)
+            ref = oracles.block_means(oracles.pad_replicate(arr, factor), factor) - 0.75
+            np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-15)
 
     def test_mean_preservation(self, rng):
         v = Volume3D(rng.random((10, 11, 13)))
@@ -102,7 +116,7 @@ class TestBlockUpsample:
         assert np.array_equal(once.data, twice.data)
 
 
-@pytest.mark.parametrize("func", [sliding_mean, sliding_mean_integral])
+@pytest.mark.parametrize("func", [sliding_mean, sliding_mean_running_sum])
 class TestSlidingMeans:
     def test_side_1_identity(self, func, rng):
         v = Volume3D(rng.random((4, 4, 4)))
@@ -120,6 +134,19 @@ class TestSlidingMeans:
         ref = oracles.sliding_window_mean(v.data, side)
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-10)
 
+    def test_side_larger_than_every_dimension_matches_oracle(self, func):
+        v = generate_phantom(PhantomSpec(kind="white_noise", shape=(5, 7, 3), level=1.0, rng_seed=19))
+        out = func(v, 9)
+        ref = oracles.sliding_window_mean(v.data, 9)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-10)
+
+    def test_side_above_crossover_matches_oracle(self, func):
+        assert 25 > coarse._SHIFT_ADD_MAX_SIDE
+        v = generate_phantom(PhantomSpec(kind="white_noise", shape=(12, 14, 10), level=1.0, rng_seed=21))
+        out = func(v, 25)
+        ref = oracles.sliding_window_mean(v.data, 25)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-10)
+
     def test_output_shape_unchanged(self, func, rng):
         v = Volume3D(rng.random((7, 5, 9)))
         assert func(v, 3).shape == v.shape
@@ -133,18 +160,20 @@ class TestSlidingMeans:
 
 
 class TestKernelAgreement:
+    """The running-sum ("integral") path and the default path both equal direct loop sums."""
+
     def test_integral_equals_direct_on_noise(self):
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=(12, 12, 12), level=1.0, rng_seed=23))
-        a = sliding_mean(v, 5)
-        b = sliding_mean_integral(v, 5)
-        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-8)
+        ref = oracles.sliding_window_mean(v.data, 5)
+        for func in (sliding_mean, sliding_mean_running_sum):
+            np.testing.assert_allclose(func(v, 5).data, ref, rtol=0, atol=1e-8)
 
     @given(v=dyadic_volumes, side=st.integers(2, 6))
     @settings(max_examples=30, deadline=None)
     def test_integral_equals_direct_property(self, v, side):
-        a = sliding_mean(v, side)
-        b = sliding_mean_integral(v, side)
-        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-10)
+        ref = oracles.sliding_window_mean(v.data, side)
+        for func in (sliding_mean, sliding_mean_running_sum):
+            np.testing.assert_allclose(func(v, side).data, ref, rtol=0, atol=1e-10)
 
 
 class TestLinearity:
@@ -153,7 +182,7 @@ class TestLinearity:
         [
             lambda v: block_downsample(v, 2),
             lambda v: sliding_mean(v, 3),
-            lambda v: sliding_mean_integral(v, 4),
+            lambda v: sliding_mean(v, 12),
         ],
     )
     def test_affine_commutes(self, kernel, rng):

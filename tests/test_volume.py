@@ -145,10 +145,10 @@ class TestGeneratePhantom:
         assert smooth.data.var() < noise.data.var()
 
     def test_smoothed_noise_matches_manual_smoothing(self):
-        from msc3d import sliding_mean_integral
+        from msc3d import sliding_mean
 
         rng = np.random.Generator(np.random.PCG64(11))
-        manual = sliding_mean_integral(Volume3D(rng.random((10, 10, 10))), 5)
+        manual = sliding_mean(Volume3D(rng.random((10, 10, 10))), 5)
         phantom = generate_phantom(PhantomSpec(kind="smoothed_noise", shape=(10, 10, 10), level=2.0, rng_seed=11))
         assert np.array_equal(phantom.data, manual.data)
 
