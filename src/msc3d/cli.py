@@ -19,29 +19,22 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .complexity import (
-    ComplexityProfile,
     ProfileEntry,
     ScaleSchedule,
     ScheduleInfeasibleError,
     multiscale_run,
 )
 from .errors import InputError, Msc3dError, PhantomError, ScheduleError, ShapeMismatchError, StatsError
-from .npy_io import (
-    MalformedRowError,
-    MissingColumnError,
-    read_manifest,
-    read_npy,
-    write_npy,
-)
-from .stats import EmptyAfterFilteringError, correlation_table, log_log_pairs, table_to_csv, table_to_text
+from .npy_io import BATCH_COLUMNS, read_batch_csv, read_manifest, read_npy, write_npy
+from .stats import EmptyAfterFilteringError, correlate_columns, log_log_columns, table_to_csv, table_to_text
 from .volume import PHANTOM_KINDS, InvalidSpecError, PhantomSpec, Volume3D, generate_phantom, mid_slice
 
-BATCH_COLUMNS = ("subject_id", "scale_index", "scale_factor", "complexity")
 MODE_FLAGS = {"algorithm1": "algorithm1", "block-cascade": "block_cascade", "sliding-cascade": "sliding_cascade"}
 
 
@@ -189,65 +182,27 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_batch_csv(path: Path) -> list[ComplexityProfile]:
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if not rows or tuple(cell.strip() for cell in rows[0]) != BATCH_COLUMNS:
-        raise MissingColumnError(f"{path}: first row must be the header {','.join(BATCH_COLUMNS)}")
-    per_subject: dict[str, list[tuple[int, int, float]]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise MalformedRowError(f"{path}: line {line_no}: expected 4 fields, got {len(row)}")
-        sid, k_text, factor_text, c_text = (cell.strip() for cell in row)
-        try:
-            k, factor, c = int(k_text), int(factor_text), float(c_text)
-        except ValueError as exc:
-            raise MalformedRowError(f"{path}: line {line_no}: {exc}") from exc
-        per_subject.setdefault(sid, []).append((k, factor, c))
-    profiles = []
-    for sid, entries in per_subject.items():
-        entries.sort()
-        profiles.append(
-            ComplexityProfile(
-                subject_id=sid,
-                per_scale=tuple(
-                    ProfileEntry(k, factor, c, -c + 0.0) for k, factor, c in entries
-                ),
-            )
-        )
-    return profiles
-
-
 def cmd_correlate(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
-    profiles = _read_batch_csv(Path(args.batch_csv))
-    have = {p.subject_id for p in profiles}
-    missing = [e.subject_id for e in manifest if e.subject_id not in have]
-    for sid in missing:
-        print(f"warning: subject {sid!r} has no rows in the batch CSV", file=sys.stderr)
-
-    factor_of: dict[int, int] = {}
-    for prof in profiles:
-        for e in prof.per_scale:
-            factor_of.setdefault(e.scale_index, e.scale_factor)
-    if not factor_of:
+    table = read_batch_csv(args.batch_csv)
+    have = set(table.subject_ids)
+    for e in manifest:
+        if e.subject_id not in have:
+            print(f"warning: subject {e.subject_id!r} has no rows in the batch CSV", file=sys.stderr)
+    if not table.scale_indices:
         raise EmptyAfterFilteringError("batch CSV holds no complexity rows")
-    indices = sorted(factor_of)
-    schedule = ScaleSchedule(factors=tuple(factor_of[k] for k in indices))
+    columns = log_log_columns(table.subject_ids, table.complexity, manifest)
+    for sid in columns.unknown:
+        print(f"warning: subject {sid!r} is not in the manifest; ignored", file=sys.stderr)
 
-    rows = correlation_table(profiles, manifest, schedule, skip_failures=True)
+    rows = correlate_columns(columns, table.scale_indices, table.scale_factors, skip_failures=True)
     scored = {row.scale_index for row in rows}
-    for k in indices:
+    for k in table.scale_indices:
         if k not in scored:
             print(f"warning: scale {k} skipped (too few usable subjects)", file=sys.stderr)
     if not rows:
         raise EmptyAfterFilteringError("no scale could be scored")
-    matched = sum(1 for e in manifest if e.subject_id in have)
+    matched = len(columns.ln_age)
     for row in rows:
         excluded = matched - row.n
         if excluded:
@@ -263,12 +218,16 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     text = table_to_text(rows)
     with open(f"{prefix}.txt", "w", newline="") as fh:
         fh.write(text)
+    age_text = list(map(repr, columns.ln_age.tolist()))
+    column_of = {k: j for j, k in enumerate(table.scale_indices)}
     for row in rows:
-        pairs = log_log_pairs(profiles, manifest, row.scale_index)
+        j = column_of[row.scale_index]
+        usable = columns.usable(j)
+        ages = compress(age_text, usable.tolist())
+        log_cs = columns.ln_c[usable, j].tolist()
         with open(f"{prefix}_scale{row.scale_index}_scatter.csv", "w", newline="") as fh:
             fh.write("log_age,log_C\n")
-            for log_c, log_age in pairs:
-                fh.write(f"{log_age!r},{log_c!r}\n")
+            fh.writelines(f"{log_age},{log_c!r}\n" for log_age, log_c in zip(ages, log_cs))
     print(text, end="")
     return 0
 

@@ -117,12 +117,6 @@ class ComplexityProfile:
     def complexities(self) -> list[float]:
         return [e.complexity for e in self.per_scale]
 
-    def entry_for(self, scale_index: int) -> ProfileEntry | None:
-        for e in self.per_scale:
-            if e.scale_index == scale_index:
-                return e
-        return None
-
 
 @dataclass(frozen=True)
 class ScaleReport:

@@ -1,5 +1,5 @@
 """Strict reader/writer for 3-D volumes in the ``.npy`` version-1.0 format,
-plus cohort manifest CSV parsing.
+plus cohort manifest and batch CSV parsing.
 
 On-disk layout handled here::
 
@@ -17,15 +17,19 @@ of 64 bytes. The parser is deliberately independent of ``numpy.load`` so
 that malformed files map to a stable, fine-grained error taxonomy.
 
 Manifest CSV: UTF-8 with header ``subject_id,volume_path,age_years``.
+Batch CSV: UTF-8 with header ``subject_id,scale_index,scale_factor,complexity``,
+one row per subject and scale, as ``msc3d batch`` writes it.
 """
 
 from __future__ import annotations
 
 import ast
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -256,7 +260,7 @@ def read_manifest(path: str | Path) -> Manifest:
             continue
         if len(row) != 3:
             raise MalformedRowError(f"{path}: line {line_no}: expected 3 fields, got {len(row)}")
-        subject_id, volume_path, age_text = (cell.strip() for cell in row)
+        subject_id, volume_path, age_text = row[0].strip(), row[1].strip(), row[2].strip()
         if not subject_id or not volume_path:
             raise MalformedRowError(f"{path}: line {line_no}: empty subject_id or volume_path")
         if subject_id in seen:
@@ -272,3 +276,102 @@ def read_manifest(path: str | Path) -> Manifest:
         seen[subject_id] = line_no
         entries.append(ManifestEntry(subject_id, volume_path, age))
     return Manifest(entries=tuple(entries))
+
+
+BATCH_COLUMNS = ("subject_id", "scale_index", "scale_factor", "complexity")
+
+
+@dataclass(frozen=True, eq=False)
+class BatchTable:
+    """A batch CSV as a subject x scale complexity matrix.
+
+    Rows follow the first appearance of each subject in the file, columns
+    the sorted scale indices. A cell is NaN where the subject has no row at
+    that scale.
+    """
+
+    subject_ids: tuple[str, ...]
+    scale_indices: tuple[int, ...]
+    scale_factors: tuple[int, ...]
+    complexity: np.ndarray
+
+
+def read_batch_csv(path: str | Path) -> BatchTable:
+    """Parse a batch CSV in one columnar pass.
+
+    Every row needs 4 fields, an integer scale index and factor and a finite
+    complexity. A ``(subject_id, scale_index)`` pair may appear only once,
+    and a scale index only ever with one factor. The columns are converted
+    whole; only when a check fails does a row-by-row pass run, to name the
+    offending line.
+    """
+    path = Path(path)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise IoFailureError(f"{path}: {exc}") from exc
+    if not rows or tuple(cell.strip() for cell in rows[0]) != BATCH_COLUMNS:
+        raise MissingColumnError(f"{path}: first row must be the header {','.join(BATCH_COLUMNS)}")
+    records = [row for row in rows[1:] if row]
+    if not records:
+        return BatchTable((), (), (), np.empty((0, 0)))
+    if set(map(len, records)) != {4}:
+        _raise_first_bad_row(path, rows)
+    sid_col, k_col, factor_col, c_col = ([row[i] for row in records] for i in range(4))
+    try:
+        ks = list(map(int, k_col))
+        factors = list(map(int, factor_col))
+        cs = np.fromiter(map(float, c_col), np.float64, len(records))
+    except ValueError:
+        _raise_first_bad_row(path, rows)
+    sids = list(map(str.strip, sid_col))
+    row_of = {sid: i for i, sid in enumerate(dict.fromkeys(sids))}
+    factor_of = dict(zip(ks, factors))
+    indices = sorted(factor_of)
+    col_of = {k: j for j, k in enumerate(indices)}
+    cells = np.fromiter(map(row_of.__getitem__, sids), np.intp, len(sids)) * len(indices)
+    cells += np.fromiter(map(col_of.__getitem__, ks), np.intp, len(ks))
+    if (
+        len(set(zip(ks, factors))) != len(factor_of)
+        or np.bincount(cells).max() > 1
+        or not np.isfinite(cs).all()
+    ):
+        _raise_first_bad_row(path, rows)
+    complexity = np.full(len(row_of) * len(indices), np.nan)
+    complexity[cells] = cs
+    return BatchTable(
+        subject_ids=tuple(row_of),
+        scale_indices=tuple(indices),
+        scale_factors=tuple(factor_of[k] for k in indices),
+        complexity=complexity.reshape(len(row_of), len(indices)),
+    )
+
+
+def _raise_first_bad_row(path: Path, rows: list[list[str]]) -> NoReturn:
+    """Check the body of a batch CSV row by row and raise at the first bad line."""
+    line_of_cell: dict[tuple[str, int], int] = {}
+    first_factor: dict[int, tuple[int, int]] = {}
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise MalformedRowError(f"{path}: line {line_no}: expected 4 fields, got {len(row)}")
+        sid, k_text, factor_text, c_text = (cell.strip() for cell in row)
+        try:
+            k, factor, c = int(k_text), int(factor_text), float(c_text)
+        except ValueError as exc:
+            raise MalformedRowError(f"{path}: line {line_no}: {exc}") from exc
+        if not math.isfinite(c):
+            raise MalformedRowError(f"{path}: line {line_no}: complexity {c_text!r} is not finite")
+        if (sid, k) in line_of_cell:
+            raise MalformedRowError(
+                f"{path}: line {line_no}: subject {sid!r} at scale {k} already given on line {line_of_cell[sid, k]}"
+            )
+        seen_factor, seen_line = first_factor.setdefault(k, (factor, line_no))
+        if factor != seen_factor:
+            raise MalformedRowError(
+                f"{path}: line {line_no}: scale {k} has factor {factor}, but factor {seen_factor} on line {seen_line}"
+            )
+        line_of_cell[sid, k] = line_no
+    raise MalformedRowError(f"{path}: malformed rows")

@@ -7,6 +7,12 @@ slopes and intercepts are not, so report renderers state the base. The
 regression treats log age as the predictor and log complexity as the
 response, i.e. slope = d(ln C)/d(ln age). p-values below 1e-300 are
 clamped and rendered as "<1e-300".
+
+The core works on a subject x scale complexity matrix:
+:func:`log_log_columns` aligns it to manifest order and takes the logs
+once, and :func:`correlate_columns` fits every scale from those arrays.
+:func:`log_log_pairs` and :func:`correlation_table` are adapters for
+per-subject profiles, :func:`pearson_regression` for a list of pairs.
 """
 
 from __future__ import annotations
@@ -64,6 +70,77 @@ class RegressionResult(NamedTuple):
     p: float
 
 
+@dataclass(frozen=True, eq=False)
+class LogLogColumns:
+    """A cohort in log-log space: one row per subject that is both in the
+    manifest and in the complexity table, in manifest order."""
+
+    ln_age: np.ndarray  # (n,)
+    ln_c: np.ndarray  # (n, n_scales); NaN where C <= 0 or the subject has no value
+    unknown: tuple[str, ...]  # table subjects missing from the manifest, in table order
+
+    def usable(self, column: int) -> np.ndarray:
+        """Mask of the subjects whose log complexity exists in ``column``."""
+        return ~np.isnan(self.ln_c[:, column])
+
+    def pairs(self, column: int, scale_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ln age, ln C) of the usable subjects in ``column``."""
+        usable = self.usable(column)
+        if not usable.any():
+            raise EmptyAfterFilteringError(f"no usable subjects at scale {scale_index}")
+        return self.ln_age[usable], self.ln_c[usable, column]
+
+
+def log_log_columns(
+    subject_ids: Sequence[str],
+    complexity: np.ndarray,
+    manifest: Manifest,
+) -> LogLogColumns:
+    """Align an ``(n_subjects, n_scales)`` complexity matrix, whose rows are
+    ``subject_ids``, to manifest order and take its logs.
+
+    Zero (or missing) complexities are excluded, since their log is
+    undefined. Logs go through ``math.log`` one value at a time.
+    """
+    row_of = {sid: i for i, sid in enumerate(subject_ids)}
+    rows: list[int] = []
+    ln_age: list[float] = []
+    for entry in manifest:
+        i = row_of.get(entry.subject_id)
+        if i is not None:
+            rows.append(i)
+            ln_age.append(math.log(entry.age_years))
+    c = complexity[rows]
+    positive = c > 0.0
+    ln_c = np.full(c.shape, np.nan)
+    ln_c[positive] = list(map(math.log, c[positive].tolist()))
+    age_of = manifest.ages_by_subject()
+    unknown = tuple(sid for sid in row_of if sid not in age_of)
+    return LogLogColumns(ln_age=np.array(ln_age, dtype=np.float64), ln_c=ln_c, unknown=unknown)
+
+
+def _profile_columns(
+    profiles: Sequence[ComplexityProfile],
+    manifest: Manifest,
+    scale_indices: Sequence[int],
+) -> LogLogColumns:
+    """:func:`log_log_columns` of profiles; a subject missing from the
+    manifest raises :class:`UnknownSubjectError`."""
+    col_of = {k: j for j, k in enumerate(scale_indices)}
+    by_subject = {prof.subject_id: prof for prof in profiles}
+    complexity = np.full((len(by_subject), len(col_of)), np.nan)
+    for i, prof in enumerate(by_subject.values()):
+        # reversed, so the first entry of a repeated scale index is kept
+        for e in reversed(prof.per_scale):
+            j = col_of.get(e.scale_index)
+            if j is not None:
+                complexity[i, j] = e.complexity
+    columns = log_log_columns(tuple(by_subject), complexity, manifest)
+    if columns.unknown:
+        raise UnknownSubjectError(f"subject {columns.unknown[0]!r} not in manifest")
+    return columns
+
+
 def log_log_pairs(
     profiles: Sequence[ComplexityProfile],
     ages: Manifest,
@@ -75,38 +152,14 @@ def log_log_pairs(
     is undefined); callers can count exclusions as cohort size minus the
     returned length.
     """
-    age_of = ages.ages_by_subject()
-    by_subject = {}
-    for prof in profiles:
-        if prof.subject_id not in age_of:
-            raise UnknownSubjectError(f"subject {prof.subject_id!r} not in manifest")
-        by_subject[prof.subject_id] = prof
-    pairs: list[tuple[float, float]] = []
-    for entry in ages:
-        prof = by_subject.get(entry.subject_id)
-        if prof is None:
-            continue
-        scale = prof.entry_for(scale_index)
-        if scale is None or scale.complexity <= 0.0:
-            continue
-        pairs.append((math.log(scale.complexity), math.log(entry.age_years)))
-    if not pairs:
-        raise EmptyAfterFilteringError(f"no usable subjects at scale {scale_index}")
-    return pairs
+    ln_age, ln_c = _profile_columns(profiles, ages, (scale_index,)).pairs(0, scale_index)
+    return list(zip(ln_c.tolist(), ln_age.tolist()))
 
 
-def pearson_regression(pairs: Sequence[tuple[float, float]]) -> RegressionResult:
-    """Least-squares fit of y on x plus the sample Pearson coefficient.
-
-    The two-sided p-value comes from t = r*sqrt((n-2)/(1-r^2)) under the
-    t-distribution with n-2 degrees of freedom, evaluated through the
-    regularized incomplete beta function.
-    """
-    n = len(pairs)
+def _regress(xs: np.ndarray, ys: np.ndarray) -> RegressionResult:
+    n = len(xs)
     if n < 3:
         raise TooFewPointsError(f"need at least 3 points, got {n}")
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
     xm = float(xs.mean())
     ym = float(ys.mean())
     dx = xs - xm
@@ -129,6 +182,16 @@ def pearson_regression(pairs: Sequence[tuple[float, float]]) -> RegressionResult
     return RegressionResult(r=r, slope=slope, intercept=intercept, p=max(p, P_CLAMP))
 
 
+def pearson_regression(pairs: Sequence[tuple[float, float]]) -> RegressionResult:
+    """Least-squares fit of y on x plus the sample Pearson coefficient.
+
+    The two-sided p-value comes from t = r*sqrt((n-2)/(1-r^2)) under the
+    t-distribution with n-2 degrees of freedom, evaluated through the
+    regularized incomplete beta function.
+    """
+    return _regress(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+
+
 def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     """Step-up FDR q-values: q_(i) = min_{j >= i} p_(j) * m / j, capped at 1."""
     for p in p_values:
@@ -149,30 +212,30 @@ def benjamini_hochberg(p_values: Sequence[float]) -> list[float]:
     return [float(v) for v in q]
 
 
-def correlation_table(
-    profiles: Sequence[ComplexityProfile],
-    manifest: Manifest,
-    schedule: ScaleSchedule,
+def correlate_columns(
+    columns: LogLogColumns,
+    scale_indices: Sequence[int],
+    scale_factors: Sequence[int],
     skip_failures: bool = False,
 ) -> list[CorrelationRow]:
-    """One correlation row per scale, with q-values adjusted jointly across
-    all scales of the run.
+    """One correlation row per column of ``columns``, with q-values adjusted
+    jointly across all scales of the run.
 
     With ``skip_failures`` scales that cannot be scored (too few points,
     degenerate variance, nothing left after filtering) are dropped from the
     table, and from the FDR family, instead of raising.
     """
     partial = []
-    for k, factor in enumerate(schedule.factors):
+    for j, (k, factor) in enumerate(zip(scale_indices, scale_factors)):
         try:
-            pairs = log_log_pairs(profiles, manifest, k)
+            ln_age, ln_c = columns.pairs(j, k)
             # regress ln C on ln age: age is the predictor
-            fit = pearson_regression([(age, c) for c, age in pairs])
+            fit = _regress(ln_age, ln_c)
         except StatsError:
             if skip_failures:
                 continue
             raise
-        partial.append((k, factor, len(pairs), fit))
+        partial.append((k, factor, len(ln_c), fit))
     qs = benjamini_hochberg([fit.p for _, _, _, fit in partial])
     return [
         CorrelationRow(
@@ -187,6 +250,22 @@ def correlation_table(
         )
         for (k, factor, n, fit), q in zip(partial, qs)
     ]
+
+
+def correlation_table(
+    profiles: Sequence[ComplexityProfile],
+    manifest: Manifest,
+    schedule: ScaleSchedule,
+    skip_failures: bool = False,
+) -> list[CorrelationRow]:
+    """:func:`correlate_columns` over profiles, one scale per schedule factor.
+
+    A profile whose subject is missing from the manifest raises
+    :class:`UnknownSubjectError`, with or without ``skip_failures``.
+    """
+    indices = range(len(schedule.factors))
+    columns = _profile_columns(profiles, manifest, indices)
+    return correlate_columns(columns, indices, schedule.factors, skip_failures)
 
 
 TABLE_COLUMNS = ("scale_index", "scale_factor", "n", "r", "p", "q_fdr", "slope", "intercept")

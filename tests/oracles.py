@@ -156,3 +156,25 @@ def pearson_mp(pairs):
         x_beta = mp.mpf(df) / (df + t_sq)
         p = mp.betainc(mp.mpf(df) / 2, mp.mpf("0.5"), 0, x_beta, regularized=True)
         return float(r), float(slope), float(intercept), float(p)
+
+
+def log_log_pairs_by_subject(batch_rows, manifest_ages, scale_index):
+    """(ln C, ln age) pairs at one scale, gathered one subject at a time.
+
+    ``batch_rows`` are ``(subject_id, scale_index, scale_factor, complexity)``
+    tuples in any order, ``manifest_ages`` ``(subject_id, age)`` tuples in
+    manifest order. Rows go into a dict per subject; pairs follow the
+    manifest, leaving out subjects without a row at the scale, subjects
+    whose complexity is not positive, and rows of subjects the manifest
+    does not name.
+    """
+    per_subject = {}
+    for subject_id, k, _factor, c in batch_rows:
+        per_subject.setdefault(subject_id, {})[k] = c
+    pairs = []
+    for subject_id, age in manifest_ages:
+        c = per_subject.get(subject_id, {}).get(scale_index)
+        if c is None or not c > 0.0:
+            continue
+        pairs.append((math.log(c), math.log(age)))
+    return pairs

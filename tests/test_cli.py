@@ -1,20 +1,28 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from msc3d import (
+    CorrelationRow,
     PhantomSpec,
     ScaleSchedule,
     Volume3D,
+    benjamini_hochberg,
     generate_phantom,
     multiscale_profile,
+    pearson_regression,
     read_npy,
+    table_to_csv,
+    table_to_text,
     write_npy,
 )
 from msc3d.cli import main
+
+from . import oracles
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +285,87 @@ class TestCorrelate:
         code, _, err = run_cli(capsys, "correlate", str(out_csv), str(manifest), str(tmp_path / "c"))
         assert code == 5
         assert "Error" in err
+
+    @staticmethod
+    def write_tables(tmp_path, batch_rows, ages):
+        """A batch CSV and its manifest, for correlate alone (no volumes)."""
+        batch = tmp_path / "cohort.csv"
+        batch.write_text(
+            "subject_id,scale_index,scale_factor,complexity\n"
+            + "".join(f"{sid},{k},{factor},{c!r}\n" for sid, k, factor, c in batch_rows)
+        )
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "subject_id,volume_path,age_years\n" + "".join(f"{sid},{sid}.npy,{age!r}\n" for sid, age in ages)
+        )
+        return batch, manifest
+
+    def test_outputs_match_loop_oracle_byte_for_byte(self, tmp_path, capsys):
+        rng = np.random.default_rng(2026)
+        factors = (1, 2, 4, 8)
+        ages = [(f"sub{i:03d}", round(float(a), 2)) for i, a in enumerate(rng.uniform(45.0, 80.0, 300))]
+        batch_rows = []
+        for sid, age in ages[20:]:  # the first 20 manifest subjects have no rows
+            for k, factor in enumerate(factors):
+                c = 0.0 if rng.random() < 0.05 else age ** (-0.3 * k) * math.exp(rng.normal(0.0, 0.1))
+                batch_rows.append((sid, k, factor, c))
+        batch_rows = [batch_rows[i] for i in rng.permutation(len(batch_rows))]
+        batch, manifest = self.write_tables(tmp_path, batch_rows, ages)
+        code, out, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "corr"))
+        assert code == 0
+        assert err.count("has no rows in the batch CSV") == 20
+        assert "excluded (zero complexity)" in err
+
+        pairs = [oracles.log_log_pairs_by_subject(batch_rows, ages, k) for k in range(len(factors))]
+        fits = [pearson_regression([(log_age, log_c) for log_c, log_age in p]) for p in pairs]
+        qs = benjamini_hochberg([fit.p for fit in fits])
+        rows = [
+            CorrelationRow(k, factor, len(p), fit.r, fit.p, q, fit.slope, fit.intercept)
+            for k, (factor, p, fit, q) in enumerate(zip(factors, pairs, fits, qs))
+        ]
+        assert any(row.n < 280 for row in rows)
+        assert (tmp_path / "corr.csv").read_bytes() == table_to_csv(rows).encode()
+        assert (tmp_path / "corr.txt").read_bytes() == table_to_text(rows).encode()
+        assert out == table_to_text(rows)
+        for k, p in enumerate(pairs):
+            scatter = "log_age,log_C\n" + "".join(f"{log_age!r},{log_c!r}\n" for log_c, log_age in p)
+            assert (tmp_path / f"corr_scale{k}_scatter.csv").read_bytes() == scatter.encode()
+
+    def small_cohort(self):
+        ages = [(f"s{i}", 50.0 + 7.0 * i) for i in range(4)]
+        rows = [(sid, k, 2**k, (1.0 + k) * age**-0.25) for sid, age in ages for k in range(2)]
+        return rows, ages
+
+    def test_unknown_subject_warns_and_is_ignored(self, tmp_path, capsys):
+        rows, ages = self.small_cohort()
+        rows += [("ghost", k, 2**k, 1.0) for k in range(2)]
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        code, _, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert code == 0
+        assert "warning: subject 'ghost' is not in the manifest; ignored" in err
+        assert "skipped" not in err and "excluded" not in err
+        table = (tmp_path / "c.csv").read_text().strip().splitlines()
+        assert [line.split(",")[2] for line in table[1:]] == ["4", "4"]
+
+    def test_repeated_subject_and_scale_exit_2(self, tmp_path, capsys):
+        rows, ages = self.small_cohort()
+        rows.append(("s1", 0, 1, 0.5))  # line 10
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        code, _, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert code == 2
+        assert err.startswith("MalformedRowError: ")
+        assert "line 10: subject 's1' at scale 0 already given on line 4" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_scale_with_two_factors_exit_2(self, tmp_path, capsys):
+        rows, ages = self.small_cohort()
+        rows[5] = ("s2", 1, 3, rows[5][3])  # line 7: scale 1 is factor 2 everywhere else
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        code, _, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert code == 2
+        assert err.startswith("MalformedRowError: ")
+        assert "line 7: scale 1 has factor 3, but factor 2 on line 3" in err
+        assert not (tmp_path / "c.csv").exists()
 
 
 class TestSynth:

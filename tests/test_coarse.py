@@ -175,6 +175,16 @@ class TestKernelAgreement:
         for func in (sliding_mean, sliding_mean_running_sum):
             np.testing.assert_allclose(func(v, side).data, ref, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("side", [11, 16, 40])
+    def test_axis0_running_sum_is_cumsum_to_the_bit(self, rng, side):
+        # axis 0 runs plane-wise adds, the last axis np.cumsum; on the
+        # transposed volume both add the same values in the same order
+        a = rng.normal(size=(23, 9, 14)) + 1e3
+        assert side > coarse._SHIFT_ADD_MAX_SIDE
+        got = coarse._axis_window_means(a, 0, side)
+        ref = coarse._axis_window_means(np.ascontiguousarray(a.transpose(2, 1, 0)), 2, side)
+        assert np.array_equal(got, ref.transpose(2, 1, 0))
+
 
 class TestLinearity:
     @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from msc3d.npy_io import (
     UnsupportedDtypeError,
     UnsupportedLayoutError,
     UnsupportedVersionError,
+    read_batch_csv,
 )
 
 
@@ -219,3 +220,80 @@ class TestManifest:
         )
         manifest = read_manifest(write_manifest(tmp_path, rows))
         assert [e.subject_id for e in manifest] == [f"s{i}" for i in range(5)]
+
+
+BATCH_HEADER = "subject_id,scale_index,scale_factor,complexity\n"
+
+
+def write_batch(tmp_path, body):
+    path = tmp_path / "cohort.csv"
+    path.write_text(BATCH_HEADER + body)
+    return path
+
+
+class TestBatchCsv:
+    def test_subject_by_scale_matrix(self, tmp_path):
+        body = "b,1,2,0.5\na,0,1,3.0\nb,0,1,2.0\na,1,2,0.25\n"
+        table = read_batch_csv(write_batch(tmp_path, body))
+        assert table.subject_ids == ("b", "a")  # first-seen order
+        assert table.scale_indices == (0, 1)
+        assert table.scale_factors == (1, 2)
+        assert table.complexity.dtype == np.float64
+        assert table.complexity.tolist() == [[2.0, 0.5], [3.0, 0.25]]
+
+    def test_missing_cells_are_nan_and_scales_sorted(self, tmp_path):
+        body = "a,2,4,1.0\na,0,1,2.0\nb,0,1,0.0\n"
+        table = read_batch_csv(write_batch(tmp_path, body))
+        assert table.scale_indices == (0, 2)
+        assert table.scale_factors == (1, 4)
+        assert table.complexity[0].tolist() == [2.0, 1.0]
+        assert table.complexity[1, 0] == 0.0
+        assert np.isnan(table.complexity[1, 1])
+
+    def test_cells_are_stripped_and_blank_lines_skipped(self, tmp_path):
+        table = read_batch_csv(write_batch(tmp_path, "\n a , 0 , 1 , 2.5 \n\n"))
+        assert table.subject_ids == ("a",)
+        assert table.complexity.tolist() == [[2.5]]
+
+    def test_header_only(self, tmp_path):
+        table = read_batch_csv(write_batch(tmp_path, ""))
+        assert table.subject_ids == () and table.scale_indices == ()
+        assert table.complexity.size == 0
+
+    def test_missing_header(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        path.write_text("a,0,1,2.0\n")
+        with pytest.raises(MissingColumnError):
+            read_batch_csv(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IoFailureError):
+            read_batch_csv(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ("b,0,1\n", "expected 4 fields, got 3"),
+            ("b,0,1,2.0,9\n", "expected 4 fields, got 5"),
+            ("b,zero,1,2.0\n", "invalid literal"),
+            ("b,0,1.5,2.0\n", "invalid literal"),
+            ("b,0,1,much\n", "could not convert"),
+            ("b,0,1,nan\n", "complexity 'nan' is not finite"),
+            ("b,0,1,inf\n", "complexity 'inf' is not finite"),
+        ],
+    )
+    def test_malformed_row_names_line(self, tmp_path, bad, match):
+        # line 1 header, line 2 good, line 3 blank, line 4 bad
+        path = write_batch(tmp_path, "a,0,1,2.0\n\n" + bad)
+        with pytest.raises(MalformedRowError, match=f"line 4: {match}"):
+            read_batch_csv(path)
+
+    def test_repeated_subject_and_scale_names_both_lines(self, tmp_path):
+        path = write_batch(tmp_path, "a,0,1,2.0\nb,0,1,3.0\na,1,2,1.0\na,0,1,2.0\n")
+        with pytest.raises(MalformedRowError, match="line 5: subject 'a' at scale 0 already given on line 2"):
+            read_batch_csv(path)
+
+    def test_scale_with_two_factors_names_both_lines(self, tmp_path):
+        path = write_batch(tmp_path, "a,0,1,2.0\na,1,2,1.0\nb,0,1,3.0\nb,1,4,1.0\n")
+        with pytest.raises(MalformedRowError, match="line 5: scale 1 has factor 4, but factor 2 on line 3"):
+            read_batch_csv(path)

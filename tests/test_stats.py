@@ -26,6 +26,8 @@ from msc3d.stats import (
     OutOfRangeError,
     TooFewPointsError,
     UnknownSubjectError,
+    correlate_columns,
+    log_log_columns,
 )
 
 from . import oracles
@@ -84,6 +86,40 @@ class TestLogLogPairs:
         profiles = [make_profile("s2", [3.0]), make_profile("s0", [1.0]), make_profile("s1", [2.0])]
         pairs = log_log_pairs(profiles, manifest, 0)
         assert [x for x, _ in pairs] == [pytest.approx(math.log(c)) for c in (1.0, 2.0, 3.0)]
+
+
+class TestLogLogColumns:
+    def test_aligns_to_manifest_and_lists_unknown_subjects(self):
+        manifest = make_manifest([50.0, 60.0, 70.0])
+        complexity = np.array([[4.0, np.nan], [9.0, 0.0], [1.0, 2.0], [5.0, 5.0]])
+        columns = log_log_columns(("s2", "ghost", "s0", "late"), complexity, manifest)
+        assert columns.unknown == ("ghost", "late")
+        assert columns.ln_age.tolist() == [math.log(50.0), math.log(70.0)]
+        assert columns.ln_c[:, 0].tolist() == [math.log(1.0), math.log(4.0)]
+        assert columns.ln_c[0, 1] == math.log(2.0) and np.isnan(columns.ln_c[1, 1])
+        assert columns.usable(1).tolist() == [True, False]
+
+    def test_zero_and_missing_complexity_are_not_usable(self):
+        manifest = make_manifest([50.0, 60.0, 70.0])
+        complexity = np.array([[0.0], [np.nan], [3.0]])
+        columns = log_log_columns(("s0", "s1", "s2"), complexity, manifest)
+        ln_age, ln_c = columns.pairs(0, 7)
+        assert ln_age.tolist() == [math.log(70.0)]
+        assert ln_c.tolist() == [math.log(3.0)]
+        with pytest.raises(EmptyAfterFilteringError, match="scale 7"):
+            log_log_columns(("s0",), np.zeros((1, 1)), manifest).pairs(0, 7)
+
+    def test_correlate_columns_equals_correlation_table(self):
+        rng = np.random.default_rng(11)
+        ages = np.linspace(40.0, 90.0, 25)
+        manifest = make_manifest(ages.tolist())
+        cs = [[float(a ** -0.5 * (1 + 0.05 * rng.standard_normal())), float(rng.random())] for a in ages]
+        cs[3][1] = 0.0
+        profiles = [make_profile(f"s{i}", c) for i, c in enumerate(cs)]
+        table = correlation_table(profiles, manifest, ScaleSchedule(factors=(1, 2)))
+        columns = log_log_columns([f"s{i}" for i in range(25)][::-1], np.array(cs)[::-1], manifest)
+        assert correlate_columns(columns, (0, 1), (1, 2)) == table
+        assert [row.n for row in table] == [25, 24]
 
 
 class TestPearsonRegression:
@@ -247,6 +283,20 @@ class TestCorrelationTable:
         assert [r.scale_index for r in rows] == [0]
         with pytest.raises(EmptyAfterFilteringError):
             correlation_table(profiles, manifest, ScaleSchedule(factors=(1, 2)))
+
+    def test_unknown_subject_raises_even_with_skip_failures(self):
+        manifest = make_manifest([50.0, 60.0, 70.0])
+        profiles = [make_profile(f"s{i}", [1.0 + i]) for i in range(3)] + [make_profile("ghost", [1.0])]
+        with pytest.raises(UnknownSubjectError, match="ghost"):
+            correlation_table(profiles, manifest, ScaleSchedule(factors=(1,)), skip_failures=True)
+
+    def test_first_entry_of_a_repeated_scale_index_wins(self):
+        manifest = make_manifest([50.0, 60.0, 70.0])
+        profiles = [
+            ComplexityProfile(f"s{i}", (ProfileEntry(0, 1, 1.0 + i, 0.0), ProfileEntry(0, 1, 9.0, 0.0)))
+            for i in range(3)
+        ]
+        assert [c for c, _ in log_log_pairs(profiles, manifest, 0)] == [math.log(1.0 + i) for i in range(3)]
 
     def test_csv_column_order(self):
         ages = [50.0, 60.0, 70.0]
