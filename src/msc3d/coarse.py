@@ -1,6 +1,16 @@
 """Coarse-graining kernels: block averaging and sliding cubic means.
 
-``sliding_mean`` is the one sliding-mean kernel. The window is separable, so
+The kernels ``edge_pad``, ``block_sums`` and ``window_means`` work on plain
+float64 ndarrays; ``block_downsample`` and ``sliding_mean`` wrap them for
+:class:`Volume3D`, which validates its data once, at that boundary.
+
+Block means: ``edge_pad`` makes one float64 copy of the volume, less a DC
+offset, edge-padded to whole blocks, and ``block_sums`` sums its blocks from
+basic slices. Each block is summed in the order numpy's pairwise sum adds a
+C-ordered run of its values, so ``block_downsample`` equals the mean of every
+block to the bit, and a factor-2 step is three strided pair sums.
+
+``window_means`` is the one sliding-mean kernel. The window is separable, so
 it takes clipped window means along each axis in turn, from basic slices
 only. Small sides add the ``side - 1`` shifted slices; large sides take two
 slices of a running sum, so their cost does not grow with the side. The test
@@ -17,7 +27,41 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .volume import Volume3D, pad_to_multiple
+from .volume import Volume3D
+
+
+def edge_pad(arr: np.ndarray, shape: tuple[int, ...], offset: float = 0.0) -> np.ndarray:
+    """``arr - offset`` in a new float64 array of ``shape``, edge-padded at the
+    high end of each axis.
+
+    Padding an axis to any longer length leaves every earlier voxel as it is,
+    so one copy padded for the largest block serves every smaller factor.
+    """
+    x, y, z = arr.shape
+    out = np.empty(shape)
+    np.subtract(arr, offset, out=out[:x, :y, :z])
+    out[x:, :y, :z] = out[x - 1 : x, :y, :z]
+    out[:, y:, :z] = out[:, y - 1 : y, :z]
+    out[:, :, z:] = out[:, :, z - 1 : z]
+    return out
+
+
+def block_sums(arr: np.ndarray, factor: int) -> np.ndarray:
+    """Sum of every ``factor**3`` block of ``arr``, whose dims are multiples of ``factor``.
+
+    numpy adds 8 values as ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)),
+    which for a C-ordered 2x2x2 block is a pair sum along z, then y, then x:
+    three strided slice adds. Larger blocks are gathered into C-ordered runs
+    and summed by numpy itself, so every factor keeps that order.
+    """
+    if factor == 2:
+        s = arr[:, :, 0::2] + arr[:, :, 1::2]
+        s = s[:, 0::2] + s[:, 1::2]
+        return s[0::2] + s[1::2]
+    nx, ny, nz = (dim // factor for dim in arr.shape)
+    blocks = np.empty((nx, ny, nz, factor, factor, factor))
+    np.copyto(blocks, arr.reshape(nx, factor, ny, factor, nz, factor).transpose(0, 2, 4, 1, 3, 5))
+    return blocks.reshape(nx, ny, nz, factor**3).sum(axis=3)
 
 
 def block_downsample(v: Volume3D, factor: int, offset: float = 0.0) -> Volume3D:
@@ -26,20 +70,17 @@ def block_downsample(v: Volume3D, factor: int, offset: float = 0.0) -> Volume3D:
     The volume is edge-padded to divisibility first, so the output shape is
     ``ceil(dim / factor)`` per axis. The offset comes off before the blocks
     are summed, so passing a voxel of a volume that sits on a large DC
-    offset keeps the means at the scale of the texture.
+    offset keeps the means at the scale of the texture. Each mean equals
+    numpy's mean of its block to the bit (see :func:`block_sums`); a
+    divisible volume with no offset is summed straight from its data.
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     if factor == 1 and offset == 0.0:
         return v
-    padded = pad_to_multiple(v, factor).data
-    nx, ny, nz = (dim // factor for dim in padded.shape)
-    # Gather into a buffer of our own, so the offset can come off in place.
-    blocks = np.empty((nx, ny, nz, factor, factor, factor))
-    np.copyto(blocks, padded.reshape(nx, factor, ny, factor, nz, factor).transpose(0, 2, 4, 1, 3, 5))
-    if offset:
-        blocks -= offset
-    return Volume3D(blocks.reshape(nx, ny, nz, factor**3).mean(axis=3))
+    shape = tuple(-(-dim // factor) * factor for dim in v.shape)
+    arr = v.data if shape == v.shape and offset == 0.0 else edge_pad(v.data, shape, offset)
+    return Volume3D(block_sums(arr, factor) / factor**3)
 
 
 def block_upsample(v: Volume3D, factor: int, target_shape: tuple[int, int, int]) -> Volume3D:
@@ -111,6 +152,18 @@ def _axis_window_means(arr: np.ndarray, axis: int, side: int) -> np.ndarray:
     return out
 
 
+def window_means(arr: np.ndarray, side: int) -> np.ndarray:
+    """Clipped mean over the cubic window of ``side`` centered at each voxel, one axis at a time."""
+    # Working relative to the first voxel keeps constant fields exact and
+    # bounds the magnitude of the window sums.
+    offset = float(arr.flat[0])
+    mean = arr - offset
+    for axis in range(3):
+        mean = _axis_window_means(mean, axis, side)
+    mean += offset
+    return mean
+
+
 def sliding_mean(v: Volume3D, side: int) -> Volume3D:
     """Mean over the cubic window of ``side`` centered at each voxel.
 
@@ -122,11 +175,4 @@ def sliding_mean(v: Volume3D, side: int) -> Volume3D:
         raise ValueError(f"side must be >= 1, got {side}")
     if side == 1:
         return v
-    # Working relative to the first voxel keeps constant fields exact and
-    # bounds the magnitude of the window sums.
-    offset = float(v.data.flat[0])
-    mean = v.data - offset
-    for axis in range(3):
-        mean = _axis_window_means(mean, axis, side)
-    mean += offset
-    return Volume3D(mean)
+    return Volume3D(window_means(v.data, side))

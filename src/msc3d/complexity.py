@@ -20,17 +20,21 @@ Three pipeline modes are implemented:
   re-upsampled coarse version on the running lattice.
 * ``sliding_cascade`` - same cascade, but the coarse field is a sliding
   cubic mean of the running field, so every step stays on the full lattice.
+
+``algorithm1`` edge-pads the volume once, relative to its first voxel, and
+builds its block means as a pyramid, each factor from the one before it.
+Its sweep squares the forward differences in place and takes the strided
+window sums one axis at a time. The cascades run on plain ndarrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .coarse import block_downsample, block_upsample, sliding_mean
+from .coarse import block_downsample, block_sums, edge_pad, window_means
 from .errors import ScheduleError, ShapeMismatchError
 from .volume import Volume3D
 
@@ -130,26 +134,17 @@ class ScaleReport:
     window_used: tuple[int, int, int] | None = None
     stride_used: tuple[int, int, int] | None = None
     grid_shape: tuple[int, int, int] | None = None
-    degenerate_sweep: bool = False
+    degenerate_sweep: bool | None = None
     incremental_factor: int | None = None
     lattice_shape: tuple[int, int, int] | None = None
 
     def to_dict(self) -> dict:
-        out = {"scale_index": self.scale_index, "scale_factor": self.scale_factor, "mode": self.mode}
-        for key in (
-            "padded_shape",
-            "downsampled_shape",
-            "window_used",
-            "stride_used",
-            "grid_shape",
-            "incremental_factor",
-            "lattice_shape",
-        ):
-            val = getattr(self, key)
+        """The fields this scale's mode sets (those not None), tuples as lists."""
+        out = {}
+        for f in fields(self):
+            val = getattr(self, f.name)
             if val is not None:
-                out[key] = list(val) if isinstance(val, tuple) else val
-        if self.mode == "algorithm1":
-            out["degenerate_sweep"] = self.degenerate_sweep
+                out[f.name] = list(val) if isinstance(val, tuple) else val
         return out
 
 
@@ -198,6 +193,51 @@ def shift_overlap_axes(block: np.ndarray) -> tuple[float, float, float]:
     )
 
 
+# Elements per pass of the squared-difference loop: 256 KB of float64, so the
+# difference buffer stays in cache between its subtract, square and add.
+_DIFF_CHUNK = 1 << 15
+
+
+def _squared_differences(arr: np.ndarray) -> np.ndarray:
+    """dx^2 + dy^2 + dz^2 of the forward differences, on the core lattice
+    that drops the last voxel of each axis.
+
+    Each difference is a subtraction of two shifted runs of the flattened
+    array, taken a chunk at a time; the core view skips the entries that
+    straddle a row or a plane.
+    """
+    x, y, z = arr.shape
+    flat = arr.ravel()
+    plane = y * z
+    n = (x - 1) * plane
+    sq = np.empty(arr.shape)
+    total = sq.reshape(-1)
+    d = np.empty(min(n, _DIFF_CHUNK))
+    for lo in range(0, n, _DIFF_CHUNK):
+        hi = min(lo + _DIFF_CHUNK, n)
+        part, diff = total[lo:hi], d[: hi - lo]
+        np.subtract(flat[lo + plane : hi + plane], flat[lo:hi], out=part)
+        np.square(part, out=part)
+        for shift in (z, 1):
+            np.subtract(flat[lo + shift : hi + shift], flat[lo:hi], out=diff)
+            np.square(diff, out=diff)
+            part += diff
+    return sq[:-1, :-1, :-1]
+
+
+def _strided_box_sums(arr: np.ndarray, box: tuple[int, ...], stride: tuple[int, ...]) -> np.ndarray:
+    """Sums of ``arr`` over boxes of ``box`` voxels placed every ``stride``
+    voxels, one axis at a time: per axis, ``box`` strided slices added up."""
+    for axis, (b, s) in enumerate(zip(box, stride)):
+        span = (arr.shape[axis] - b) // s * s + 1
+        parts = [arr[(slice(None),) * axis + (slice(d, d + span, s),)] for d in range(b)]
+        total = parts[0] + parts[1] if b > 1 else parts[0]
+        for part in parts[2:]:
+            total += part
+        arr = total
+    return arr
+
+
 def complexity_map(
     u: Volume3D,
     window: tuple[int, int, int],
@@ -207,28 +247,20 @@ def complexity_map(
     """Sweep ``window`` at ``stride`` over ``u``; each cell is the mean shift
     overlap magnitude -(ox + oy + oz)/3 of its window, hence >= 0.
 
-    Equivalent to calling :func:`shift_overlap_axes` per window, but computed
-    from the three squared forward-difference fields so the sweep is a single
-    vectorized box sum.
+    Equivalent to calling :func:`shift_overlap_axes` per window. The three
+    squared forward differences are summed into one field on the core
+    lattice, and each cell sums the field over its window's core: strided
+    slices added one axis at a time, so each axis costs ``window - 1`` adds
+    of a field that the earlier axes have already thinned by their strides.
     """
-    wx, wy, wz = window
-    sx, sy, sz = stride
     if min(window) < 2:
         raise WindowTooSmallError(f"window dims must be >= 2, got {window}")
     if min(stride) < 1:
         raise ValueError(f"stride dims must be >= 1, got {stride}")
     if any(w > d for w, d in zip(window, u.shape)):
         raise WindowTooLargeError(f"window {window} does not fit in volume of shape {u.shape}")
-    arr = u.data
-    x, y, z = arr.shape
-    dx = np.diff(arr, axis=0) ** 2
-    dy = np.diff(arr, axis=1) ** 2
-    dz = np.diff(arr, axis=2) ** 2
-    sq = dx[:, : y - 1, : z - 1] + dy[: x - 1, :, : z - 1] + dz[: x - 1, : y - 1, :]
-    core = (wx - 1, wy - 1, wz - 1)
-    m = core[0] * core[1] * core[2]
-    windows = sliding_window_view(sq, core)[::sx, ::sy, ::sz]
-    cells = windows.sum(axis=(3, 4, 5)) / (6.0 * m)
+    core = tuple(w - 1 for w in window)
+    cells = _strided_box_sums(_squared_differences(u.data), core, stride) / (6.0 * math.prod(core))
     return ComplexityMap(scale_factor=scale_factor, values=cells)
 
 
@@ -246,20 +278,36 @@ def _incremental_factors(factors: tuple[int, ...]) -> list[int]:
 
 
 def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunResult:
-    # Complexity ignores a DC offset. Block means taken relative to the first
-    # voxel round at the scale of the texture, not of the offset. Factor 1
-    # keeps the volume as it is: its forward differences are already exact.
-    ref = float(v.data.flat[0])
-    entries = []
-    maps = []
-    reports = []
-    for k, factor in enumerate(schedule.factors):
-        down_shape = tuple(math.ceil(dim / factor) for dim in v.shape)
+    down_shapes = [tuple(math.ceil(dim / f) for dim in v.shape) for f in schedule.factors]
+    for factor, down_shape in zip(schedule.factors, down_shapes):
         if min(down_shape) < 2:
             raise ScheduleInfeasibleError(
                 f"factor {factor} reduces volume {v.shape} below the 2-voxel minimum"
             )
-        u = block_downsample(v, factor, offset=ref if factor > 1 else 0.0)
+    # Complexity ignores a DC offset. Block means taken relative to the first
+    # voxel round at the scale of the texture, not of the offset. Factor 1
+    # keeps the volume as it is: its forward differences are already exact.
+    # The relative copy is edge-padded once, for the largest block; padding
+    # further leaves every earlier voxel as it is, so each factor's block
+    # means are those of the volume padded for that factor alone.
+    coarse = [f for f in schedule.factors if f > 1]
+    if coarse:
+        padded_shape = tuple(max(math.ceil(dim / f) * f for f in coarse) for dim in v.shape)
+        padded = Volume3D(edge_pad(v.data, padded_shape, float(v.data.flat[0])))
+    level, base = v, 1
+    entries = []
+    maps = []
+    reports = []
+    for k, (factor, down_shape) in enumerate(zip(schedule.factors, down_shapes)):
+        # Each level averages blocks of the level before it. The first coarse
+        # factor, and one that is not a multiple of the level before it,
+        # average blocks of the padded copy.
+        if factor > 1 and (base == 1 or factor % base):
+            level, base = padded, 1
+        level = block_downsample(level, factor // base)
+        base = factor
+        cx, cy, cz = down_shape
+        u = level if level.shape == down_shape else Volume3D(level.data[:cx, :cy, :cz])
         w_used = tuple(max(2, min(w, d)) for w, d in zip(schedule.window, u.shape))
         s_used = tuple(max(1, min(s, d)) for s, d in zip(schedule.stride, u.shape))
         cmap = complexity_map(u, w_used, s_used, scale_factor=factor)
@@ -283,21 +331,42 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> Ru
     return RunResult(profile=profile, maps=tuple(maps), scale_reports=tuple(reports))
 
 
+def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, float]:
+    """Block means of ``current - ref`` and the overlap of ``current`` with
+    their re-upsampled copy.
+
+    The relative copy doubles as the difference field: the upsampled means
+    come off it in place, so the step makes one full-size copy.
+    """
+    x, y, z = current.shape
+    diff = edge_pad(current, tuple(math.ceil(dim / inc) * inc for dim in current.shape), ref)
+    means = block_sums(diff, inc) / inc**3
+    nx, ny, nz = means.shape
+    diff.reshape(nx, inc, ny, inc, nz, inc)[...] -= means[:, None, :, None, :, None]
+    d = diff[:x, :y, :z]
+    np.square(d, out=d)
+    return means, -0.5 * float(d.mean()) + 0.0
+
+
 def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunResult:
     incs = _incremental_factors(schedule.factors)
     entries = []
     reports = []
-    current = v
+    current = v.data
+    # The block path carries its fields relative to the first voxel, so its
+    # block means round at the scale of the texture, not of a DC offset.
+    ref = float(current.flat[0])
     for k, (factor, inc) in enumerate(zip(schedule.factors, incs)):
-        if schedule.mode == "block_cascade":
-            coarse = block_downsample(current, inc)
-            recon = block_upsample(coarse, inc, current.shape)
-            o = overlap(current, recon)
-            nxt = coarse
+        lattice_shape = current.shape
+        if inc == 1:
+            o = 0.0  # the coarse field is the field itself
+        elif schedule.mode == "block_cascade":
+            current, o = _block_step(current, ref, inc)
+            ref = 0.0
         else:
-            coarse = sliding_mean(current, inc)
-            o = overlap(current, coarse)
-            nxt = coarse
+            coarse = window_means(current, inc)
+            o = _difference_overlap(current, coarse)
+            current = coarse
         entries.append(ProfileEntry(k, factor, abs(o), o))
         reports.append(
             ScaleReport(
@@ -305,10 +374,9 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunRe
                 scale_factor=factor,
                 mode=schedule.mode,
                 incremental_factor=inc,
-                lattice_shape=current.shape,
+                lattice_shape=lattice_shape,
             )
         )
-        current = nxt
     profile = ComplexityProfile(subject_id=subject_id, per_scale=tuple(entries))
     return RunResult(profile=profile, maps=(), scale_reports=tuple(reports))
 

@@ -164,9 +164,11 @@ def _regress(xs: np.ndarray, ys: np.ndarray) -> RegressionResult:
     ym = float(ys.mean())
     dx = xs - xm
     dy = ys - ym
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
-    sxy = float(np.dot(dx, dy))
+    # numpy's own pairwise sums, not np.dot: BLAS splits a long dot product
+    # across its threads, so its rounding would follow the thread count.
+    sxx = float((dx * dx).sum())
+    syy = float((dy * dy).sum())
+    sxy = float((dx * dy).sum())
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateVarianceError("x or y values are all equal")
     slope = sxy / sxx

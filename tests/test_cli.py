@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from msc3d import (
     table_to_text,
     write_npy,
 )
+import msc3d
 from msc3d.cli import main
 
 from . import oracles
@@ -118,6 +123,61 @@ class TestCompute:
         assert scales[1]["window_used"] == [4, 4, 4]  # fits exactly at factor 4
         assert scales[1]["degenerate_sweep"] is True
         assert scales[0]["stride_used"] == [2, 2, 2]
+
+    @pytest.mark.parametrize("mode", ["algorithm1", "block-cascade", "sliding-cascade"])
+    def test_report_bytes(self, tmp_path, capsys, mode):
+        path = tmp_path / "vol.npy"
+        write_phantom(path, shape=(10, 9, 8), seed=5)
+        report_path = tmp_path / "run.json"
+        code, _, _ = run_cli(
+            capsys, "compute", str(path), "--mode", mode, "--factors", "1,2,4", "--report", str(report_path)
+        )
+        assert code == 0
+        if mode == "algorithm1":
+            scales = [
+                {
+                    "degenerate_sweep": degenerate,
+                    "downsampled_shape": down,
+                    "grid_shape": grid,
+                    "mode": "algorithm1",
+                    "padded_shape": padded,
+                    "scale_factor": 2**k,
+                    "scale_index": k,
+                    "stride_used": [2, 2, 2],
+                    "window_used": window,
+                }
+                for k, (degenerate, down, grid, padded, window) in enumerate(
+                    [
+                        (False, [10, 9, 8], [4, 3, 3], [10, 9, 8], [4, 4, 4]),
+                        (True, [5, 5, 4], [1, 1, 1], [10, 10, 8], [4, 4, 4]),
+                        (True, [3, 3, 2], [1, 1, 1], [12, 12, 8], [3, 3, 2]),
+                    ]
+                )
+            ]
+        else:
+            lattices = [[10, 9, 8], [10, 9, 8], [5, 5, 4] if mode == "block-cascade" else [10, 9, 8]]
+            scales = [
+                {
+                    "incremental_factor": 1 if k == 0 else 2,
+                    "lattice_shape": lattice,
+                    "mode": mode.replace("-", "_"),
+                    "scale_factor": 2**k,
+                    "scale_index": k,
+                }
+                for k, lattice in enumerate(lattices)
+            ]
+        expected = {
+            "exclusions": [],
+            "factors": [1, 2, 4],
+            "mode": mode.replace("-", "_"),
+            "scales": scales,
+            "shape": [10, 9, 8],
+            "stride": [2, 2, 2],
+            "subject_id": "vol",
+            "volume": str(path),
+            "window": [4, 4, 4],
+        }
+        assert report_path.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "compute", str(tmp_path / "missing.npy"))
@@ -330,6 +390,36 @@ class TestCorrelate:
         for k, p in enumerate(pairs):
             scatter = "log_age,log_C\n" + "".join(f"{log_age!r},{log_c!r}\n" for log_c, log_age in p)
             assert (tmp_path / f"corr_scale{k}_scatter.csv").read_bytes() == scatter.encode()
+
+    def test_same_output_at_every_blas_thread_count(self, tmp_path):
+        # 20,000 subjects is above the length at which BLAS splits a dot
+        # product across its threads.
+        rng = np.random.default_rng(7)
+        ages = [(f"s{i:05d}", float(a)) for i, a in enumerate(rng.uniform(45.0, 80.0, 20_000))]
+        noise = rng.normal(0.0, 0.05, (len(ages), 6))
+        rows = [
+            (sid, k, 2**k, math.exp((0.8 - 0.4 * k) * math.log(age) - 3.0 + noise[i, k]))
+            for i, (sid, age) in enumerate(ages)
+            for k in range(6)
+        ]
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        src = str(Path(msc3d.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            subprocess.run(
+                [sys.executable, "-m", "msc3d.cli", "correlate", str(batch), str(manifest), str(out / "corr")],
+                env=env,
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(outputs[0]) == 8
+        assert outputs[0] == outputs[1]
 
     def small_cohort(self):
         ages = [(f"s{i}", 50.0 + 7.0 * i) for i in range(4)]

@@ -59,6 +59,13 @@ class TestBlockDownsample:
         ref = oracles.block_means(oracles.pad_replicate(arr, 4), 4)
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("factor", [2, 5])
+    def test_non_divisible_matches_loop_oracle_exactly(self, factor, rng):
+        arr = rng.random((11, 13, 7))
+        out = block_downsample(Volume3D(arr), factor)
+        ref = oracles.block_means(oracles.pad_replicate(arr, factor), factor)
+        assert np.array_equal(out.data, ref)
+
     def test_offset_comes_off_the_means(self, rng):
         arr = rng.random((5, 7, 9))
         for factor in (1, 2, 3):

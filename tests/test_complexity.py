@@ -126,6 +126,18 @@ class TestComplexityMap:
         assert cmap.grid_shape == ref.shape
         np.testing.assert_allclose(cmap.values, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "window, stride",
+        [((3, 3, 3), (4, 5, 3)), ((4, 3, 5), (1, 1, 1))],
+        ids=["stride_above_core", "stride_1"],
+    )
+    def test_strides_match_window_sweep_oracle(self, rng, window, stride):
+        arr = rng.random((13, 11, 12))
+        cmap = complexity_map(Volume3D(arr), window, stride)
+        ref = oracles.window_sweep_map(arr, window, stride)
+        assert cmap.grid_shape == ref.shape
+        np.testing.assert_allclose(cmap.values, ref, rtol=0, atol=1e-12)
+
     def test_window_too_large(self, rng):
         with pytest.raises(WindowTooLargeError):
             complexity_map(Volume3D(rng.random((4, 4, 4))), (5, 4, 4), (1, 1, 1))
@@ -154,6 +166,22 @@ class TestMultiscaleProfile:
     def test_algorithm1_matches_naive_oracle(self):
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=(20, 17, 23), level=1.0, rng_seed=31))
         sched = ScaleSchedule(factors=(1, 2, 4, 8))
+        prof, maps = multiscale_profile(v, sched)
+        ref_values, ref_maps = oracles.algorithm1(v.data, sched.factors, sched.window, sched.stride)
+        for entry, ref in zip(prof.per_scale, ref_values):
+            assert entry.complexity == pytest.approx(ref, abs=1e-12)
+        for cmap, ref_map in zip(maps, ref_maps):
+            assert cmap.grid_shape == ref_map.shape
+            np.testing.assert_allclose(cmap.values, ref_map, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, factors",
+        [((35, 41, 37), (1, 2, 4, 8, 16)), ((20, 17, 23), (1, 3, 6)), ((20, 17, 23), (1, 4, 6))],
+        ids=["non_divisible", "chain_1_3_6", "non_chain_1_4_6"],
+    )
+    def test_algorithm1_block_pyramid_matches_naive_oracle(self, shape, factors):
+        v = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=43))
+        sched = ScaleSchedule(factors=factors)
         prof, maps = multiscale_profile(v, sched)
         ref_values, ref_maps = oracles.algorithm1(v.data, sched.factors, sched.window, sched.stride)
         for entry, ref in zip(prof.per_scale, ref_values):
@@ -280,6 +308,28 @@ class TestInvariances:
             ref = multiscale_run(Volume3D(moved - offset), sched).profile.complexities()
             got = multiscale_run(Volume3D(moved), sched).profile.complexities()
             np.testing.assert_allclose(got, ref, rtol=1e-6, atol=0, err_msg=mode)
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(8, 20), st.integers(8, 20), st.integers(8, 20)),
+        offset=st.floats(-1e6, 1e6),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(seed=208, dims=(12, 8, 15), offset=1e6)
+    def test_block_modes_exact_under_offset(self, seed, dims, offset):
+        """The block modes take their block means relative to the first
+        voxel, so a texture of 1e-3 on an offset of up to 1e6 keeps every
+        per-scale complexity to float64 rounding. The explicit example
+        failed ``block_cascade`` at 1.5e-7 when its block means carried the
+        offset."""
+        texture = 1e-3 * np.random.default_rng(seed).random(dims)
+        moved = texture + offset
+        for mode in ("algorithm1", "block_cascade"):
+            sched = ScaleSchedule(factors=(1, 2, 4), mode=mode)
+            ref = multiscale_run(Volume3D(moved - offset), sched).profile.complexities()
+            got = multiscale_run(Volume3D(moved), sched).profile.complexities()
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=mode)
 
 
 class TestScaleSchedule:
