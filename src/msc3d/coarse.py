@@ -1,8 +1,9 @@
 """Coarse-graining kernels: block averaging and sliding cubic means.
 
-The kernels ``edge_pad``, ``block_sums`` and ``window_means`` work on plain
-float64 ndarrays; ``block_downsample`` and ``sliding_mean`` wrap them for
-:class:`Volume3D`, which validates its data once, at that boundary.
+The kernels ``edge_pad``, ``block_sums``, ``window_means_into`` and
+``window_means`` work on plain float64 ndarrays; ``block_downsample`` and
+``sliding_mean`` wrap them for :class:`Volume3D`, which validates its data
+once, at that boundary.
 
 Block means: ``edge_pad`` makes one float64 copy of the volume, less a DC
 offset, edge-padded to whole blocks, and ``block_sums`` sums its blocks from
@@ -10,11 +11,19 @@ basic slices. Each block is summed in the order numpy's pairwise sum adds a
 C-ordered run of its values, so ``block_downsample`` equals the mean of every
 block to the bit, and a factor-2 step is three strided pair sums.
 
-``window_means`` is the one sliding-mean kernel. The window is separable, so
-it takes clipped window means along each axis in turn, from basic slices
-only. Small sides add the ``side - 1`` shifted slices; large sides take two
-slices of a running sum, so their cost does not grow with the side. The test
-suite checks both paths against a plain loop oracle.
+``window_means_into`` is the one sliding-mean kernel. The window is
+separable: it writes the clipped window sums along x into the output the
+caller passes in, then takes each slab of x-planes, while it is in cache,
+through its y and z sums and one multiply by ``1/side**3``; only the
+clipped boundary slabs are then rescaled to their in-bounds counts. Small
+sides add the ``side - 1`` shifted runs of the flattened array, the first
+straight into the output, and sum the clipped boundary slabs again from
+their own slabs; large sides take two slices of a running sum, so their
+cost does not grow with the side. Apart from one slab buffer the
+small-side path allocates nothing, so the sliding cascade runs every step
+on the same two full-size buffers. ``window_means`` runs the kernel on a
+copy taken relative to the first voxel. The test suite checks both paths
+against a plain loop oracle.
 
 Window placement for even sides: a window of side ``s`` centered at voxel
 ``i`` spans ``i - s//2 .. i + s - 1 - s//2`` inclusive per axis (for even
@@ -23,6 +32,8 @@ the window is clipped and the mean renormalized by the in-bounds count.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -108,47 +119,104 @@ def block_upsample(v: Volume3D, factor: int, target_shape: tuple[int, int, int])
 # 128^3 volume the two paths cost the same near side 10.
 _SHIFT_ADD_MAX_SIDE = 10
 
+# The y and z sums and the scaling run on slabs of whole x-planes of about
+# this many bytes, so that a slab stays in cache through those passes.
+_SLAB_BYTES = 1 << 18
 
-def _axis_window_means(arr: np.ndarray, axis: int, side: int) -> np.ndarray:
-    """Clipped window means of ``arr`` along ``axis``, placed as in :func:`sliding_mean`."""
-    n = arr.shape[axis]
+
+def _cut(axis: int, start: int | None, stop: int | None) -> tuple[slice, ...]:
+    """Index of the ``start:stop`` slabs along ``axis`` of an array."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _axis_window_sums(src: np.ndarray, axis: int, side: int, out: np.ndarray) -> np.ndarray:
+    """Write the clipped window sums of ``src`` along ``axis`` into ``out``, and return ``out``.
+
+    Windows are placed as in :func:`sliding_mean`. ``out`` must not overlap
+    ``src``; both are C-contiguous float64 arrays of one shape.
+    """
+    n = src.shape[axis]
     before = side // 2
     after = side - 1 - before
 
-    def cut(start, stop):
-        idx = [slice(None)] * 3
-        idx[axis] = slice(start, stop)
-        return tuple(idx)
-
-    if side <= _SHIFT_ADD_MAX_SIDE:
-        out = arr.copy()
-        for d in range(1, min(after, n - 1) + 1):
-            out[cut(None, n - d)] += arr[cut(d, None)]
-        for d in range(1, min(before, n - 1) + 1):
-            out[cut(d, None)] += arr[cut(None, n - d)]
-    else:
+    if side > _SHIFT_ADD_MAX_SIDE:
         # out[i] = run[min(i + after, n - 1)] - run[i - before - 1], where a
         # negative index stands for the empty prefix.
         if axis == 0:
             # Plane-wise in-place adds keep np.cumsum's add order, so the
             # result is the same to the bit, at a tenth of its time along
             # the outer axis of a C-ordered array.
-            run = arr.copy()
+            run = src.copy()
             for i in range(1, n):
                 run[i] += run[i - 1]
         else:
-            run = np.cumsum(arr, axis=axis)
-        out = np.empty_like(run)
+            run = np.cumsum(src, axis=axis)
         k = max(0, n - after)
-        out[cut(None, k)] = run[cut(after, after + k)]
-        out[cut(k, None)] = run[cut(n - 1, None)]
+        out[_cut(axis, None, k)] = run[_cut(axis, after, after + k)]
+        out[_cut(axis, k, None)] = run[_cut(axis, n - 1, None)]
         if before + 1 < n:
-            out[cut(before + 1, None)] -= run[cut(None, n - before - 1)]
-    pos = np.arange(n)
-    count = np.minimum(pos + after, n - 1) - np.maximum(pos - before, 0) + 1
-    shape = [1, 1, 1]
-    shape[axis] = n
-    out /= count.reshape(shape)
+            out[_cut(axis, before + 1, None)] -= run[_cut(axis, None, n - before - 1)]
+        return out
+    # The window adds the voxel itself, then the shifts +1..+after and
+    # -1..-before that stay inside the axis, in that order. Each shift is one
+    # add of two runs of the flattened arrays, which also adds across the
+    # edges of the axis; the first ``before`` and last ``after`` slabs, the
+    # only ones whose windows are clipped, are then summed again from their
+    # own slabs. Along z that replaces many short rows by one long run.
+    shifts = [d for d in range(1, after + 1) if d < n] + [-d for d in range(1, before + 1) if d < n]
+    if not shifts:
+        np.copyto(out, src)
+        return out
+    flat, total = src.reshape(-1), out.reshape(-1)
+    stride = flat.size // math.prod(src.shape[: axis + 1])
+    for j, d in enumerate(shifts):
+        lo, hi = max(d, 0) * stride, flat.size + min(d, 0) * stride
+        shift = d * stride
+        if j == 0:
+            np.add(flat[lo - shift : hi - shift], flat[lo:hi], out=total[lo - shift : hi - shift])
+        else:
+            total[lo - shift : hi - shift] += flat[lo:hi]
+    for i in sorted({*range(min(before, n)), *range(max(n - after, 0), n)}):
+        slab = out[_cut(axis, i, i + 1)]
+        np.copyto(slab, src[_cut(axis, i, i + 1)])
+        for d in shifts:
+            if 0 <= i + d < n:
+                slab += src[_cut(axis, i + d, i + d + 1)]
+    return out
+
+
+def window_means_into(src: np.ndarray, side: int, out: np.ndarray) -> np.ndarray:
+    """Write the clipped mean over the cubic window of ``side`` centered at
+    each voxel of ``src`` into ``out``, and return ``out``.
+
+    ``out`` must not overlap ``src``; both are C-contiguous float64 arrays
+    of one shape. The x sums fill ``out``; then each slab of x-planes takes
+    its y sums into a slab buffer and its z sums back into ``out``, and is
+    multiplied by ``1/side**3`` while it is still in cache. Only the
+    boundary slabs, whose windows are clipped, are then rescaled to their
+    in-bounds counts.
+    """
+    _axis_window_sums(src, 0, side, out)
+    nx, ny, nz = out.shape
+    planes = max(1, _SLAB_BYTES // (8 * ny * nz))
+    part = np.empty((min(planes, nx), ny, nz))
+    for start in range(0, nx, planes):
+        slab = out[start : start + planes]
+        sums = part[: len(slab)]
+        _axis_window_sums(slab, 1, side, sums)
+        _axis_window_sums(sums, 2, side, slab)
+        slab *= 1.0 / side**3
+    before = side // 2
+    after = side - 1 - before
+    for axis, n in enumerate(out.shape):
+        pos = np.arange(n)
+        count = np.minimum(pos + after, n - 1) - np.maximum(pos - before, 0) + 1
+        lo = min(before, n)
+        hi = max(n - after, lo)
+        for start, stop in ((0, lo), (hi, n)):
+            if start < stop:
+                rescale = side / count[start:stop]
+                out[_cut(axis, start, stop)] *= rescale.reshape((-1,) + (1,) * (2 - axis))
     return out
 
 
@@ -157,9 +225,8 @@ def window_means(arr: np.ndarray, side: int) -> np.ndarray:
     # Working relative to the first voxel keeps constant fields exact and
     # bounds the magnitude of the window sums.
     offset = float(arr.flat[0])
-    mean = arr - offset
-    for axis in range(3):
-        mean = _axis_window_means(mean, axis, side)
+    rel = arr - offset
+    mean = window_means_into(rel, side, np.empty_like(rel))
     mean += offset
     return mean
 

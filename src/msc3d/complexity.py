@@ -24,7 +24,12 @@ Three pipeline modes are implemented:
 ``algorithm1`` edge-pads the volume once, relative to its first voxel, and
 builds its block means as a pyramid, each factor from the one before it.
 Its sweep squares the forward differences in place and takes the strided
-window sums one axis at a time. The cascades run on plain ndarrays.
+window sums one axis at a time. The cascades run on plain ndarrays,
+relative to the first voxel, so a DC offset never enters their sums. The
+sliding cascade subtracts that voxel once and then runs every step on two
+full-size buffers, the running field and its window means (written by
+``coarse.window_means_into``), which swap roles after each step. Overlaps
+square and sum their difference one cache-sized slab at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .coarse import block_downsample, block_sums, edge_pad, window_means
+from .coarse import block_downsample, block_sums, edge_pad, window_means_into
 from .errors import ScheduleError, ShapeMismatchError
 from .volume import Volume3D
 
@@ -155,11 +160,28 @@ class RunResult:
     scale_reports: tuple[ScaleReport, ...] = field(default_factory=tuple)
 
 
+# Elements per pass of the squared-difference loops: 256 KB of float64, so
+# the difference buffer stays in cache between its subtract, square and sum.
+_DIFF_CHUNK = 1 << 15
+
+
 def _difference_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """-<(a - b)^2>/2, never -0.0: the overlap in the form a DC offset cannot cancel."""
-    d = a - b
-    np.square(d, out=d)
-    return -0.5 * float(d.mean()) + 0.0
+    """-<(a - b)^2>/2, never -0.0: the overlap in the form a DC offset cannot cancel.
+
+    The difference is squared and summed a slab of x-planes at a time, in
+    one buffer of about ``_DIFF_CHUNK`` elements that stays in cache, so no
+    full-size temporary is made.
+    """
+    nx = a.shape[0]
+    planes = max(1, _DIFF_CHUNK // (a.size // nx))
+    buf = np.empty((min(planes, nx),) + a.shape[1:])
+    total = 0.0
+    for start in range(0, nx, planes):
+        d = buf[: min(planes, nx - start)]
+        np.subtract(a[start : start + planes], b[start : start + planes], out=d)
+        np.square(d, out=d)
+        total += float(d.sum())
+    return -0.5 * (total / a.size) + 0.0
 
 
 def overlap(a: Volume3D, b: Volume3D) -> float:
@@ -191,11 +213,6 @@ def shift_overlap_axes(block: np.ndarray) -> tuple[float, float, float]:
         _difference_overlap(b[:-1, 1:, :-1], core),
         _difference_overlap(b[:-1, :-1, 1:], core),
     )
-
-
-# Elements per pass of the squared-difference loop: 256 KB of float64, so the
-# difference buffer stays in cache between its subtract, square and add.
-_DIFF_CHUNK = 1 << 15
 
 
 def _squared_differences(arr: np.ndarray) -> np.ndarray:
@@ -353,9 +370,14 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunRe
     entries = []
     reports = []
     current = v.data
-    # The block path carries its fields relative to the first voxel, so its
-    # block means round at the scale of the texture, not of a DC offset.
+    # Both cascades carry their fields relative to the first voxel, so their
+    # means round at the scale of the texture, not of a DC offset.
     ref = float(current.flat[0])
+    if schedule.mode == "sliding_cascade":
+        # Two full-size buffers serve every step: the running field and its
+        # window means, which then become the next step's field.
+        current = current - ref
+        spare = np.empty_like(current)
     for k, (factor, inc) in enumerate(zip(schedule.factors, incs)):
         lattice_shape = current.shape
         if inc == 1:
@@ -364,9 +386,9 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunRe
             current, o = _block_step(current, ref, inc)
             ref = 0.0
         else:
-            coarse = window_means(current, inc)
+            coarse = window_means_into(current, inc, spare)
             o = _difference_overlap(current, coarse)
-            current = coarse
+            current, spare = coarse, current
         entries.append(ProfileEntry(k, factor, abs(o), o))
         reports.append(
             ScaleReport(

@@ -29,7 +29,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -108,8 +108,9 @@ class MalformedRowError(ManifestError):
     pass
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
+    """One manifest row."""
+
     subject_id: str
     volume_path: str
     age_years: float
@@ -205,10 +206,12 @@ def read_npy(path: str | Path) -> Volume3D:
             f"{path}: payload holds {len(payload)} bytes, shape {header.shape} needs {need}"
         )
     values = np.frombuffer(payload, dtype=np.dtype(header.dtype_code)).reshape(header.shape)
-    arr = values.astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise NonFiniteDataError(f"{path}: payload contains NaN or Inf")
-    return Volume3D(arr)
+    # The header check leaves a positive 3-D shape, so Volume3D, which checks
+    # every voxel once, can only refuse the payload for a NaN or Inf.
+    try:
+        return Volume3D(values.astype(np.float64))
+    except ValueError as exc:
+        raise NonFiniteDataError(f"{path}: payload contains NaN or Inf") from exc
 
 
 def write_npy(volume: Volume3D, path: str | Path, dtype_code: str = "<f8") -> None:
@@ -242,7 +245,13 @@ MANIFEST_COLUMNS = ("subject_id", "volume_path", "age_years")
 
 
 def read_manifest(path: str | Path) -> Manifest:
-    """Parse a cohort manifest CSV, validating ids and ages row by row."""
+    """Parse a cohort manifest CSV in one columnar pass.
+
+    Every row needs 3 fields, a non-empty subject id and volume path, a
+    subject id not seen before and an age that parses as a number > 0. The
+    columns are converted whole; only when a check fails does a row-by-row
+    pass run, to name the offending line.
+    """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -253,7 +262,27 @@ def read_manifest(path: str | Path) -> Manifest:
         raise MissingColumnError(
             f"{path}: first row must be the header {','.join(MANIFEST_COLUMNS)}"
         )
-    entries: list[ManifestEntry] = []
+    records = [row for row in rows[1:] if row]
+    if set(map(len, records)) - {3}:
+        _raise_first_bad_manifest_row(path, rows)
+    sid_col, path_col, age_col = zip(*records) if records else ((), (), ())
+    sids, volume_paths = list(map(str.strip, sid_col)), list(map(str.strip, path_col))
+    try:
+        ages = list(map(float, age_col))
+    except ValueError:
+        _raise_first_bad_manifest_row(path, rows)
+    if (
+        not all(sids)
+        or not all(volume_paths)
+        or len(set(sids)) != len(sids)
+        or not all(map((0.0).__lt__, ages))
+    ):
+        _raise_first_bad_manifest_row(path, rows)
+    return Manifest(entries=tuple(map(ManifestEntry._make, zip(sids, volume_paths, ages))))
+
+
+def _raise_first_bad_manifest_row(path: Path, rows: list[list[str]]) -> NoReturn:
+    """Check the body of a manifest row by row and raise at the first bad line."""
     seen: dict[str, int] = {}
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
@@ -274,8 +303,7 @@ def read_manifest(path: str | Path) -> Manifest:
         if not age > 0:
             raise NonPositiveAgeError(f"{path}: line {line_no}: age_years must be > 0, got {age_text}")
         seen[subject_id] = line_no
-        entries.append(ManifestEntry(subject_id, volume_path, age))
-    return Manifest(entries=tuple(entries))
+    raise MalformedRowError(f"{path}: malformed rows")
 
 
 BATCH_COLUMNS = ("subject_id", "scale_index", "scale_factor", "complexity")

@@ -154,6 +154,15 @@ class TestSlidingMeans:
         ref = oracles.sliding_window_mean(v.data, 25)
         np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("side", [2, 3, 5, 12])
+    def test_slabs_of_x_planes_match_oracle(self, func, side, monkeypatch):
+        # 3 x-planes per slab, so the 11 planes make four slabs, the last one short
+        monkeypatch.setattr(coarse, "_SLAB_BYTES", 3 * 8 * 6 * 7)
+        v = generate_phantom(PhantomSpec(kind="white_noise", shape=(11, 6, 7), level=1.0, rng_seed=29))
+        out = func(v, side)
+        ref = oracles.sliding_window_mean(v.data, side)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-10)
+
     def test_output_shape_unchanged(self, func, rng):
         v = Volume3D(rng.random((7, 5, 9)))
         assert func(v, 3).shape == v.shape
@@ -188,8 +197,8 @@ class TestKernelAgreement:
         # transposed volume both add the same values in the same order
         a = rng.normal(size=(23, 9, 14)) + 1e3
         assert side > coarse._SHIFT_ADD_MAX_SIDE
-        got = coarse._axis_window_means(a, 0, side)
-        ref = coarse._axis_window_means(np.ascontiguousarray(a.transpose(2, 1, 0)), 2, side)
+        got = coarse._axis_window_sums(a, 0, side, np.empty_like(a))
+        ref = coarse._axis_window_sums(np.ascontiguousarray(a.transpose(2, 1, 0)), 2, side, np.empty(a.shape[::-1]))
         assert np.array_equal(got, ref.transpose(2, 1, 0))
 
 

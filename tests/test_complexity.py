@@ -18,6 +18,7 @@ from msc3d import (
     shift_overlap_axes,
     spatial_mean,
 )
+from msc3d import complexity
 from msc3d.complexity import (
     BlockTooSmallError,
     ScheduleInfeasibleError,
@@ -55,6 +56,16 @@ class TestOverlap:
         b = Volume3D(rng.random((8, 8, 8)))
         ref = -0.5 * spatial_mean(Volume3D((a.data - b.data) ** 2))
         assert overlap(a, b) == pytest.approx(ref, rel=1e-12)
+
+    def test_slabs_of_x_planes_match_difference_form(self, rng, monkeypatch):
+        # 3 x-planes per slab, so the 11 planes make four slabs, the last one
+        # short; the shifted views of shift_overlap_axes are not contiguous
+        monkeypatch.setattr(complexity, "_DIFF_CHUNK", 3 * 6 * 7)
+        a, b = rng.random((11, 6, 7)), rng.random((11, 6, 7))
+        ref = -0.5 * np.mean((a - b) ** 2)
+        assert overlap(Volume3D(a), Volume3D(b)) == pytest.approx(ref, rel=1e-12)
+        ox, _, _ = shift_overlap_axes(a)
+        assert ox == pytest.approx(-0.5 * np.mean((a[1:, :-1, :-1] - a[:-1, :-1, :-1]) ** 2), rel=1e-12)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -214,6 +225,34 @@ class TestMultiscaleProfile:
         for entry, ref in zip(prof.per_scale, expected):
             assert entry.complexity == pytest.approx(ref, rel=1e-10, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "shape, factors",
+        [
+            ((13, 17, 11), (1, 12)),
+            ((7, 9, 5), (1, 2, 4, 8, 16)),
+            ((15, 11, 13), (1, 3, 9)),
+        ],
+        ids=["side_above_shift_add", "side_above_dims", "odd_sides"],
+    )
+    def test_sliding_cascade_matches_recompute_on_odd_shapes(self, shape, factors):
+        """The cascade's reused buffers give what a fresh ``sliding_mean`` of
+        each step's field gives: a side on the running-sum path, sides larger
+        than a dimension and odd sides, on shapes that are neither cubic nor
+        even."""
+        from msc3d import sliding_mean
+
+        v = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=43))
+        prof, _ = multiscale_profile(v, ScaleSchedule(factors=factors, mode="sliding_cascade"))
+        current = v
+        expected = []
+        prev = 1
+        for factor in factors:
+            coarse = sliding_mean(current, factor // prev)
+            expected.append(0.5 * np.mean((current.data - coarse.data) ** 2))
+            current, prev = coarse, factor
+        for entry, ref in zip(prof.per_scale, expected):
+            assert entry.complexity == pytest.approx(ref, rel=1e-10, abs=1e-15)
+
     def test_complexity_is_abs_overlap(self, rng):
         v = Volume3D(rng.random((16, 16, 16)))
         for mode in ALL_MODES:
@@ -330,6 +369,26 @@ class TestInvariances:
             ref = multiscale_run(Volume3D(moved - offset), sched).profile.complexities()
             got = multiscale_run(Volume3D(moved), sched).profile.complexities()
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=mode)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(st.integers(8, 20), st.integers(8, 20), st.integers(8, 20)),
+        offset=st.floats(-1e6, 1e6),
+    )
+    @settings(max_examples=30, deadline=None)
+    @example(seed=208, dims=(12, 8, 15), offset=1e6)
+    def test_sliding_cascade_exact_under_offset(self, seed, dims, offset):
+        """The sliding cascade carries its field relative to the first
+        voxel, so a texture of 1e-3 on an offset of up to 1e6 keeps every
+        per-scale complexity to float64 rounding. The explicit example
+        failed at 1.3e-8 when each step's window means were taken relative
+        to the step's own first voxel and the offset was added back."""
+        texture = 1e-3 * np.random.default_rng(seed).random(dims)
+        moved = texture + offset
+        sched = ScaleSchedule(factors=(1, 2, 4), mode="sliding_cascade")
+        ref = multiscale_run(Volume3D(moved - offset), sched).profile.complexities()
+        got = multiscale_run(Volume3D(moved), sched).profile.complexities()
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 
 class TestScaleSchedule:

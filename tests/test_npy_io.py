@@ -96,6 +96,13 @@ class TestReadNpy:
         with pytest.raises(NonFiniteDataError):
             read_npy(path)
 
+    def test_inf_payload_named_in_message(self, tmp_path):
+        path = tmp_path / "inf.npy"
+        payload = np.array([0, 1, 2, np.inf, 4, 5, 6, 7], dtype="<f4").tobytes()
+        path.write_bytes(make_npy_bytes(descr="<f4", shape=(2, 2, 2), payload=payload))
+        with pytest.raises(NonFiniteDataError, match="inf.npy: payload contains NaN or Inf"):
+            read_npy(path)
+
     def test_header_garbage(self, tmp_path):
         path = tmp_path / "garbage.npy"
         raw = b"{'descr': '<f8', 'fortran_order'"
@@ -220,6 +227,31 @@ class TestManifest:
         )
         manifest = read_manifest(write_manifest(tmp_path, rows))
         assert [e.subject_id for e in manifest] == [f"s{i}" for i in range(5)]
+
+    def test_blank_lines_skipped_and_cells_stripped(self, tmp_path):
+        text = "subject_id,volume_path,age_years\n\n s1 , /d/1.npy ,60.5\n\ns2,/d/2.npy, 7e1 \n"
+        manifest = read_manifest(write_manifest(tmp_path, text))
+        rows = [(e.subject_id, e.volume_path, e.age_years) for e in manifest]
+        assert rows == [("s1", "/d/1.npy", 60.5), ("s2", "/d/2.npy", 70.0)]
+
+    @pytest.mark.parametrize(
+        "body, error, message",
+        [
+            ("s1,/d/1.npy,60\ns2,/d/2.npy,0\ns1,/d/3.npy,50\n", NonPositiveAgeError, "line 3: age_years must be > 0"),
+            ("s1,/d/1.npy,60\ns1,/d/2.npy,old\ns3,/d/3.npy\n", DuplicateSubjectError, "line 3: .* already seen on line 2"),
+            ("s1,/d/1.npy,60\n\n,/d/2.npy,61\ns3,/d/3.npy,-1\n", MalformedRowError, "line 4: empty subject_id"),
+            ("s1,,60\ns2,/d/2.npy,62\n", MalformedRowError, "line 2: empty subject_id or volume_path"),
+            ("s1,/d/1.npy,nan\n", NonPositiveAgeError, "line 2: age_years must be > 0, got nan"),
+            ("s1,/d/1.npy,6O\ns2,/d/2.npy,0\n", MalformedRowError, "line 2: age_years '6O' is not a number"),
+            ("s1,/d/1.npy,60\ns2,/d/2.npy,61,x\n", MalformedRowError, "line 3: expected 3 fields, got 4"),
+        ],
+        ids=["age_before_duplicate", "duplicate_before_age", "empty_id", "empty_path", "nan_age", "bad_age", "four_fields"],
+    )
+    def test_first_bad_line_is_named(self, tmp_path, body, error, message):
+        path = write_manifest(tmp_path, "subject_id,volume_path,age_years\n" + body)
+        with pytest.raises(error, match=message):
+            read_manifest(path)
+
 
 
 BATCH_HEADER = "subject_id,scale_index,scale_factor,complexity\n"
