@@ -16,9 +16,8 @@ from .complexity import (
     multiscale_profile,
     multiscale_run,
     overlap,
-    shift_overlap_axes,
 )
-from .coarse import block_downsample, block_upsample, sliding_mean
+from .coarse import block_downsample, sliding_mean
 from .npy_io import (
     Manifest,
     ManifestEntry,
@@ -31,20 +30,11 @@ from .npy_io import (
 from .stats import (
     CorrelationRow,
     benjamini_hochberg,
-    correlation_table,
-    log_log_pairs,
     pearson_regression,
     table_to_csv,
     table_to_text,
 )
-from .volume import (
-    PhantomSpec,
-    Volume3D,
-    generate_phantom,
-    mid_slice,
-    pad_to_multiple,
-    spatial_mean,
-)
+from .volume import PhantomSpec, Volume3D, generate_phantom, mid_slice
 
 __version__ = "0.1.0"
 
@@ -62,23 +52,17 @@ __all__ = [
     "Volume3D",
     "benjamini_hochberg",
     "block_downsample",
-    "block_upsample",
     "complexity_map",
-    "correlation_table",
     "generate_phantom",
-    "log_log_pairs",
     "mid_slice",
     "multiscale_profile",
     "multiscale_run",
     "overlap",
-    "pad_to_multiple",
     "pearson_regression",
     "read_manifest",
     "read_npy",
     "read_npy_header",
-    "shift_overlap_axes",
     "sliding_mean",
-    "spatial_mean",
     "table_to_csv",
     "table_to_text",
     "write_npy",

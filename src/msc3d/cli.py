@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .complexity import (
-    ProfileEntry,
     ScaleSchedule,
     ScheduleInfeasibleError,
     multiscale_run,
@@ -79,21 +78,14 @@ def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stride", default="2,2,2", metavar="X,Y,Z")
 
 
-def _profile_lines(entries: tuple[ProfileEntry, ...]) -> list[str]:
-    return [
-        f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}"
-        for e in entries
-    ]
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     schedule = _schedule_from_args(args)
     volume_path = Path(args.volume)
     vol = read_npy(volume_path)
     subject = volume_path.stem
     result = multiscale_run(vol, schedule, subject_id=subject)
-    for line in _profile_lines(result.profile.per_scale):
-        print(line)
+    for e in result.profile.per_scale:
+        print(f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}")
     if args.emit_maps:
         map_dir = Path(args.emit_maps)
         map_dir.mkdir(parents=True, exist_ok=True)
@@ -125,10 +117,7 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
     try:
         vol = read_npy(path)
         result = multiscale_run(vol, schedule, subject_id=subject_id)
-        rows = [
-            (e.scale_index, e.scale_factor, e.complexity, e.overlap)
-            for e in result.profile.per_scale
-        ]
+        rows = [(e.scale_index, e.scale_factor, e.complexity) for e in result.profile.per_scale]
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError) as exc:
         return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
@@ -169,7 +158,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         for sid, status, info in results:
             if status != "ok":
                 continue
-            for scale_index, factor, complexity, ovl in info:
+            for scale_index, factor, complexity in info:
                 writer.writerow([sid, scale_index, factor, repr(complexity)])
     if failures:
         sidecar = out_path.with_suffix(".errors.csv")

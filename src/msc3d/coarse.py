@@ -1,9 +1,8 @@
 """Coarse-graining kernels: block averaging and sliding cubic means.
 
-The kernels ``edge_pad``, ``block_sums``, ``window_means_into`` and
-``window_means`` work on plain float64 ndarrays; ``block_downsample`` and
-``sliding_mean`` wrap them for :class:`Volume3D`, which validates its data
-once, at that boundary.
+The kernels ``edge_pad``, ``block_sums`` and ``window_means_into`` work on
+plain float64 ndarrays; ``block_downsample`` and ``sliding_mean`` wrap them
+for :class:`Volume3D`, which validates its data once, at that boundary.
 
 Block means: ``edge_pad`` makes one float64 copy of the volume, less a DC
 offset, edge-padded to whole blocks, and ``block_sums`` sums its blocks from
@@ -21,7 +20,7 @@ straight into the output, and sum the clipped boundary slabs again from
 their own slabs; large sides take two slices of a running sum, so their
 cost does not grow with the side. Apart from one slab buffer the
 small-side path allocates nothing, so the sliding cascade runs every step
-on the same two full-size buffers. ``window_means`` runs the kernel on a
+on the same two full-size buffers. ``sliding_mean`` runs the kernel on a
 copy taken relative to the first voxel. The test suite checks both paths
 against a plain loop oracle.
 
@@ -37,7 +36,6 @@ import math
 
 import numpy as np
 
-from .errors import ShapeMismatchError
 from .volume import Volume3D
 
 
@@ -75,43 +73,21 @@ def block_sums(arr: np.ndarray, factor: int) -> np.ndarray:
     return blocks.reshape(nx, ny, nz, factor**3).sum(axis=3)
 
 
-def block_downsample(v: Volume3D, factor: int, offset: float = 0.0) -> Volume3D:
-    """Replace each ``factor**3`` block by its mean, less ``offset``.
+def block_downsample(v: Volume3D, factor: int) -> Volume3D:
+    """Replace each ``factor**3`` block by its mean.
 
     The volume is edge-padded to divisibility first, so the output shape is
-    ``ceil(dim / factor)`` per axis. The offset comes off before the blocks
-    are summed, so passing a voxel of a volume that sits on a large DC
-    offset keeps the means at the scale of the texture. Each mean equals
-    numpy's mean of its block to the bit (see :func:`block_sums`); a
-    divisible volume with no offset is summed straight from its data.
+    ``ceil(dim / factor)`` per axis. Each mean equals numpy's mean of its
+    block to the bit (see :func:`block_sums`); a divisible volume is summed
+    straight from its data.
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1 and offset == 0.0:
+    if factor == 1:
         return v
     shape = tuple(-(-dim // factor) * factor for dim in v.shape)
-    arr = v.data if shape == v.shape and offset == 0.0 else edge_pad(v.data, shape, offset)
+    arr = v.data if shape == v.shape else edge_pad(v.data, shape)
     return Volume3D(block_sums(arr, factor) / factor**3)
-
-
-def block_upsample(v: Volume3D, factor: int, target_shape: tuple[int, int, int]) -> Volume3D:
-    """Replicate each voxel over a ``factor**3`` block, cropped to ``target_shape``."""
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if len(target_shape) != 3 or min(target_shape) < 1:
-        raise ShapeMismatchError(f"target_shape must be a positive triple, got {target_shape}")
-    for dim, tdim in zip(v.shape, target_shape):
-        if tdim > dim * factor:
-            raise ShapeMismatchError(
-                f"target_shape {target_shape} exceeds upsampled extent of {v.shape} x {factor}"
-            )
-    if factor == 1 and tuple(target_shape) == v.shape:
-        return v
-    arr = v.data
-    for axis in range(3):
-        arr = np.repeat(arr, factor, axis=axis)
-    tx, ty, tz = target_shape
-    return Volume3D(arr[:tx, :ty, :tz])
 
 
 # Sides up to this add side-1 shifted slices per axis; larger sides take two
@@ -220,17 +196,6 @@ def window_means_into(src: np.ndarray, side: int, out: np.ndarray) -> np.ndarray
     return out
 
 
-def window_means(arr: np.ndarray, side: int) -> np.ndarray:
-    """Clipped mean over the cubic window of ``side`` centered at each voxel, one axis at a time."""
-    # Working relative to the first voxel keeps constant fields exact and
-    # bounds the magnitude of the window sums.
-    offset = float(arr.flat[0])
-    rel = arr - offset
-    mean = window_means_into(rel, side, np.empty_like(rel))
-    mean += offset
-    return mean
-
-
 def sliding_mean(v: Volume3D, side: int) -> Volume3D:
     """Mean over the cubic window of ``side`` centered at each voxel.
 
@@ -242,4 +207,10 @@ def sliding_mean(v: Volume3D, side: int) -> Volume3D:
         raise ValueError(f"side must be >= 1, got {side}")
     if side == 1:
         return v
-    return Volume3D(window_means(v.data, side))
+    # Working relative to the first voxel keeps constant fields exact and
+    # bounds the magnitude of the window sums.
+    offset = float(v.data.flat[0])
+    rel = v.data - offset
+    mean = window_means_into(rel, side, np.empty_like(rel))
+    mean += offset
+    return Volume3D(mean)

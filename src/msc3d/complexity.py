@@ -58,10 +58,6 @@ class WindowTooSmallError(ScheduleError):
     """Sweep window must be at least 2 per axis to admit shifted sub-blocks."""
 
 
-class BlockTooSmallError(ScheduleError):
-    """Shift overlaps need at least 2 voxels per axis."""
-
-
 @dataclass(frozen=True)
 class ScaleSchedule:
     """Ordered coarse-graining factors plus mode and sweep geometry."""
@@ -113,7 +109,11 @@ class ProfileEntry:
     scale_index: int
     scale_factor: int
     complexity: float
-    overlap: float
+
+    @property
+    def overlap(self) -> float:
+        """The overlap whose magnitude is the complexity: <= 0, never -0.0."""
+        return -self.complexity + 0.0
 
 
 @dataclass(frozen=True)
@@ -195,26 +195,6 @@ def overlap(a: Volume3D, b: Volume3D) -> float:
     return _difference_overlap(a.data, b.data)
 
 
-def shift_overlap_axes(block: np.ndarray) -> tuple[float, float, float]:
-    """Overlaps between a block and its one-voxel forward shifts per axis.
-
-    The block is truncated by one voxel per axis to form the common core;
-    each returned value is the overlap of the core with the slice shifted
-    along that axis, i.e. minus half the mean squared forward difference.
-    """
-    b = np.asarray(block, dtype=np.float64)
-    if b.ndim != 3:
-        raise ValueError(f"block must be 3-D, got ndim={b.ndim}")
-    if min(b.shape) < 2:
-        raise BlockTooSmallError(f"block dims must be >= 2 per axis, got {b.shape}")
-    core = b[:-1, :-1, :-1]
-    return (
-        _difference_overlap(b[1:, :-1, :-1], core),
-        _difference_overlap(b[:-1, 1:, :-1], core),
-        _difference_overlap(b[:-1, :-1, 1:], core),
-    )
-
-
 def _squared_differences(arr: np.ndarray) -> np.ndarray:
     """dx^2 + dy^2 + dz^2 of the forward differences, on the core lattice
     that drops the last voxel of each axis.
@@ -264,7 +244,9 @@ def complexity_map(
     """Sweep ``window`` at ``stride`` over ``u``; each cell is the mean shift
     overlap magnitude -(ox + oy + oz)/3 of its window, hence >= 0.
 
-    Equivalent to calling :func:`shift_overlap_axes` per window. The three
+    A window's shift overlap along an axis is the overlap of its core, which
+    drops the last voxel of each axis, with the core moved one voxel along
+    that axis: minus half the mean squared forward difference. The three
     squared forward differences are summed into one field on the core
     lattice, and each cell sums the field over its window's core: strided
     slices added one axis at a time, so each axis costs ``window - 1`` adds
@@ -329,7 +311,7 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> Ru
         s_used = tuple(max(1, min(s, d)) for s, d in zip(schedule.stride, u.shape))
         cmap = complexity_map(u, w_used, s_used, scale_factor=factor)
         c = float(np.mean(cmap.values))
-        entries.append(ProfileEntry(k, factor, c, -c + 0.0))
+        entries.append(ProfileEntry(k, factor, c))
         maps.append(cmap)
         reports.append(
             ScaleReport(
@@ -389,7 +371,7 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunRe
             coarse = window_means_into(current, inc, spare)
             o = _difference_overlap(current, coarse)
             current, spare = coarse, current
-        entries.append(ProfileEntry(k, factor, abs(o), o))
+        entries.append(ProfileEntry(k, factor, abs(o)))
         reports.append(
             ScaleReport(
                 scale_index=k,

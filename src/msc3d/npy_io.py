@@ -26,6 +26,7 @@ from __future__ import annotations
 import ast
 import csv
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -198,13 +199,14 @@ def read_npy(path: str | Path) -> Volume3D:
             header = _read_header_from(fh, path)
             itemsize = 4 if header.dtype_code == "<f4" else 8
             need = header.shape[0] * header.shape[1] * header.shape[2] * itemsize
+            # Compared before reading, so a header that declares a huge shape
+            # never asks for that much memory.
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            if held < need:
+                raise TruncatedError(f"{path}: payload holds {held} bytes, shape {header.shape} needs {need}")
             payload = fh.read(need)
     except OSError as exc:
         raise IoFailureError(f"{path}: {exc}") from exc
-    if len(payload) < need:
-        raise TruncatedError(
-            f"{path}: payload holds {len(payload)} bytes, shape {header.shape} needs {need}"
-        )
     values = np.frombuffer(payload, dtype=np.dtype(header.dtype_code)).reshape(header.shape)
     # The header check leaves a positive 3-D shape, so Volume3D, which checks
     # every voxel once, can only refuse the payload for a NaN or Inf.
@@ -248,9 +250,9 @@ def read_manifest(path: str | Path) -> Manifest:
     """Parse a cohort manifest CSV in one columnar pass.
 
     Every row needs 3 fields, a non-empty subject id and volume path, a
-    subject id not seen before and an age that parses as a number > 0. The
-    columns are converted whole; only when a check fails does a row-by-row
-    pass run, to name the offending line.
+    subject id not seen before and an age that parses as a finite number
+    > 0. The columns are converted whole; only when a check fails does a
+    row-by-row pass run, to name the offending line.
     """
     path = Path(path)
     try:
@@ -276,6 +278,7 @@ def read_manifest(path: str | Path) -> Manifest:
         or not all(volume_paths)
         or len(set(sids)) != len(sids)
         or not all(map((0.0).__lt__, ages))
+        or math.inf in ages
     ):
         _raise_first_bad_manifest_row(path, rows)
     return Manifest(entries=tuple(map(ManifestEntry._make, zip(sids, volume_paths, ages))))
@@ -302,6 +305,8 @@ def _raise_first_bad_manifest_row(path: Path, rows: list[list[str]]) -> NoReturn
             raise MalformedRowError(f"{path}: line {line_no}: age_years {age_text!r} is not a number") from exc
         if not age > 0:
             raise NonPositiveAgeError(f"{path}: line {line_no}: age_years must be > 0, got {age_text}")
+        if age == math.inf:
+            raise MalformedRowError(f"{path}: line {line_no}: age_years {age_text!r} is not a finite number")
         seen[subject_id] = line_no
     raise MalformedRowError(f"{path}: malformed rows")
 

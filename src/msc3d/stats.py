@@ -8,11 +8,11 @@ regression treats log age as the predictor and log complexity as the
 response, i.e. slope = d(ln C)/d(ln age). p-values below 1e-300 are
 clamped and rendered as "<1e-300".
 
-The core works on a subject x scale complexity matrix:
-:func:`log_log_columns` aligns it to manifest order and takes the logs
-once, and :func:`correlate_columns` fits every scale from those arrays.
-:func:`log_log_pairs` and :func:`correlation_table` are adapters for
-per-subject profiles, :func:`pearson_regression` for a list of pairs.
+Everything works on a subject x scale complexity matrix, as
+``npy_io.read_batch_csv`` returns it: :func:`log_log_columns` aligns it to
+manifest order and takes the logs once, and :func:`correlate_columns` fits
+every scale from those arrays. :func:`pearson_regression` fits one list of
+(x, y) pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .complexity import ComplexityProfile, ScaleSchedule
 from .errors import StatsError
 from .npy_io import Manifest
 
@@ -41,10 +40,6 @@ class DegenerateVarianceError(StatsError):
 
 class TooFewPointsError(StatsError):
     """Fewer than 3 points."""
-
-
-class UnknownSubjectError(StatsError):
-    """A profile's subject_id is missing from the manifest."""
 
 
 class EmptyAfterFilteringError(StatsError):
@@ -117,43 +112,6 @@ def log_log_columns(
     age_of = manifest.ages_by_subject()
     unknown = tuple(sid for sid in row_of if sid not in age_of)
     return LogLogColumns(ln_age=np.array(ln_age, dtype=np.float64), ln_c=ln_c, unknown=unknown)
-
-
-def _profile_columns(
-    profiles: Sequence[ComplexityProfile],
-    manifest: Manifest,
-    scale_indices: Sequence[int],
-) -> LogLogColumns:
-    """:func:`log_log_columns` of profiles; a subject missing from the
-    manifest raises :class:`UnknownSubjectError`."""
-    col_of = {k: j for j, k in enumerate(scale_indices)}
-    by_subject = {prof.subject_id: prof for prof in profiles}
-    complexity = np.full((len(by_subject), len(col_of)), np.nan)
-    for i, prof in enumerate(by_subject.values()):
-        # reversed, so the first entry of a repeated scale index is kept
-        for e in reversed(prof.per_scale):
-            j = col_of.get(e.scale_index)
-            if j is not None:
-                complexity[i, j] = e.complexity
-    columns = log_log_columns(tuple(by_subject), complexity, manifest)
-    if columns.unknown:
-        raise UnknownSubjectError(f"subject {columns.unknown[0]!r} not in manifest")
-    return columns
-
-
-def log_log_pairs(
-    profiles: Sequence[ComplexityProfile],
-    ages: Manifest,
-    scale_index: int,
-) -> list[tuple[float, float]]:
-    """(ln C, ln age) pairs at one scale, in manifest order.
-
-    Subjects whose complexity is zero at this scale are excluded (their log
-    is undefined); callers can count exclusions as cohort size minus the
-    returned length.
-    """
-    ln_age, ln_c = _profile_columns(profiles, ages, (scale_index,)).pairs(0, scale_index)
-    return list(zip(ln_c.tolist(), ln_age.tolist()))
 
 
 def _regress(xs: np.ndarray, ys: np.ndarray) -> RegressionResult:
@@ -252,22 +210,6 @@ def correlate_columns(
         )
         for (k, factor, n, fit), q in zip(partial, qs)
     ]
-
-
-def correlation_table(
-    profiles: Sequence[ComplexityProfile],
-    manifest: Manifest,
-    schedule: ScaleSchedule,
-    skip_failures: bool = False,
-) -> list[CorrelationRow]:
-    """:func:`correlate_columns` over profiles, one scale per schedule factor.
-
-    A profile whose subject is missing from the manifest raises
-    :class:`UnknownSubjectError`, with or without ``skip_failures``.
-    """
-    indices = range(len(schedule.factors))
-    columns = _profile_columns(profiles, manifest, indices)
-    return correlate_columns(columns, indices, schedule.factors, skip_failures)
 
 
 TABLE_COLUMNS = ("scale_index", "scale_factor", "n", "r", "p", "q_fdr", "slope", "intercept")

@@ -91,26 +91,6 @@ class PhantomSpec:
             raise InvalidSpecError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
-def spatial_mean(v: Volume3D) -> float:
-    """Arithmetic mean over all voxels."""
-    return float(np.mean(v.data))
-
-
-def pad_to_multiple(v: Volume3D, factor: int) -> Volume3D:
-    """Edge-replicate pad so each dimension becomes a multiple of ``factor``.
-
-    The original region is unchanged; padding is appended at the high end
-    of each axis. Already-divisible volumes are returned as-is.
-    """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    pads = tuple((-dim) % factor for dim in v.shape)
-    if not any(pads):
-        return v
-    padded = np.pad(v.data, [(0, p) for p in pads], mode="edge")
-    return Volume3D(padded)
-
-
 def _axis_index(axis: int | str) -> int:
     if isinstance(axis, str):
         name = axis.lower()

@@ -28,6 +28,7 @@ import msc3d
 from msc3d.cli import main
 
 from . import oracles
+from .test_npy_io import make_npy_bytes
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +217,16 @@ class TestBatch:
         assert errors[0] == "subject_id,error,message"
         assert errors[1].startswith("s1,MagicMismatchError")
         assert "warning" in err
+
+    def test_huge_declared_shape_goes_to_sidecar(self, tmp_path, capsys):
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        (tmp_path / "s1.npy").write_bytes(make_npy_bytes(shape=(100000, 100000, 100000), payload=bytes(64)))
+        out_csv = tmp_path / "cohort.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2")
+        assert code == 0
+        assert len(out_csv.read_text().strip().splitlines()) == 1 + 2 * 2
+        errors = (tmp_path / "cohort.errors.csv").read_text().strip().splitlines()
+        assert errors[1].startswith("s1,TruncatedError")
 
     def test_strict_aborts(self, tmp_path, capsys):
         manifest = write_cohort(tmp_path, n=2, shape=(12, 12, 12))

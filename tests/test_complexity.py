@@ -15,12 +15,9 @@ from msc3d import (
     multiscale_profile,
     multiscale_run,
     overlap,
-    shift_overlap_axes,
-    spatial_mean,
 )
 from msc3d import complexity
 from msc3d.complexity import (
-    BlockTooSmallError,
     ScheduleInfeasibleError,
     WindowTooLargeError,
     WindowTooSmallError,
@@ -54,17 +51,17 @@ class TestOverlap:
     def test_matches_difference_form(self, rng):
         a = Volume3D(rng.random((8, 8, 8)))
         b = Volume3D(rng.random((8, 8, 8)))
-        ref = -0.5 * spatial_mean(Volume3D((a.data - b.data) ** 2))
+        ref = -0.5 * np.mean((a.data - b.data) ** 2)
         assert overlap(a, b) == pytest.approx(ref, rel=1e-12)
 
     def test_slabs_of_x_planes_match_difference_form(self, rng, monkeypatch):
         # 3 x-planes per slab, so the 11 planes make four slabs, the last one
-        # short; the shifted views of shift_overlap_axes are not contiguous
+        # short; the shifted views of the array are not contiguous
         monkeypatch.setattr(complexity, "_DIFF_CHUNK", 3 * 6 * 7)
         a, b = rng.random((11, 6, 7)), rng.random((11, 6, 7))
         ref = -0.5 * np.mean((a - b) ** 2)
         assert overlap(Volume3D(a), Volume3D(b)) == pytest.approx(ref, rel=1e-12)
-        ox, _, _ = shift_overlap_axes(a)
+        ox = complexity._difference_overlap(a[1:, :-1, :-1], a[:-1, :-1, :-1])
         assert ox == pytest.approx(-0.5 * np.mean((a[1:, :-1, :-1] - a[:-1, :-1, :-1]) ** 2), rel=1e-12)
 
     @given(
@@ -80,32 +77,6 @@ class TestOverlap:
         assert o <= 0.0
         ref = -0.5 * np.mean((a.data - b.data) ** 2)
         assert o == pytest.approx(ref, rel=1e-12)
-
-
-class TestShiftOverlapAxes:
-    def test_constant_block(self):
-        assert shift_overlap_axes(np.full((3, 3, 3), 2.0)) == (0.0, 0.0, 0.0)
-
-    def test_alternating_x_block(self):
-        blk = np.zeros((2, 2, 2))
-        blk[1, :, :] = 1.0
-        assert shift_overlap_axes(blk) == (-0.5, 0.0, 0.0)
-
-    def test_too_small(self):
-        with pytest.raises(BlockTooSmallError):
-            shift_overlap_axes(np.zeros((1, 3, 3)))
-
-    def test_matches_forward_difference_oracle(self, rng):
-        blk = rng.random((5, 5, 5))
-        got = shift_overlap_axes(blk)
-        ref = oracles.shift_overlaps(blk)
-        for g, r in zip(got, ref):
-            assert g == pytest.approx(r, abs=1e-12)
-
-    def test_all_non_positive(self, rng):
-        for _ in range(20):
-            got = shift_overlap_axes(rng.random((3, 4, 5)))
-            assert all(o <= 0.0 for o in got)
 
 
 class TestComplexityMap:
@@ -289,7 +260,7 @@ class TestMultiscaleProfile:
         prof, _ = multiscale_profile(
             Volume3D(arr), ScaleSchedule(factors=(1,), window=(6, 6, 6), stride=(1, 1, 1))
         )
-        ox, oy, oz = shift_overlap_axes(arr)
+        ox, oy, oz = oracles.shift_overlaps(arr)
         assert prof.per_scale[0].complexity == pytest.approx(-(ox + oy + oz) / 3.0, abs=1e-15)
 
     def test_run_reports_record_clipping(self, rng):

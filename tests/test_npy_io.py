@@ -89,6 +89,15 @@ class TestReadNpy:
         with pytest.raises(TruncatedError):
             read_npy(path)
 
+    def test_huge_declared_shape_is_truncated_before_reading(self, tmp_path):
+        # the header declares 8e15 bytes and the file holds 64: comparing the
+        # two before reading keeps the payload read from asking for 8e15
+        path = tmp_path / "huge.npy"
+        path.write_bytes(make_npy_bytes(shape=(100000, 100000, 100000), payload=bytes(64)))
+        message = r"huge.npy: payload holds 64 bytes, shape \(100000, 100000, 100000\) needs 8000000000000000$"
+        with pytest.raises(TruncatedError, match=message):
+            read_npy(path)
+
     def test_nan_payload_rejected(self, tmp_path):
         path = tmp_path / "nan.npy"
         payload = np.full(8, np.nan, dtype="<f8").tobytes()
@@ -242,10 +251,20 @@ class TestManifest:
             ("s1,/d/1.npy,60\n\n,/d/2.npy,61\ns3,/d/3.npy,-1\n", MalformedRowError, "line 4: empty subject_id"),
             ("s1,,60\ns2,/d/2.npy,62\n", MalformedRowError, "line 2: empty subject_id or volume_path"),
             ("s1,/d/1.npy,nan\n", NonPositiveAgeError, "line 2: age_years must be > 0, got nan"),
+            ("s1,/d/1.npy,60\ns2,/d/2.npy,inf\n", MalformedRowError, "line 3: age_years 'inf' is not a finite number"),
             ("s1,/d/1.npy,6O\ns2,/d/2.npy,0\n", MalformedRowError, "line 2: age_years '6O' is not a number"),
             ("s1,/d/1.npy,60\ns2,/d/2.npy,61,x\n", MalformedRowError, "line 3: expected 3 fields, got 4"),
         ],
-        ids=["age_before_duplicate", "duplicate_before_age", "empty_id", "empty_path", "nan_age", "bad_age", "four_fields"],
+        ids=[
+            "age_before_duplicate",
+            "duplicate_before_age",
+            "empty_id",
+            "empty_path",
+            "nan_age",
+            "inf_age",
+            "bad_age",
+            "four_fields",
+        ],
     )
     def test_first_bad_line_is_named(self, tmp_path, body, error, message):
         path = write_manifest(tmp_path, "subject_id,volume_path,age_years\n" + body)

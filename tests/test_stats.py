@@ -8,13 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msc3d import (
-    ComplexityProfile,
     Manifest,
-    ProfileEntry,
-    ScaleSchedule,
     benjamini_hochberg,
-    correlation_table,
-    log_log_pairs,
     pearson_regression,
     table_to_csv,
     table_to_text,
@@ -25,7 +20,6 @@ from msc3d.stats import (
     EmptyAfterFilteringError,
     OutOfRangeError,
     TooFewPointsError,
-    UnknownSubjectError,
     correlate_columns,
     log_log_columns,
 )
@@ -41,50 +35,48 @@ def make_manifest(ages):
     )
 
 
-def make_profile(subject_id, complexities):
-    return ComplexityProfile(
-        subject_id=subject_id,
-        per_scale=tuple(
-            ProfileEntry(k, 2**k, c, -c) for k, c in enumerate(complexities)
-        ),
-    )
+def scale0_pairs(manifest, complexity_of):
+    """(ln C, ln age) pairs at scale 0 of the subjects in ``complexity_of``, in manifest order."""
+    complexity = np.array([[c] for c in complexity_of.values()])
+    ln_age, ln_c = log_log_columns(tuple(complexity_of), complexity, manifest).pairs(0, 0)
+    return list(zip(ln_c.tolist(), ln_age.tolist()))
+
+
+def correlation_rows(manifest, complexities, skip_failures=False):
+    """Correlation table of subjects s0, s1, ..., whose row of ``complexities``
+    holds one value per scale; scale k has factor 2**k."""
+    complexity = np.array(complexities, dtype=np.float64)
+    columns = log_log_columns([f"s{i}" for i in range(len(complexity))], complexity, manifest)
+    scales = range(complexity.shape[1])
+    return correlate_columns(columns, scales, [2**k for k in scales], skip_failures)
 
 
 class TestLogLogPairs:
     def test_e_powers(self):
         manifest = make_manifest([math.e**3])
-        profiles = [make_profile("s0", [math.e**2])]
-        assert log_log_pairs(profiles, manifest, 0) == [(pytest.approx(2.0), pytest.approx(3.0))]
+        assert scale0_pairs(manifest, {"s0": math.e**2}) == [(pytest.approx(2.0), pytest.approx(3.0))]
 
     def test_zero_complexity_excluded(self):
         manifest = make_manifest([50.0, 60.0])
-        profiles = [make_profile("s0", [0.0]), make_profile("s1", [1.0])]
-        pairs = log_log_pairs(profiles, manifest, 0)
+        pairs = scale0_pairs(manifest, {"s0": 0.0, "s1": 1.0})
         assert len(pairs) == 1
         assert pairs[0][1] == pytest.approx(math.log(60.0))
 
     def test_identity_relation(self):
         ages = [float(a) for a in range(50, 60)]
         manifest = make_manifest(ages)
-        profiles = [make_profile(f"s{i}", [age]) for i, age in enumerate(ages)]
-        pairs = log_log_pairs(profiles, manifest, 0)
+        pairs = scale0_pairs(manifest, {f"s{i}": age for i, age in enumerate(ages)})
         for x, y in pairs:
             assert x == y
-
-    def test_unknown_subject(self):
-        manifest = make_manifest([50.0])
-        with pytest.raises(UnknownSubjectError):
-            log_log_pairs([make_profile("ghost", [1.0])], manifest, 0)
 
     def test_empty_after_filtering(self):
         manifest = make_manifest([50.0])
         with pytest.raises(EmptyAfterFilteringError):
-            log_log_pairs([make_profile("s0", [0.0])], manifest, 0)
+            scale0_pairs(manifest, {"s0": 0.0})
 
     def test_manifest_order(self):
         manifest = make_manifest([50.0, 60.0, 70.0])
-        profiles = [make_profile("s2", [3.0]), make_profile("s0", [1.0]), make_profile("s1", [2.0])]
-        pairs = log_log_pairs(profiles, manifest, 0)
+        pairs = scale0_pairs(manifest, {"s2": 3.0, "s0": 1.0, "s1": 2.0})
         assert [x for x, _ in pairs] == [pytest.approx(math.log(c)) for c in (1.0, 2.0, 3.0)]
 
 
@@ -108,18 +100,6 @@ class TestLogLogColumns:
         assert ln_c.tolist() == [math.log(3.0)]
         with pytest.raises(EmptyAfterFilteringError, match="scale 7"):
             log_log_columns(("s0",), np.zeros((1, 1)), manifest).pairs(0, 7)
-
-    def test_correlate_columns_equals_correlation_table(self):
-        rng = np.random.default_rng(11)
-        ages = np.linspace(40.0, 90.0, 25)
-        manifest = make_manifest(ages.tolist())
-        cs = [[float(a ** -0.5 * (1 + 0.05 * rng.standard_normal())), float(rng.random())] for a in ages]
-        cs[3][1] = 0.0
-        profiles = [make_profile(f"s{i}", c) for i, c in enumerate(cs)]
-        table = correlation_table(profiles, manifest, ScaleSchedule(factors=(1, 2)))
-        columns = log_log_columns([f"s{i}" for i in range(25)][::-1], np.array(cs)[::-1], manifest)
-        assert correlate_columns(columns, (0, 1), (1, 2)) == table
-        assert [row.n for row in table] == [25, 24]
 
 
 class TestPearsonRegression:
@@ -249,10 +229,7 @@ class TestCorrelationTable:
         # log C = -0.25 * log age exactly: slope must come back as -0.25
         ages = np.linspace(44.0, 90.0, 12)
         manifest = make_manifest(ages.tolist())
-        profiles = [
-            make_profile(f"s{i}", [float(age**-0.25)]) for i, age in enumerate(ages)
-        ]
-        rows = correlation_table(profiles, manifest, ScaleSchedule(factors=(1,)))
+        rows = correlation_rows(manifest, [[float(age**-0.25)] for age in ages])
         assert len(rows) == 1
         row = rows[0]
         assert row.slope == pytest.approx(-0.25, abs=1e-9)
@@ -263,11 +240,10 @@ class TestCorrelationTable:
         rng = np.random.default_rng(5)
         ages = np.linspace(40.0, 90.0, 30)
         manifest = make_manifest(ages.tolist())
-        profiles = []
-        for i, age in enumerate(ages):
-            cs = [float(age**-0.5 * (1 + 0.01 * rng.standard_normal())), float(rng.random() + 0.5)]
-            profiles.append(make_profile(f"s{i}", cs))
-        rows = correlation_table(profiles, manifest, ScaleSchedule(factors=(1, 2)))
+        complexities = [
+            [float(age**-0.5 * (1 + 0.01 * rng.standard_normal())), float(rng.random() + 0.5)] for age in ages
+        ]
+        rows = correlation_rows(manifest, complexities)
         qs = benjamini_hochberg([r.p for r in rows])
         assert [r.q_fdr for r in rows] == pytest.approx(qs)
         for r in rows:
@@ -276,48 +252,27 @@ class TestCorrelationTable:
     def test_skip_failures_drops_degenerate_scale(self):
         ages = [50.0, 60.0, 70.0, 80.0]
         manifest = make_manifest(ages)
-        profiles = [
-            make_profile(f"s{i}", [float(age), 0.0]) for i, age in enumerate(ages)
-        ]
-        rows = correlation_table(profiles, manifest, ScaleSchedule(factors=(1, 2)), skip_failures=True)
+        complexities = [[float(age), 0.0] for age in ages]
+        rows = correlation_rows(manifest, complexities, skip_failures=True)
         assert [r.scale_index for r in rows] == [0]
         with pytest.raises(EmptyAfterFilteringError):
-            correlation_table(profiles, manifest, ScaleSchedule(factors=(1, 2)))
-
-    def test_unknown_subject_raises_even_with_skip_failures(self):
-        manifest = make_manifest([50.0, 60.0, 70.0])
-        profiles = [make_profile(f"s{i}", [1.0 + i]) for i in range(3)] + [make_profile("ghost", [1.0])]
-        with pytest.raises(UnknownSubjectError, match="ghost"):
-            correlation_table(profiles, manifest, ScaleSchedule(factors=(1,)), skip_failures=True)
-
-    def test_first_entry_of_a_repeated_scale_index_wins(self):
-        manifest = make_manifest([50.0, 60.0, 70.0])
-        profiles = [
-            ComplexityProfile(f"s{i}", (ProfileEntry(0, 1, 1.0 + i, 0.0), ProfileEntry(0, 1, 9.0, 0.0)))
-            for i in range(3)
-        ]
-        assert [c for c, _ in log_log_pairs(profiles, manifest, 0)] == [math.log(1.0 + i) for i in range(3)]
+            correlation_rows(manifest, complexities)
 
     def test_csv_column_order(self):
-        ages = [50.0, 60.0, 70.0]
-        manifest = make_manifest(ages)
-        profiles = [make_profile(f"s{i}", [1.0 + i]) for i in range(3)]
-        rows = correlation_table(profiles, manifest, ScaleSchedule(factors=(1,)))
+        manifest = make_manifest([50.0, 60.0, 70.0])
+        rows = correlation_rows(manifest, [[1.0 + i] for i in range(3)])
         csv_text = table_to_csv(rows)
         assert csv_text.splitlines()[0] == "scale_index,scale_factor,n,r,p,q_fdr,slope,intercept"
 
     def test_text_report_mentions_log_base(self):
-        ages = [50.0, 60.0, 70.0]
-        manifest = make_manifest(ages)
-        profiles = [make_profile(f"s{i}", [1.0 + i]) for i in range(3)]
-        rows = correlation_table(profiles, manifest, ScaleSchedule(factors=(1,)))
+        manifest = make_manifest([50.0, 60.0, 70.0])
+        rows = correlation_rows(manifest, [[1.0 + i] for i in range(3)])
         text = table_to_text(rows)
         assert "log base" in text.splitlines()[0]
 
     def test_tiny_p_rendered_as_clamp_notation(self):
         ages = np.linspace(40.0, 90.0, 20)
         manifest = make_manifest(ages.tolist())
-        profiles = [make_profile(f"s{i}", [float(a**2.0)]) for i, a in enumerate(ages)]
-        rows = correlation_table(profiles, manifest, ScaleSchedule(factors=(1,)))
+        rows = correlation_rows(manifest, [[float(a**2.0)] for a in ages])
         assert rows[0].p == 1e-300
         assert "<1e-300" in table_to_text(rows)

@@ -1,13 +1,9 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from msc3d import PhantomSpec, Volume3D, generate_phantom, mid_slice, pad_to_multiple, spatial_mean
+from msc3d import PhantomSpec, Volume3D, generate_phantom, mid_slice
 from msc3d.volume import InvalidSpecError
 
 
@@ -37,54 +33,6 @@ class TestVolume3D:
         assert v.data.dtype == np.float64
         with pytest.raises(ValueError):
             v.data[0, 0, 0] = 5.0
-
-
-class TestSpatialMean:
-    def test_constant(self):
-        assert spatial_mean(Volume3D(np.full((4, 4, 4), 3.5))) == 3.5
-
-    def test_arange(self):
-        assert spatial_mean(Volume3D(np.arange(8.0).reshape(2, 2, 2))) == 3.5
-
-    def test_matches_fsum_oracle(self):
-        v = generate_phantom(PhantomSpec(kind="white_noise", shape=(16, 16, 16), level=1.0, rng_seed=42))
-        exact = math.fsum(v.data.ravel().tolist()) / v.size
-        assert spatial_mean(v) == pytest.approx(exact, rel=1e-12)
-
-
-class TestPadToMultiple:
-    def test_already_divisible_is_identity(self):
-        v = Volume3D(np.zeros((128, 128, 128)))
-        out = pad_to_multiple(v, 32)
-        assert out is v
-        assert out.shape == (128, 128, 128)
-
-    def test_5_to_6_replicates_faces(self):
-        arr = np.random.default_rng(1).random((5, 5, 5))
-        out = pad_to_multiple(Volume3D(arr), 2)
-        assert out.shape == (6, 6, 6)
-        assert np.array_equal(out.data[:5, :5, :5], arr)
-        assert np.array_equal(out.data[5, :5, :5], arr[4])
-        assert np.array_equal(out.data[5, 5, :5], arr[4, 4])
-        assert out.data[5, 5, 5] == arr[4, 4, 4]
-
-    def test_constant_mean_preserved(self):
-        v = Volume3D(np.full((5, 7, 3), 2.25))
-        out = pad_to_multiple(v, 4)
-        assert spatial_mean(out) == 2.25
-
-    @given(
-        dims=st.tuples(*(st.integers(1, 9),) * 3),
-        factor=st.integers(1, 5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_idempotent_once_divisible(self, dims, factor):
-        rng = np.random.default_rng(7)
-        v = Volume3D(rng.random(dims))
-        once = pad_to_multiple(v, factor)
-        assert all(d % factor == 0 for d in once.shape)
-        twice = pad_to_multiple(once, factor)
-        assert twice is once
 
 
 class TestMidSlice:
