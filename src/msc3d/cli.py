@@ -2,8 +2,10 @@
 correlation reports, phantom synthesis, and mid-slice PGM rendering.
 
 Exit codes: 0 success, 2 I/O or malformed input, 3 infeasible schedule,
-4 invalid phantom spec, 5 statistics failure. Every failure prints a
-single ``ErrorName: message`` line on stderr.
+4 invalid phantom spec, 5 statistics failure, 1 a ``MemoryError`` of a
+batch subject under ``--strict``. Every failure prints a single
+``ErrorName: message`` line on stderr; in ``batch`` a failing subject goes
+to the errors sidecar instead, and the other subjects are still written.
 
 All outputs are deterministic functions of the inputs and flags; batch
 results are buffered and written in manifest order regardless of worker
@@ -119,7 +121,8 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
         result = multiscale_run(vol, schedule, subject_id=subject_id)
         rows = [(e.scale_index, e.scale_factor, e.complexity) for e in result.profile.per_scale]
         return (subject_id, "ok", rows)
-    except (Msc3dError, OSError) as exc:
+    except (Msc3dError, OSError, MemoryError) as exc:
+        # A subject too large for memory fails alone, like a malformed one.
         return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
 
 

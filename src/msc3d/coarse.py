@@ -5,7 +5,8 @@ plain float64 ndarrays; ``block_downsample`` and ``sliding_mean`` wrap them
 for :class:`Volume3D`, which validates its data once, at that boundary.
 
 Block means: ``edge_pad`` makes one float64 copy of the volume, less a DC
-offset, edge-padded to whole blocks, and ``block_sums`` sums its blocks from
+offset, edge-padded to whole blocks (or fills a buffer the caller passes,
+such as one slab of x-planes), and ``block_sums`` sums its blocks from
 basic slices. Each block is summed in the order numpy's pairwise sum adds a
 C-ordered run of its values, so ``block_downsample`` equals the mean of every
 block to the bit, and a factor-2 step is three strided pair sums.
@@ -39,15 +40,21 @@ import numpy as np
 from .volume import Volume3D
 
 
-def edge_pad(arr: np.ndarray, shape: tuple[int, ...], offset: float = 0.0) -> np.ndarray:
-    """``arr - offset`` in a new float64 array of ``shape``, edge-padded at the
+def edge_pad(
+    arr: np.ndarray, shape: tuple[int, ...], offset: float = 0.0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``arr - offset`` in a float64 array of ``shape``, edge-padded at the
     high end of each axis.
 
     Padding an axis to any longer length leaves every earlier voxel as it is,
     so one copy padded for the largest block serves every smaller factor.
+    Given ``out`` (of ``shape``, not overlapping ``arr``), the result is
+    written there instead of into a new array: a slab of x-planes of a
+    padded lattice is filled so from the slab of ``arr`` it covers.
     """
     x, y, z = arr.shape
-    out = np.empty(shape)
+    if out is None:
+        out = np.empty(shape)
     np.subtract(arr, offset, out=out[:x, :y, :z])
     out[x:, :y, :z] = out[x - 1 : x, :y, :z]
     out[:, y:, :z] = out[:, y - 1 : y, :z]

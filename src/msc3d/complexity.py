@@ -26,8 +26,12 @@ builds its block means as a pyramid, each factor from the one before it.
 Its sweep squares the forward differences in place and takes the strided
 window sums one axis at a time. The cascades run on plain ndarrays,
 relative to the first voxel, so a DC offset never enters their sums. The
-sliding cascade subtracts that voxel once and then runs every step on two
-full-size buffers, the running field and its window means (written by
+block cascade holds no full-size field: each step walks its lattice in
+cache-sized slabs of whole block rows along x, fills one slab buffer with
+that part of the edge-padded relative field, writes the part's block means
+and sums the squared residual the re-upsampled means leave on the slab.
+The sliding cascade subtracts that voxel once and then runs every step on
+two full-size buffers, the running field and its window means (written by
 ``coarse.window_means_into``), which swap roles after each step. Overlaps
 square and sum their difference one cache-sized slab at a time.
 """
@@ -160,8 +164,9 @@ class RunResult:
     scale_reports: tuple[ScaleReport, ...] = field(default_factory=tuple)
 
 
-# Elements per pass of the squared-difference loops: 256 KB of float64, so
-# the difference buffer stays in cache between its subtract, square and sum.
+# Elements per pass of the squared-difference loops and of the block-step
+# slabs: 256 KB of float64, so the difference buffer stays in cache between
+# its subtract, square and sum.
 _DIFF_CHUNK = 1 << 15
 
 
@@ -334,17 +339,32 @@ def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, 
     """Block means of ``current - ref`` and the overlap of ``current`` with
     their re-upsampled copy.
 
-    The relative copy doubles as the difference field: the upsampled means
-    come off it in place, so the step makes one full-size copy.
+    The lattice, edge-padded to whole blocks, is walked in slabs of whole
+    ``inc``-thick block rows along x, about ``_DIFF_CHUNK`` elements each,
+    in one slab buffer, so no full-size field is made. Each slab is filled
+    with its part of ``current - ref``, padded as ``edge_pad`` pads, and
+    gives its rows of block means; the re-upsampled means then come off the
+    slab in place, leaving the difference field, whose squared in-bounds
+    part is summed. Every mean is that of the whole padded copy to the bit;
+    only the order in which the squared differences are summed differs.
     """
     x, y, z = current.shape
-    diff = edge_pad(current, tuple(math.ceil(dim / inc) * inc for dim in current.shape), ref)
-    means = block_sums(diff, inc) / inc**3
-    nx, ny, nz = means.shape
-    diff.reshape(nx, inc, ny, inc, nz, inc)[...] -= means[:, None, :, None, :, None]
-    d = diff[:x, :y, :z]
-    np.square(d, out=d)
-    return means, -0.5 * float(d.mean()) + 0.0
+    nx, ny, nz = (math.ceil(dim / inc) for dim in current.shape)
+    means = np.empty((nx, ny, nz))
+    rows = max(1, _DIFF_CHUNK // (inc**3 * ny * nz))
+    buf = np.empty((min(rows, nx) * inc, ny * inc, nz * inc))
+    total = 0.0
+    for r0 in range(0, nx, rows):
+        r1 = min(r0 + rows, nx)
+        slab = buf[: (r1 - r0) * inc]
+        edge_pad(current[r0 * inc : r1 * inc], slab.shape, ref, out=slab)
+        block = means[r0:r1]
+        np.divide(block_sums(slab, inc), inc**3, out=block)
+        slab.reshape(r1 - r0, inc, ny, inc, nz, inc)[...] -= block[:, None, :, None, :, None]
+        d = slab[: x - r0 * inc, :y, :z]
+        np.square(d, out=d)
+        total += float(d.sum())
+    return means, -0.5 * (total / current.size) + 0.0
 
 
 def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunResult:

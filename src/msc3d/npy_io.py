@@ -71,7 +71,7 @@ class BadShapeError(NpyIoError):
 
 
 class TruncatedError(NpyIoError):
-    """Payload is shorter than the declared shape requires."""
+    """Payload is shorter than the declared shape requires, or has bytes after it."""
 
 
 class NonFiniteDataError(NpyIoError):
@@ -200,9 +200,10 @@ def read_npy(path: str | Path) -> Volume3D:
             itemsize = 4 if header.dtype_code == "<f4" else 8
             need = header.shape[0] * header.shape[1] * header.shape[2] * itemsize
             # Compared before reading, so a header that declares a huge shape
-            # never asks for that much memory.
+            # never asks for that much memory; a file with bytes after the
+            # payload is not an exact v1.0 volume either.
             held = os.fstat(fh.fileno()).st_size - fh.tell()
-            if held < need:
+            if held != need:
                 raise TruncatedError(f"{path}: payload holds {held} bytes, shape {header.shape} needs {need}")
             payload = fh.read(need)
     except OSError as exc:

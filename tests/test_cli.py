@@ -186,6 +186,15 @@ class TestCompute:
         assert "IoFailureError" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_bytes_after_payload_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "long.npy"
+        write_phantom(path, shape=(8, 8, 8))
+        path.write_bytes(path.read_bytes() + bytes(22))
+        code, out, err = run_cli(capsys, "compute", str(path), "--mode", "block-cascade")
+        assert code == 2
+        assert out == ""
+        assert err == f"TruncatedError: {path}: payload holds 4118 bytes, shape (8, 8, 8) needs 4096\n"
+
     def test_infeasible_schedule_exit_3(self, tmp_path, capsys):
         path = tmp_path / "small.npy"
         write_phantom(path, shape=(8, 8, 8))
@@ -227,6 +236,51 @@ class TestBatch:
         assert len(out_csv.read_text().strip().splitlines()) == 1 + 2 * 2
         errors = (tmp_path / "cohort.errors.csv").read_text().strip().splitlines()
         assert errors[1].startswith("s1,TruncatedError")
+
+    def test_bytes_after_payload_goes_to_sidecar(self, tmp_path, capsys):
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        s1 = tmp_path / "s1.npy"
+        s1.write_bytes(s1.read_bytes() + bytes(22))
+        out_csv = tmp_path / "cohort.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2")
+        assert code == 0
+        assert len(out_csv.read_text().strip().splitlines()) == 1 + 2 * 2
+        errors = (tmp_path / "cohort.errors.csv").read_text().strip().splitlines()
+        assert errors[1].startswith("s1,TruncatedError")
+        assert "payload holds 13846 bytes, shape (12, 12, 12) needs 13824" in errors[1]
+
+    @pytest.fixture
+    def out_of_memory_for_s1(self, monkeypatch):
+        """``multiscale_run`` raises ``MemoryError`` for subject s1 only."""
+        run = msc3d.cli.multiscale_run
+
+        def fake_run(vol, schedule, subject_id=""):
+            if subject_id == "s1":
+                raise MemoryError("cannot allocate the padded volume")
+            return run(vol, schedule, subject_id=subject_id)
+
+        monkeypatch.setattr(msc3d.cli, "multiscale_run", fake_run)
+
+    def test_memory_error_goes_to_sidecar(self, tmp_path, capsys, out_of_memory_for_s1):
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        out_csv = tmp_path / "cohort.csv"
+        code, _, err = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "1")
+        assert code == 0
+        rows = out_csv.read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["s0", "s0", "s2", "s2"]
+        errors = (tmp_path / "cohort.errors.csv").read_text().strip().splitlines()
+        assert errors == ["subject_id,error,message", "s1,MemoryError,cannot allocate the padded volume"]
+        assert "warning: 1 subject(s) failed" in err
+
+    def test_memory_error_strict_exit_code(self, tmp_path, capsys, out_of_memory_for_s1):
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        out_csv = tmp_path / "cohort.csv"
+        code, _, err = run_cli(
+            capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "1", "--strict"
+        )
+        assert code == 1
+        assert err == "MemoryError: cannot allocate the padded volume\n"
+        assert not out_csv.exists()
 
     def test_strict_aborts(self, tmp_path, capsys):
         manifest = write_cohort(tmp_path, n=2, shape=(12, 12, 12))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +20,7 @@ from msc3d import (
     overlap,
 )
 from msc3d import complexity
+from msc3d.coarse import block_sums, edge_pad
 from msc3d.complexity import (
     ScheduleInfeasibleError,
     WindowTooLargeError,
@@ -180,6 +184,56 @@ class TestMultiscaleProfile:
         ref = oracles.block_cascade(v.data, sched.factors)
         for entry, r in zip(prof.per_scale, ref):
             assert entry.complexity == pytest.approx(r, rel=1e-10, abs=1e-15)
+
+    # A slab of one block row, and one slab covering the whole lattice.
+    SLAB_CHUNKS = {"row_slabs": 1, "one_slab": 1 << 62}
+    STREAM_SHAPES = [(13, 17, 11), (7, 9, 5), (35, 41, 37)]
+
+    @pytest.mark.parametrize("chunk", sorted(SLAB_CHUNKS))
+    @pytest.mark.parametrize("factors", [(1, 2, 4, 8), (1, 3, 9), (2, 4)], ids=str)
+    @pytest.mark.parametrize("shape", STREAM_SHAPES, ids=str)
+    def test_streamed_block_cascade_matches_loop_oracle(self, shape, factors, chunk, monkeypatch):
+        """The block step streams its lattice through slabs of whole block
+        rows; however the slabs fall, the profile is the loop oracle's."""
+        monkeypatch.setattr(complexity, "_DIFF_CHUNK", self.SLAB_CHUNKS[chunk])
+        v = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=47))
+        prof, _ = multiscale_profile(v, ScaleSchedule(factors=factors, mode="block_cascade"))
+        ref = oracles.block_cascade(v.data, factors)
+        assert [e.scale_factor for e in prof.per_scale] == list(factors)
+        for entry, r in zip(prof.per_scale, ref):
+            assert entry.complexity == pytest.approx(r, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("chunk", sorted(SLAB_CHUNKS))
+    @pytest.mark.parametrize("inc", [2, 3, 4, 8])
+    @pytest.mark.parametrize("shape", STREAM_SHAPES, ids=str)
+    def test_streamed_block_step_means_are_exact(self, shape, inc, chunk, rng, monkeypatch):
+        """Each block mean is that of the whole edge-padded relative copy, to the bit."""
+        monkeypatch.setattr(complexity, "_DIFF_CHUNK", self.SLAB_CHUNKS[chunk])
+        current = 1e6 + 1e-3 * rng.random(shape)
+        ref = float(current.flat[0])
+        means, o = complexity._block_step(current, ref, inc)
+        padded = edge_pad(current, tuple(math.ceil(dim / inc) * inc for dim in shape), ref)
+        expected = block_sums(padded, inc) / inc**3
+        assert means.shape == expected.shape
+        assert np.array_equal(means, expected)
+        x, y, z = shape
+        up = expected.repeat(inc, 0).repeat(inc, 1).repeat(inc, 2)[:x, :y, :z]
+        assert o == pytest.approx(-0.5 * np.mean((padded[:x, :y, :z] - up) ** 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
+    def test_block_cascade_allocates_less_than_the_volume(self, shape, rng):
+        """A warm block-cascade run holds no full-size field: its traced
+        allocation peak stays below the volume's own size."""
+        v = Volume3D(rng.random(shape))
+        schedule = ScaleSchedule(mode="block_cascade")
+        multiscale_run(v, schedule)
+        tracemalloc.start()
+        try:
+            multiscale_run(v, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < v.data.nbytes
 
     def test_sliding_cascade_matches_direct_recompute(self):
         from msc3d import sliding_mean

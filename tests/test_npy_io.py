@@ -98,6 +98,15 @@ class TestReadNpy:
         with pytest.raises(TruncatedError, match=message):
             read_npy(path)
 
+    def test_bytes_after_payload_rejected(self, tmp_path):
+        # 22 bytes appended to an exact 2x2x2 float64 file: 86 held, 64 needed
+        path = tmp_path / "long.npy"
+        write_npy(Volume3D(np.arange(8.0).reshape(2, 2, 2)), path, "<f8")
+        path.write_bytes(path.read_bytes() + bytes(22))
+        message = r"long.npy: payload holds 86 bytes, shape \(2, 2, 2\) needs 64$"
+        with pytest.raises(TruncatedError, match=message):
+            read_npy(path)
+
     def test_nan_payload_rejected(self, tmp_path):
         path = tmp_path / "nan.npy"
         payload = np.full(8, np.nan, dtype="<f8").tobytes()
