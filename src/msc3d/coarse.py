@@ -50,7 +50,7 @@ def edge_pad(
     so one copy padded for the largest block serves every smaller factor.
     Given ``out`` (of ``shape``, not overlapping ``arr``), the result is
     written there instead of into a new array: a slab of x-planes of a
-    padded lattice is filled so from the slab of ``arr`` it covers.
+    padded lattice is filled this way from the slab of ``arr`` it covers.
     """
     x, y, z = arr.shape
     if out is None:
