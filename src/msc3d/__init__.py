@@ -18,15 +18,7 @@ from .complexity import (
     overlap,
 )
 from .coarse import block_downsample, sliding_mean
-from .npy_io import (
-    Manifest,
-    ManifestEntry,
-    NpyHeader,
-    read_manifest,
-    read_npy,
-    read_npy_header,
-    write_npy,
-)
+from .npy_io import ManifestEntry, read_manifest, read_npy, write_npy
 from .stats import (
     CorrelationRow,
     benjamini_hochberg,
@@ -42,9 +34,7 @@ __all__ = [
     "ComplexityMap",
     "ComplexityProfile",
     "CorrelationRow",
-    "Manifest",
     "ManifestEntry",
-    "NpyHeader",
     "PhantomSpec",
     "ProfileEntry",
     "RunResult",
@@ -61,7 +51,6 @@ __all__ = [
     "pearson_regression",
     "read_manifest",
     "read_npy",
-    "read_npy_header",
     "sliding_mean",
     "table_to_csv",
     "table_to_text",

@@ -2,10 +2,11 @@
 correlation reports, phantom synthesis, and mid-slice PGM rendering.
 
 Exit codes: 0 success, 2 I/O or malformed input, 3 infeasible schedule,
-4 invalid phantom spec, 5 statistics failure, 1 a ``MemoryError`` of a
-batch subject under ``--strict``. Every failure prints a single
-``ErrorName: message`` line on stderr; in ``batch`` a failing subject goes
-to the errors sidecar instead, and the other subjects are still written.
+4 invalid phantom spec, 5 statistics failure, 1 out of memory (in every
+command, and for a batch subject under ``--strict``). Every failure prints
+a single ``ErrorName: message`` line on stderr, ``MemoryError: message``
+when memory runs out; in ``batch`` a failing subject goes to the errors
+sidecar instead, and the other subjects are still written.
 
 All outputs are deterministic functions of the inputs and flags; batch
 results are buffered and written in manifest order regardless of worker
@@ -91,11 +92,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.emit_maps:
         map_dir = Path(args.emit_maps)
         map_dir.mkdir(parents=True, exist_ok=True)
-        for cmap in result.maps:
-            idx = next(
-                e.scale_index for e in result.profile.per_scale if e.scale_factor == cmap.scale_factor
-            )
-            write_npy(Volume3D(cmap.values), map_dir / f"{subject}_scale{idx}_map.npy", "<f8")
+        # algorithm1 makes one map per scale, in schedule order
+        for cmap, e in zip(result.maps, result.profile.per_scale):
+            write_npy(Volume3D(cmap.values), map_dir / f"{subject}_scale{e.scale_index}_map.npy", "<f8")
     if args.report:
         report = {
             "volume": str(volume_path),
@@ -177,17 +176,15 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.manifest)
     table = read_batch_csv(args.batch_csv)
-    have = set(table.subject_ids)
-    for e in manifest:
-        if e.subject_id not in have:
-            print(f"warning: subject {e.subject_id!r} has no rows in the batch CSV", file=sys.stderr)
+    columns = log_log_columns(table.subject_ids, table.complexity, manifest)
+    for sid in columns.missing:
+        print(f"warning: subject {sid!r} has no rows in the batch CSV", file=sys.stderr)
     if not table.scale_indices:
         raise EmptyAfterFilteringError("batch CSV holds no complexity rows")
-    columns = log_log_columns(table.subject_ids, table.complexity, manifest)
     for sid in columns.unknown:
         print(f"warning: subject {sid!r} is not in the manifest; ignored", file=sys.stderr)
 
-    rows = correlate_columns(columns, table.scale_indices, table.scale_factors, skip_failures=True)
+    rows = correlate_columns(columns, table.scale_indices, table.scale_factors)
     scored = {row.scale_index for row in rows}
     for k in table.scale_indices:
         if k not in scored:
@@ -319,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Msc3dError, OSError) as exc:
+    except (Msc3dError, OSError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

@@ -14,7 +14,8 @@ block to the bit, and a factor-2 step is three strided pair sums.
 ``window_means_into`` is the one sliding-mean kernel. The window is
 separable: it writes the clipped window sums along x into the output the
 caller passes in, then takes each slab of x-planes, while it is in cache,
-through its y and z sums and one multiply by ``1/side**3``; only the
+through its y and z sums and one multiply by ``1/side**3`` (a slab is
+about ``SLAB_ELEMENTS`` values, the one slab size of the package); only the
 clipped boundary slabs are then rescaled to their in-bounds counts. Small
 sides add the ``side - 1`` shifted runs of the flattened array, the first
 straight into the output, and sum the clipped boundary slabs again from
@@ -102,9 +103,9 @@ def block_downsample(v: Volume3D, factor: int) -> Volume3D:
 # 128^3 volume the two paths cost the same near side 10.
 _SHIFT_ADD_MAX_SIDE = 10
 
-# The y and z sums and the scaling run on slabs of whole x-planes of about
-# this many bytes, so that a slab stays in cache through those passes.
-_SLAB_BYTES = 1 << 18
+# Every streamed kernel, here and in ``complexity``, works on slabs of about
+# this many float64 elements (256 KB), which stay in cache through its passes.
+SLAB_ELEMENTS = 1 << 15
 
 
 def _cut(axis: int, start: int | None, stop: int | None) -> tuple[slice, ...]:
@@ -181,7 +182,7 @@ def window_means_into(src: np.ndarray, side: int, out: np.ndarray) -> np.ndarray
     """
     _axis_window_sums(src, 0, side, out)
     nx, ny, nz = out.shape
-    planes = max(1, _SLAB_BYTES // (8 * ny * nz))
+    planes = max(1, SLAB_ELEMENTS // (ny * nz))
     part = np.empty((min(planes, nx), ny, nz))
     for start in range(0, nx, planes):
         slab = out[start : start + planes]

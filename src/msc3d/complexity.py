@@ -33,7 +33,8 @@ and sums the squared residual the re-upsampled means leave on the slab.
 The sliding cascade subtracts that voxel once and then runs every step on
 two full-size buffers, the running field and its window means (written by
 ``coarse.window_means_into``), which swap roles after each step. Overlaps
-square and sum their difference one cache-sized slab at a time.
+square and sum their difference one slab at a time; every slab, here and
+in ``coarse``, holds about ``coarse.SLAB_ELEMENTS`` float64 values.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import coarse
 from .coarse import block_downsample, block_sums, edge_pad, window_means_into
 from .errors import ScheduleError, ShapeMismatchError
 from .volume import Volume3D
@@ -164,21 +166,16 @@ class RunResult:
     scale_reports: tuple[ScaleReport, ...] = field(default_factory=tuple)
 
 
-# Elements per pass of the squared-difference loops and of the block-step
-# slabs: 256 KB of float64, so the difference buffer stays in cache between
-# its subtract, square and sum.
-_DIFF_CHUNK = 1 << 15
-
-
 def _difference_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """-<(a - b)^2>/2, never -0.0: the overlap in the form a DC offset cannot cancel.
 
     The difference is squared and summed a slab of x-planes at a time, in
-    one buffer of about ``_DIFF_CHUNK`` elements that stays in cache, so no
-    full-size temporary is made.
+    one buffer of about ``coarse.SLAB_ELEMENTS`` elements that stays in
+    cache between its subtract, square and sum, so no full-size temporary
+    is made.
     """
     nx = a.shape[0]
-    planes = max(1, _DIFF_CHUNK // (a.size // nx))
+    planes = max(1, coarse.SLAB_ELEMENTS // (a.size // nx))
     buf = np.empty((min(planes, nx),) + a.shape[1:])
     total = 0.0
     for start in range(0, nx, planes):
@@ -205,8 +202,8 @@ def _squared_differences(arr: np.ndarray) -> np.ndarray:
     that drops the last voxel of each axis.
 
     Each difference is a subtraction of two shifted runs of the flattened
-    array, taken a chunk at a time; the core view skips the entries that
-    straddle a row or a plane.
+    array, taken ``coarse.SLAB_ELEMENTS`` elements at a time; the core view
+    skips the entries that straddle a row or a plane.
     """
     x, y, z = arr.shape
     flat = arr.ravel()
@@ -214,9 +211,10 @@ def _squared_differences(arr: np.ndarray) -> np.ndarray:
     n = (x - 1) * plane
     sq = np.empty(arr.shape)
     total = sq.reshape(-1)
-    d = np.empty(min(n, _DIFF_CHUNK))
-    for lo in range(0, n, _DIFF_CHUNK):
-        hi = min(lo + _DIFF_CHUNK, n)
+    chunk = coarse.SLAB_ELEMENTS
+    d = np.empty(min(n, chunk))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
         part, diff = total[lo:hi], d[: hi - lo]
         np.subtract(flat[lo + plane : hi + plane], flat[lo:hi], out=part)
         np.square(part, out=part)
@@ -294,9 +292,9 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> Ru
     # The relative copy is edge-padded once, for the largest block; padding
     # further leaves every earlier voxel as it is, so each factor's block
     # means are those of the volume padded for that factor alone.
-    coarse = [f for f in schedule.factors if f > 1]
-    if coarse:
-        padded_shape = tuple(max(math.ceil(dim / f) * f for f in coarse) for dim in v.shape)
+    coarse_factors = [f for f in schedule.factors if f > 1]
+    if coarse_factors:
+        padded_shape = tuple(max(math.ceil(dim / f) * f for f in coarse_factors) for dim in v.shape)
         padded = Volume3D(edge_pad(v.data, padded_shape, float(v.data.flat[0])))
     level, base = v, 1
     entries = []
@@ -340,18 +338,19 @@ def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, 
     their re-upsampled copy.
 
     The lattice, edge-padded to whole blocks, is walked in slabs of whole
-    ``inc``-thick block rows along x, about ``_DIFF_CHUNK`` elements each,
-    in one slab buffer, so no full-size field is made. Each slab is filled
-    with its part of ``current - ref``, padded as ``edge_pad`` pads, and
-    gives its rows of block means; the re-upsampled means then come off the
-    slab in place, leaving the difference field, whose squared in-bounds
-    part is summed. Every mean is that of the whole padded copy to the bit;
-    only the order in which the squared differences are summed differs.
+    ``inc``-thick block rows along x, about ``coarse.SLAB_ELEMENTS``
+    elements each, in one slab buffer, so no full-size field is made. Each
+    slab is filled with its part of ``current - ref``, padded as
+    ``edge_pad`` pads, and gives its rows of block means; the re-upsampled
+    means then come off the slab in place, leaving the difference field,
+    whose squared in-bounds part is summed. Every mean is that of the whole
+    padded copy to the bit; only the order in which the squared differences
+    are summed differs.
     """
     x, y, z = current.shape
     nx, ny, nz = (math.ceil(dim / inc) for dim in current.shape)
     means = np.empty((nx, ny, nz))
-    rows = max(1, _DIFF_CHUNK // (inc**3 * ny * nz))
+    rows = max(1, coarse.SLAB_ELEMENTS // (inc**3 * ny * nz))
     buf = np.empty((min(rows, nx) * inc, ny * inc, nz * inc))
     total = 0.0
     for r0 in range(0, nx, rows):
@@ -388,9 +387,9 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunRe
             current, o = _block_step(current, ref, inc)
             ref = 0.0
         else:
-            coarse = window_means_into(current, inc, spare)
-            o = _difference_overlap(current, coarse)
-            current, spare = coarse, current
+            means = window_means_into(current, inc, spare)
+            o = _difference_overlap(current, means)
+            current, spare = means, current
         entries.append(ProfileEntry(k, factor, abs(o)))
         reports.append(
             ScaleReport(

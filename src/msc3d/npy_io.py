@@ -75,7 +75,7 @@ class TruncatedError(NpyIoError):
 
 
 class NonFiniteDataError(NpyIoError):
-    """Payload contains NaN or Inf."""
+    """Payload read contains NaN or Inf, or one to write overflows float32."""
 
 
 class IoFailureError(NpyIoError):
@@ -85,7 +85,6 @@ class IoFailureError(NpyIoError):
 @dataclass(frozen=True)
 class NpyHeader:
     dtype_code: str
-    fortran_order: bool
     shape: tuple[int, int, int]
 
 
@@ -117,20 +116,6 @@ class ManifestEntry(NamedTuple):
     age_years: float
 
 
-@dataclass(frozen=True)
-class Manifest:
-    entries: tuple[ManifestEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def ages_by_subject(self) -> dict[str, float]:
-        return {e.subject_id: e.age_years for e in self.entries}
-
-
 def _parse_header_dict(raw: bytes, path: Path) -> NpyHeader:
     try:
         text = raw.decode("ascii")
@@ -157,7 +142,7 @@ def _parse_header_dict(raw: bytes, path: Path) -> NpyHeader:
         raise HeaderMalformedError(f"{path}: shape must be a tuple of ints")
     if len(shape) != 3 or min(shape) < 1:
         raise BadShapeError(f"{path}: expected a positive 3-D shape, got {shape}")
-    return NpyHeader(dtype_code=descr, fortran_order=False, shape=shape)  # type: ignore[arg-type]
+    return NpyHeader(dtype_code=descr, shape=shape)  # type: ignore[arg-type]
 
 
 def _read_header_from(fh, path: Path) -> NpyHeader:
@@ -179,16 +164,6 @@ def _read_header_from(fh, path: Path) -> NpyHeader:
     if len(header) < header_len:
         raise HeaderMalformedError(f"{path}: file ends inside the header dict")
     return _parse_header_dict(header, path)
-
-
-def read_npy_header(path: str | Path) -> NpyHeader:
-    """Parse and validate just the header of an .npy file."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as fh:
-            return _read_header_from(fh, path)
-    except OSError as exc:
-        raise IoFailureError(f"{path}: {exc}") from exc
 
 
 def read_npy(path: str | Path) -> Volume3D:
@@ -232,7 +207,12 @@ def write_npy(volume: Volume3D, path: str | Path, dtype_code: str = "<f8") -> No
     total = prefix_len + len(header_dict) + 1  # final newline
     padding = (-total) % _HEADER_ALIGN
     header = header_dict.encode("ascii") + b" " * padding + b"\n"
-    payload = volume.data.astype(np.dtype(dtype_code)).tobytes(order="C")
+    with np.errstate(over="ignore"):
+        values = volume.data.astype(np.dtype(dtype_code))
+    # Volume3D values are finite, so only the float32 cast can overflow to Inf.
+    if dtype_code == "<f4" and not np.isfinite(values).all():
+        raise NonFiniteDataError(f"{path}: values beyond the float32 range cannot be written as '<f4'")
+    payload = values.tobytes(order="C")
     try:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
@@ -244,10 +224,23 @@ def write_npy(volume: Volume3D, path: str | Path, dtype_code: str = "<f8") -> No
         raise IoFailureError(f"{path}: {exc}") from exc
 
 
+def _read_csv_records(path: Path, columns: tuple[str, ...]) -> tuple[list[list[str]], list[list[str]]]:
+    """All rows of the UTF-8 CSV at ``path``, whose first row must be the
+    header ``columns``, and its non-blank rows after the header."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise IoFailureError(f"{path}: {exc}") from exc
+    if not rows or tuple(cell.strip() for cell in rows[0]) != columns:
+        raise MissingColumnError(f"{path}: first row must be the header {','.join(columns)}")
+    return rows, [row for row in rows[1:] if row]
+
+
 MANIFEST_COLUMNS = ("subject_id", "volume_path", "age_years")
 
 
-def read_manifest(path: str | Path) -> Manifest:
+def read_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
     """Parse a cohort manifest CSV in one columnar pass.
 
     Every row needs 3 fields, a non-empty subject id and volume path, a
@@ -256,16 +249,7 @@ def read_manifest(path: str | Path) -> Manifest:
     row-by-row pass run, to name the offending line.
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoFailureError(f"{path}: {exc}") from exc
-    if not rows or tuple(cell.strip() for cell in rows[0]) != MANIFEST_COLUMNS:
-        raise MissingColumnError(
-            f"{path}: first row must be the header {','.join(MANIFEST_COLUMNS)}"
-        )
-    records = [row for row in rows[1:] if row]
+    rows, records = _read_csv_records(path, MANIFEST_COLUMNS)
     if set(map(len, records)) - {3}:
         _raise_first_bad_manifest_row(path, rows)
     sid_col, path_col, age_col = zip(*records) if records else ((), (), ())
@@ -282,7 +266,7 @@ def read_manifest(path: str | Path) -> Manifest:
         or math.inf in ages
     ):
         _raise_first_bad_manifest_row(path, rows)
-    return Manifest(entries=tuple(map(ManifestEntry._make, zip(sids, volume_paths, ages))))
+    return tuple(map(ManifestEntry._make, zip(sids, volume_paths, ages)))
 
 
 def _raise_first_bad_manifest_row(path: Path, rows: list[list[str]]) -> NoReturn:
@@ -340,14 +324,7 @@ def read_batch_csv(path: str | Path) -> BatchTable:
     offending line.
     """
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoFailureError(f"{path}: {exc}") from exc
-    if not rows or tuple(cell.strip() for cell in rows[0]) != BATCH_COLUMNS:
-        raise MissingColumnError(f"{path}: first row must be the header {','.join(BATCH_COLUMNS)}")
-    records = [row for row in rows[1:] if row]
+    rows, records = _read_csv_records(path, BATCH_COLUMNS)
     if not records:
         return BatchTable((), (), (), np.empty((0, 0)))
     if set(map(len, records)) != {4}:

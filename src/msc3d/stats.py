@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .errors import StatsError
-from .npy_io import Manifest
+from .npy_io import ManifestEntry
 
 P_CLAMP = 1e-300
 
@@ -72,6 +72,7 @@ class LogLogColumns:
 
     ln_age: np.ndarray  # (n,)
     ln_c: np.ndarray  # (n, n_scales); NaN where C <= 0 or the subject has no value
+    missing: tuple[str, ...]  # manifest subjects missing from the table, in manifest order
     unknown: tuple[str, ...]  # table subjects missing from the manifest, in table order
 
     def usable(self, column: int) -> np.ndarray:
@@ -89,7 +90,7 @@ class LogLogColumns:
 def log_log_columns(
     subject_ids: Sequence[str],
     complexity: np.ndarray,
-    manifest: Manifest,
+    manifest: Sequence[ManifestEntry],
 ) -> LogLogColumns:
     """Align an ``(n_subjects, n_scales)`` complexity matrix, whose rows are
     ``subject_ids``, to manifest order and take its logs.
@@ -100,18 +101,19 @@ def log_log_columns(
     row_of = {sid: i for i, sid in enumerate(subject_ids)}
     rows: list[int] = []
     ln_age: list[float] = []
+    missing: list[str] = []
     for entry in manifest:
-        i = row_of.get(entry.subject_id)
-        if i is not None:
+        i = row_of.pop(entry.subject_id, None)
+        if i is None:
+            missing.append(entry.subject_id)
+        else:
             rows.append(i)
             ln_age.append(math.log(entry.age_years))
     c = complexity[rows]
     positive = c > 0.0
     ln_c = np.full(c.shape, np.nan)
     ln_c[positive] = list(map(math.log, c[positive].tolist()))
-    age_of = manifest.ages_by_subject()
-    unknown = tuple(sid for sid in row_of if sid not in age_of)
-    return LogLogColumns(ln_age=np.array(ln_age, dtype=np.float64), ln_c=ln_c, unknown=unknown)
+    return LogLogColumns(np.array(ln_age, dtype=np.float64), ln_c, tuple(missing), tuple(row_of))
 
 
 def _regress(xs: np.ndarray, ys: np.ndarray) -> RegressionResult:
@@ -176,14 +178,13 @@ def correlate_columns(
     columns: LogLogColumns,
     scale_indices: Sequence[int],
     scale_factors: Sequence[int],
-    skip_failures: bool = False,
 ) -> list[CorrelationRow]:
     """One correlation row per column of ``columns``, with q-values adjusted
-    jointly across all scales of the run.
+    jointly across all scored scales of the run.
 
-    With ``skip_failures`` scales that cannot be scored (too few points,
-    degenerate variance, nothing left after filtering) are dropped from the
-    table, and from the FDR family, instead of raising.
+    Scales that cannot be scored (too few points, degenerate variance,
+    nothing left after filtering) are dropped from the table, and from the
+    FDR family.
     """
     partial = []
     for j, (k, factor) in enumerate(zip(scale_indices, scale_factors)):
@@ -192,9 +193,7 @@ def correlate_columns(
             # regress ln C on ln age: age is the predictor
             fit = _regress(ln_age, ln_c)
         except StatsError:
-            if skip_failures:
-                continue
-            raise
+            continue
         partial.append((k, factor, len(ln_c), fit))
     qs = benjamini_hochberg([fit.p for _, _, _, fit in partial])
     return [

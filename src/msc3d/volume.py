@@ -11,6 +11,7 @@ the same volume, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,8 @@ class PhantomSpec:
             )
         if len(self.shape) != 3 or min(self.shape) < 1:
             raise InvalidSpecError(f"shape must be a positive triple, got {self.shape}")
+        if math.prod(map(int, self.shape)) * 8 > np.iinfo(np.intp).max:
+            raise InvalidSpecError(f"shape {self.shape} holds more float64 bytes than an array can index")
         if not np.isfinite(self.level) or self.level < 0:
             raise InvalidSpecError(f"level must be finite and >= 0, got {self.level}")
         if self.period < 1:

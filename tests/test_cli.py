@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,18 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", str(path), "--factors", "1,8")
         assert code == 3
         assert "ScheduleInfeasibleError" in err
+
+    def test_out_of_memory_exit_1(self, tmp_path, capsys):
+        # The one padded block is 65536^3 float64, 2 PiB: above any user
+        # address space, so the allocation fails before a page is touched.
+        path = tmp_path / "small.npy"
+        write_phantom(path, shape=(16, 16, 16))
+        argv = ["compute", str(path), "--mode", "block-cascade", "--factors", "1,65536"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("MemoryError: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestBatch:
@@ -502,6 +515,33 @@ class TestCorrelate:
         table = (tmp_path / "c.csv").read_text().strip().splitlines()
         assert [line.split(",")[2] for line in table[1:]] == ["4", "4"]
 
+    def test_missing_and_unknown_subject_warnings_in_order(self, tmp_path, capsys):
+        rows, ages = self.small_cohort()
+        rows = [("ghost", 0, 1, 1.0)] + [row for row in rows if row[0] != "s1"]
+        batch, manifest = self.write_tables(tmp_path, rows, ages + [("late", 90.0)])
+        code, _, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: subject 's1' has no rows in the batch CSV",
+            "warning: subject 'late' has no rows in the batch CSV",
+            "warning: subject 'ghost' is not in the manifest; ignored",
+        ]
+        table = (tmp_path / "c.csv").read_text().strip().splitlines()
+        assert [line.split(",")[2] for line in table[1:]] == ["3", "3"]
+
+    def test_empty_table_exit_5_after_missing_warnings(self, tmp_path, capsys):
+        _, ages = self.small_cohort()
+        batch, manifest = self.write_tables(tmp_path, [], ages[:2])
+        code, out, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert code == 5
+        assert out == ""
+        assert err.splitlines() == [
+            "warning: subject 's0' has no rows in the batch CSV",
+            "warning: subject 's1' has no rows in the batch CSV",
+            "EmptyAfterFilteringError: batch CSV holds no complexity rows",
+        ]
+        assert not (tmp_path / "c.csv").exists()
+
     def test_repeated_subject_and_scale_exit_2(self, tmp_path, capsys):
         rows, ages = self.small_cohort()
         rows.append(("s1", 0, 1, 0.5))  # line 10
@@ -568,6 +608,39 @@ class TestSynth:
         )
         assert code == 4
         assert "InvalidSpecError" in err
+
+    def test_shape_beyond_intp_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "x.npy"
+        shape = "1048576,1048576,1048576"
+        code, _, err = run_cli(capsys, "synth", str(out), "--kind", "white_noise", "--shape", shape)
+        assert code == 4
+        assert err.startswith("InvalidSpecError: shape (1048576, 1048576, 1048576) ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_out_of_memory_exit_1(self, tmp_path, capsys):
+        # 2^48 float64 values, 2 PiB: indexable, but above any user address
+        # space, so the allocation fails before a page is touched.
+        out = tmp_path / "x.npy"
+        shape = "131072,131072,16384"
+        code, _, err = run_cli(capsys, "synth", str(out), "--kind", "white_noise", "--shape", shape)
+        assert code == 1
+        assert err.startswith("MemoryError: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_level_beyond_float32_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "c.npy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, echo, err = run_cli(
+                capsys, "synth", str(out), "--kind", "constant", "--level", "1e39", "--shape", "4,4,4",
+                "--dtype", "f4",
+            )
+        assert code == 2
+        assert echo == ""
+        assert err == f"NonFiniteDataError: {out}: values beyond the float32 range cannot be written as '<f4'\n"
+        assert not out.exists()
 
 
 class TestSlice:

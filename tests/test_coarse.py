@@ -112,7 +112,7 @@ class TestSlidingMeans:
     @pytest.mark.parametrize("side", [2, 3, 5, 12])
     def test_slabs_of_x_planes_match_oracle(self, func, side, monkeypatch):
         # 3 x-planes per slab, so the 11 planes make four slabs, the last one short
-        monkeypatch.setattr(coarse, "_SLAB_BYTES", 3 * 8 * 6 * 7)
+        monkeypatch.setattr(coarse, "SLAB_ELEMENTS", 3 * 6 * 7)
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=(11, 6, 7), level=1.0, rng_seed=29))
         out = func(v, side)
         ref = oracles.sliding_window_mean(v.data, side)

@@ -19,7 +19,7 @@ from msc3d import (
     multiscale_run,
     overlap,
 )
-from msc3d import complexity
+from msc3d import coarse, complexity
 from msc3d.coarse import block_sums, edge_pad
 from msc3d.complexity import (
     ScheduleInfeasibleError,
@@ -61,7 +61,7 @@ class TestOverlap:
     def test_slabs_of_x_planes_match_difference_form(self, rng, monkeypatch):
         # 3 x-planes per slab, so the 11 planes make four slabs, the last one
         # short; the shifted views of the array are not contiguous
-        monkeypatch.setattr(complexity, "_DIFF_CHUNK", 3 * 6 * 7)
+        monkeypatch.setattr(coarse, "SLAB_ELEMENTS", 3 * 6 * 7)
         a, b = rng.random((11, 6, 7)), rng.random((11, 6, 7))
         ref = -0.5 * np.mean((a - b) ** 2)
         assert overlap(Volume3D(a), Volume3D(b)) == pytest.approx(ref, rel=1e-12)
@@ -195,7 +195,7 @@ class TestMultiscaleProfile:
     def test_streamed_block_cascade_matches_loop_oracle(self, shape, factors, chunk, monkeypatch):
         """The block step streams its lattice through slabs of whole block
         rows; however the slabs fall, the profile is the loop oracle's."""
-        monkeypatch.setattr(complexity, "_DIFF_CHUNK", self.SLAB_CHUNKS[chunk])
+        monkeypatch.setattr(coarse, "SLAB_ELEMENTS", self.SLAB_CHUNKS[chunk])
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=47))
         prof, _ = multiscale_profile(v, ScaleSchedule(factors=factors, mode="block_cascade"))
         ref = oracles.block_cascade(v.data, factors)
@@ -208,7 +208,7 @@ class TestMultiscaleProfile:
     @pytest.mark.parametrize("shape", STREAM_SHAPES, ids=str)
     def test_streamed_block_step_means_are_exact(self, shape, inc, chunk, rng, monkeypatch):
         """Each block mean is that of the whole edge-padded relative copy, to the bit."""
-        monkeypatch.setattr(complexity, "_DIFF_CHUNK", self.SLAB_CHUNKS[chunk])
+        monkeypatch.setattr(coarse, "SLAB_ELEMENTS", self.SLAB_CHUNKS[chunk])
         current = 1e6 + 1e-3 * rng.random(shape)
         ref = float(current.flat[0])
         means, o = complexity._block_step(current, ref, inc)
@@ -219,6 +219,34 @@ class TestMultiscaleProfile:
         x, y, z = shape
         up = expected.repeat(inc, 0).repeat(inc, 1).repeat(inc, 2)[:x, :y, :z]
         assert o == pytest.approx(-0.5 * np.mean((padded[:x, :y, :z] - up) ** 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("factors", [(1, 2, 4), (1, 3, 9)], ids=str)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_one_plane_slabs_match_loop_oracles(self, mode, factors, monkeypatch):
+        """With the one slab size shrunk to a single x-plane, every streamed
+        kernel (window means, overlaps, squared differences and block steps)
+        walks many slabs, and every mode still gives its oracle's profile."""
+        shape = (13, 17, 11)
+        monkeypatch.setattr(coarse, "SLAB_ELEMENTS", shape[1] * shape[2])
+        v = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=53))
+        sched = ScaleSchedule(factors=factors, mode=mode)
+        prof, maps = multiscale_profile(v, sched)
+        if mode == "algorithm1":
+            ref, ref_maps = oracles.algorithm1(v.data, factors, sched.window, sched.stride)
+            for cmap, ref_map in zip(maps, ref_maps, strict=True):
+                np.testing.assert_allclose(cmap.values, ref_map, rtol=0, atol=1e-12)
+            tolerance = {"abs": 1e-12}
+        elif mode == "block_cascade":
+            ref = oracles.block_cascade(v.data, factors)
+            tolerance = {"rel": 1e-12, "abs": 0}
+        else:
+            ref, current, prev = [], v.data, 1
+            for factor in factors:
+                means = oracles.sliding_window_mean(current, factor // prev)
+                ref.append(0.5 * np.mean((current - means) ** 2))
+                current, prev = means, factor
+            tolerance = {"rel": 1e-10, "abs": 1e-15}
+        assert prof.complexities() == pytest.approx(ref, **tolerance)
 
     @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
     def test_block_cascade_allocates_less_than_the_volume(self, shape, rng):

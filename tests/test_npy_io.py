@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
-from msc3d import Volume3D, read_manifest, read_npy, read_npy_header, write_npy
+from msc3d import Volume3D, read_manifest, read_npy, write_npy
 from msc3d.npy_io import (
     BadShapeError,
     DuplicateSubjectError,
@@ -188,13 +189,25 @@ class TestWriteNpy:
         with pytest.raises(UnsupportedDtypeError):
             write_npy(Volume3D(np.zeros((2, 2, 2))), tmp_path / "x.npy", "<i8")
 
-    def test_header_parse_matches_write(self, tmp_path):
-        path = tmp_path / "hdr.npy"
-        write_npy(Volume3D(np.zeros((7, 8, 9))), path, "<f4")
-        header = read_npy_header(path)
-        assert header.dtype_code == "<f4"
-        assert header.shape == (7, 8, 9)
-        assert header.fortran_order is False
+    @pytest.mark.parametrize("value", [1e39, -3.5e38])
+    def test_f4_overflow_rejected_before_writing(self, tmp_path, value):
+        values = np.zeros((2, 3, 4))
+        values[1, 2, 3] = value
+        path = tmp_path / "big.npy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDataError, match="float32 range") as excinfo:
+                write_npy(Volume3D(values), path, "<f4")
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert not path.exists()
+
+    def test_f4_largest_finite_value_written(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "top.npy"
+        write_npy(Volume3D(np.full((2, 2, 2), top)), path, "<f4")
+        assert read_npy(path).data.max() == top
+        write_npy(Volume3D(np.full((2, 2, 2), 1e39)), path, "<f8")
+        assert read_npy(path).data.max() == 1e39
 
 
 def write_manifest(tmp_path, text):
@@ -208,7 +221,7 @@ class TestManifest:
         path = write_manifest(tmp_path, "subject_id,volume_path,age_years\ns1,/data/s1.npy,60.0\n")
         manifest = read_manifest(path)
         assert len(manifest) == 1
-        entry = manifest.entries[0]
+        entry = manifest[0]
         assert (entry.subject_id, entry.volume_path, entry.age_years) == ("s1", "/data/s1.npy", 60.0)
 
     def test_duplicate_subject_names_line(self, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msc3d import (
-    Manifest,
     benjamini_hochberg,
     pearson_regression,
     table_to_csv,
@@ -28,11 +27,7 @@ from . import oracles
 
 
 def make_manifest(ages):
-    return Manifest(
-        entries=tuple(
-            ManifestEntry(f"s{i}", f"/data/s{i}.npy", age) for i, age in enumerate(ages)
-        )
-    )
+    return tuple(ManifestEntry(f"s{i}", f"/data/s{i}.npy", age) for i, age in enumerate(ages))
 
 
 def scale0_pairs(manifest, complexity_of):
@@ -42,13 +37,13 @@ def scale0_pairs(manifest, complexity_of):
     return list(zip(ln_c.tolist(), ln_age.tolist()))
 
 
-def correlation_rows(manifest, complexities, skip_failures=False):
+def correlation_rows(manifest, complexities):
     """Correlation table of subjects s0, s1, ..., whose row of ``complexities``
     holds one value per scale; scale k has factor 2**k."""
     complexity = np.array(complexities, dtype=np.float64)
     columns = log_log_columns([f"s{i}" for i in range(len(complexity))], complexity, manifest)
     scales = range(complexity.shape[1])
-    return correlate_columns(columns, scales, [2**k for k in scales], skip_failures)
+    return correlate_columns(columns, scales, [2**k for k in scales])
 
 
 class TestLogLogPairs:
@@ -82,9 +77,10 @@ class TestLogLogPairs:
 
 class TestLogLogColumns:
     def test_aligns_to_manifest_and_lists_unknown_subjects(self):
-        manifest = make_manifest([50.0, 60.0, 70.0])
+        manifest = make_manifest([50.0, 60.0, 70.0, 80.0])
         complexity = np.array([[4.0, np.nan], [9.0, 0.0], [1.0, 2.0], [5.0, 5.0]])
         columns = log_log_columns(("s2", "ghost", "s0", "late"), complexity, manifest)
+        assert columns.missing == ("s1", "s3")
         assert columns.unknown == ("ghost", "late")
         assert columns.ln_age.tolist() == [math.log(50.0), math.log(70.0)]
         assert columns.ln_c[:, 0].tolist() == [math.log(1.0), math.log(4.0)]
@@ -253,10 +249,8 @@ class TestCorrelationTable:
         ages = [50.0, 60.0, 70.0, 80.0]
         manifest = make_manifest(ages)
         complexities = [[float(age), 0.0] for age in ages]
-        rows = correlation_rows(manifest, complexities, skip_failures=True)
+        rows = correlation_rows(manifest, complexities)
         assert [r.scale_index for r in rows] == [0]
-        with pytest.raises(EmptyAfterFilteringError):
-            correlation_rows(manifest, complexities)
 
     def test_csv_column_order(self):
         manifest = make_manifest([50.0, 60.0, 70.0])
