@@ -1,12 +1,13 @@
 """Command-line surface: single-volume compute, cohort batch runs,
 correlation reports, phantom synthesis, and mid-slice PGM rendering.
 
-Exit codes: 0 success, 2 I/O or malformed input, 3 infeasible schedule,
-4 invalid phantom spec, 5 statistics failure, 1 out of memory (in every
-command, and for a batch subject under ``--strict``). Every failure prints
-a single ``ErrorName: message`` line on stderr, ``MemoryError: message``
-when memory runs out; in ``batch`` a failing subject goes to the errors
-sidecar instead, and the other subjects are still written.
+Exit codes: 0 success, 2 I/O, malformed input or values that overflow
+float64, 3 infeasible schedule, 4 invalid phantom spec, 5 statistics
+failure, 1 out of memory (in every command) or, for a batch subject under
+``--strict``, out of memory or a killed worker. Every failure prints a
+single ``ErrorName: message`` line on stderr; in ``batch`` a failing
+subject goes to the errors sidecar instead, ``BrokenProcessPool`` if its
+worker was killed, and the other subjects are still written.
 
 All outputs are deterministic functions of the inputs and flags; batch
 results are buffered and written in manifest order regardless of worker
@@ -22,22 +23,19 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
-from .complexity import (
-    ScaleSchedule,
-    ScheduleInfeasibleError,
-    multiscale_run,
-)
+from .complexity import MODES, ScaleSchedule, ScheduleInfeasibleError, multiscale_run
 from .errors import InputError, Msc3dError, PhantomError, ScheduleError, ShapeMismatchError, StatsError
 from .npy_io import BATCH_COLUMNS, read_batch_csv, read_manifest, read_npy, write_npy
 from .stats import EmptyAfterFilteringError, correlate_columns, log_log_columns, table_to_csv, table_to_text
 from .volume import PHANTOM_KINDS, InvalidSpecError, PhantomSpec, Volume3D, generate_phantom, mid_slice
 
-MODE_FLAGS = {"algorithm1": "algorithm1", "block-cascade": "block_cascade", "sliding-cascade": "sliding_cascade"}
+MODE_FLAGS = {mode.replace("_", "-"): mode for mode in MODES}
 
 
 def _exit_code(exc: BaseException) -> int:
@@ -75,10 +73,11 @@ def _schedule_from_args(args: argparse.Namespace) -> ScaleSchedule:
 
 
 def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=sorted(MODE_FLAGS), default="algorithm1")
-    parser.add_argument("--factors", default="1,2,4,8,16,32", metavar="CSV")
-    parser.add_argument("--window", default="4,4,4", metavar="X,Y,Z")
-    parser.add_argument("--stride", default="2,2,2", metavar="X,Y,Z")
+    default = ScaleSchedule()
+    parser.add_argument("--mode", choices=sorted(MODE_FLAGS), default=default.mode.replace("_", "-"))
+    parser.add_argument("--factors", default=",".join(map(str, default.factors)), metavar="CSV")
+    parser.add_argument("--window", default=",".join(map(str, default.window)), metavar="X,Y,Z")
+    parser.add_argument("--stride", default=",".join(map(str, default.stride)), metavar="X,Y,Z")
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -86,7 +85,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     volume_path = Path(args.volume)
     vol = read_npy(volume_path)
     subject = volume_path.stem
-    result = multiscale_run(vol, schedule, subject_id=subject)
+    result = multiscale_run(vol, schedule)
     for e in result.profile.per_scale:
         print(f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}")
     if args.emit_maps:
@@ -104,7 +103,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "factors": list(schedule.factors),
             "window": list(schedule.window),
             "stride": list(schedule.stride),
-            "scales": [sr.to_dict() for sr in result.scale_reports],
+            "scales": list(result.scale_reports),
             "exclusions": [],
         }
         with open(args.report, "w", newline="") as fh:
@@ -117,11 +116,19 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
     subject_id, path, schedule = task
     try:
         vol = read_npy(path)
-        result = multiscale_run(vol, schedule, subject_id=subject_id)
+        result = multiscale_run(vol, schedule)
         rows = [(e.scale_index, e.scale_factor, e.complexity) for e in result.profile.per_scale]
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError, MemoryError) as exc:
         # A subject too large for memory fails alone, like a malformed one.
+        return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
+
+
+def _pool_result(future, subject_id: str):
+    """The subject's result, or an error result if a killed worker lost it."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
         return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
 
 
@@ -145,7 +152,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         results = [_batch_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_batch_task, tasks))
+            futures = [pool.submit(_batch_task, t) for t in tasks]
+            results = [_pool_result(f, t[0]) for f, t in zip(futures, tasks)]
 
     failures = [(sid, info) for sid, status, info in results if status == "err"]
     if args.strict and failures:

@@ -40,13 +40,13 @@ in ``coarse``, holds about ``coarse.SLAB_ELEMENTS`` float64 values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import coarse
 from .coarse import block_downsample, block_sums, edge_pad, window_means_into
-from .errors import ScheduleError, ShapeMismatchError
+from .errors import InputError, ScheduleError, ShapeMismatchError
 from .volume import Volume3D
 
 MODES = ("algorithm1", "block_cascade", "sliding_cascade")
@@ -62,6 +62,10 @@ class WindowTooLargeError(ScheduleError):
 
 class WindowTooSmallError(ScheduleError):
     """Sweep window must be at least 2 per axis to admit shifted sub-blocks."""
+
+
+class ValueRangeError(InputError):
+    """The volume's values overflow float64 in the complexity arithmetic."""
 
 
 @dataclass(frozen=True)
@@ -126,44 +130,16 @@ class ProfileEntry:
 class ComplexityProfile:
     """Per-scale complexity values for one volume."""
 
-    subject_id: str
     per_scale: tuple[ProfileEntry, ...]
-
-    def complexities(self) -> list[float]:
-        return [e.complexity for e in self.per_scale]
-
-
-@dataclass(frozen=True)
-class ScaleReport:
-    """What actually ran at one scale (for the JSON run report)."""
-
-    scale_index: int
-    scale_factor: int
-    mode: str
-    padded_shape: tuple[int, int, int] | None = None
-    downsampled_shape: tuple[int, int, int] | None = None
-    window_used: tuple[int, int, int] | None = None
-    stride_used: tuple[int, int, int] | None = None
-    grid_shape: tuple[int, int, int] | None = None
-    degenerate_sweep: bool | None = None
-    incremental_factor: int | None = None
-    lattice_shape: tuple[int, int, int] | None = None
-
-    def to_dict(self) -> dict:
-        """The fields this scale's mode sets (those not None), tuples as lists."""
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if val is not None:
-                out[f.name] = list(val) if isinstance(val, tuple) else val
-        return out
 
 
 @dataclass(frozen=True)
 class RunResult:
+    """Profile, maps (algorithm1 only) and, per scale, the JSON record of what ran."""
+
     profile: ComplexityProfile
     maps: tuple[ComplexityMap, ...]
-    scale_reports: tuple[ScaleReport, ...] = field(default_factory=tuple)
+    scale_reports: tuple[dict, ...]
 
 
 def _difference_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -279,7 +255,7 @@ def _incremental_factors(factors: tuple[int, ...]) -> list[int]:
     return incs
 
 
-def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunResult:
+def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     down_shapes = [tuple(math.ceil(dim / f) for dim in v.shape) for f in schedule.factors]
     for factor, down_shape in zip(schedule.factors, down_shapes):
         if min(down_shape) < 2:
@@ -317,20 +293,19 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> Ru
         entries.append(ProfileEntry(k, factor, c))
         maps.append(cmap)
         reports.append(
-            ScaleReport(
-                scale_index=k,
-                scale_factor=factor,
-                mode=schedule.mode,
-                padded_shape=tuple(d * factor for d in down_shape),
-                downsampled_shape=down_shape,
-                window_used=w_used,
-                stride_used=s_used,
-                grid_shape=cmap.grid_shape,
-                degenerate_sweep=any(w == d for w, d in zip(w_used, u.shape)),
-            )
+            {
+                "scale_index": k,
+                "scale_factor": factor,
+                "mode": schedule.mode,
+                "padded_shape": tuple(d * factor for d in down_shape),
+                "downsampled_shape": down_shape,
+                "window_used": w_used,
+                "stride_used": s_used,
+                "grid_shape": cmap.grid_shape,
+                "degenerate_sweep": any(w == d for w, d in zip(w_used, u.shape)),
+            }
         )
-    profile = ComplexityProfile(subject_id=subject_id, per_scale=tuple(entries))
-    return RunResult(profile=profile, maps=tuple(maps), scale_reports=tuple(reports))
+    return RunResult(ComplexityProfile(tuple(entries)), tuple(maps), tuple(reports))
 
 
 def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, float]:
@@ -366,7 +341,7 @@ def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, 
     return means, -0.5 * (total / current.size) + 0.0
 
 
-def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunResult:
+def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     incs = _incremental_factors(schedule.factors)
     entries = []
     reports = []
@@ -392,23 +367,32 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule, subject_id: str) -> RunRe
             current, spare = means, current
         entries.append(ProfileEntry(k, factor, abs(o)))
         reports.append(
-            ScaleReport(
-                scale_index=k,
-                scale_factor=factor,
-                mode=schedule.mode,
-                incremental_factor=inc,
-                lattice_shape=lattice_shape,
-            )
+            {
+                "scale_index": k,
+                "scale_factor": factor,
+                "mode": schedule.mode,
+                "incremental_factor": inc,
+                "lattice_shape": lattice_shape,
+            }
         )
-    profile = ComplexityProfile(subject_id=subject_id, per_scale=tuple(entries))
-    return RunResult(profile=profile, maps=(), scale_reports=tuple(reports))
+    return RunResult(ComplexityProfile(tuple(entries)), (), tuple(reports))
 
 
-def multiscale_run(v: Volume3D, schedule: ScaleSchedule, subject_id: str = "") -> RunResult:
-    """Run the full multiscale pipeline, keeping per-scale run metadata."""
-    if schedule.mode == "algorithm1":
-        return _run_algorithm1(v, schedule, subject_id)
-    return _run_cascade(v, schedule, subject_id)
+def multiscale_run(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
+    """Run the full multiscale pipeline, keeping per-scale run metadata.
+
+    A volume whose values overflow float64 in the kernels' sums and squares,
+    or give a non-finite value at any scale, raises :class:`ValueRangeError`.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            result = (_run_algorithm1 if schedule.mode == "algorithm1" else _run_cascade)(v, schedule)
+        finite = all(math.isfinite(e.complexity) for e in result.profile.per_scale)
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise ValueRangeError("volume values overflow float64 in the complexity arithmetic; rescale the volume")
+    return result
 
 
 def multiscale_profile(v: Volume3D, schedule: ScaleSchedule) -> tuple[ComplexityProfile, list[ComplexityMap]]:

@@ -180,14 +180,14 @@ def read_npy(path: str | Path) -> Volume3D:
             held = os.fstat(fh.fileno()).st_size - fh.tell()
             if held != need:
                 raise TruncatedError(f"{path}: payload holds {held} bytes, shape {header.shape} needs {need}")
-            payload = fh.read(need)
+            values = np.fromfile(fh, np.dtype(header.dtype_code), need // itemsize)
     except OSError as exc:
         raise IoFailureError(f"{path}: {exc}") from exc
-    values = np.frombuffer(payload, dtype=np.dtype(header.dtype_code)).reshape(header.shape)
-    # The header check leaves a positive 3-D shape, so Volume3D, which checks
-    # every voxel once, can only refuse the payload for a NaN or Inf.
+    # The header check leaves a positive 3-D shape, so Volume3D, which widens
+    # the payload to float64 and checks every voxel once, can only refuse it
+    # for a NaN or Inf.
     try:
-        return Volume3D(values.astype(np.float64))
+        return Volume3D(values.reshape(header.shape))
     except ValueError as exc:
         raise NonFiniteDataError(f"{path}: payload contains NaN or Inf") from exc
 

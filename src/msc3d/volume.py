@@ -52,10 +52,6 @@ class Volume3D:
         x, y, z = self.data.shape
         return (x, y, z)
 
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
-
 
 @dataclass(frozen=True)
 class PhantomSpec:
@@ -63,8 +59,9 @@ class PhantomSpec:
 
     ``level`` is kind-specific: the fill value for ``constant``, the noise
     amplitude for ``white_noise``, the stripe amplitude for ``axis_stripes``
-    and the smoothing radius (window side ``2*level + 1``) for
-    ``smoothed_noise``. ``period`` only matters for ``axis_stripes``.
+    and the smoothing radius (window side ``2*level + 1``, at most the
+    largest dimension) for ``smoothed_noise``. ``period`` only matters for
+    ``axis_stripes``.
     """
 
     kind: str
@@ -86,9 +83,10 @@ class PhantomSpec:
             raise InvalidSpecError(f"level must be finite and >= 0, got {self.level}")
         if self.period < 1:
             raise InvalidSpecError(f"stripe period must be >= 1, got {self.period}")
-        if self.kind == "smoothed_noise" and self.level != int(self.level):
+        # At a radius of the largest dimension every window covers the volume.
+        if self.kind == "smoothed_noise" and not self.level == int(self.level) <= max(self.shape):
             raise InvalidSpecError(
-                f"smoothing radius must be an integer, got {self.level}"
+                f"smoothing radius must be an integer of at most {max(self.shape)}, got {self.level:g}"
             )
         if self.rng_seed < 0:
             raise InvalidSpecError(f"rng_seed must be >= 0, got {self.rng_seed}")

@@ -26,7 +26,7 @@ from msc3d import (
     write_npy,
 )
 import msc3d
-from msc3d.cli import main
+from msc3d.cli import _schedule_from_args, build_parser, main
 
 from . import oracles
 from .test_npy_io import make_npy_bytes
@@ -215,6 +215,22 @@ class TestCompute:
         assert err.startswith("MemoryError: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("mode", ["algorithm1", "block-cascade", "sliding-cascade"])
+    def test_values_overflowing_float64_exit_2(self, tmp_path, capsys, mode):
+        # Finite voxels near the float64 limit, whose sums and squares are not.
+        path = tmp_path / "big.npy"
+        write_phantom(path, level=1e308)
+        code, out, err = run_cli(capsys, "compute", str(path), "--mode", mode, "--factors", "1,2")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "ValueRangeError: volume values overflow float64 in the complexity arithmetic; rescale the volume\n"
+        )
+
+    @pytest.mark.parametrize("command", [["compute", "v.npy"], ["batch", "m.csv", "out.csv"]])
+    def test_schedule_flags_default_to_the_default_schedule(self, command):
+        assert _schedule_from_args(build_parser().parse_args(command)) == ScaleSchedule()
+
 
 class TestBatch:
     def test_three_subjects_18_rows(self, tmp_path, capsys):
@@ -264,15 +280,15 @@ class TestBatch:
 
     @pytest.fixture
     def out_of_memory_for_s1(self, monkeypatch):
-        """``multiscale_run`` raises ``MemoryError`` for subject s1 only."""
-        run = msc3d.cli.multiscale_run
+        """Reading subject s1's volume (``s1.npy``) raises ``MemoryError``."""
+        read = msc3d.cli.read_npy
 
-        def fake_run(vol, schedule, subject_id=""):
-            if subject_id == "s1":
+        def fake_read(path):
+            if Path(path).name == "s1.npy":
                 raise MemoryError("cannot allocate the padded volume")
-            return run(vol, schedule, subject_id=subject_id)
+            return read(path)
 
-        monkeypatch.setattr(msc3d.cli, "multiscale_run", fake_run)
+        monkeypatch.setattr(msc3d.cli, "read_npy", fake_read)
 
     def test_memory_error_goes_to_sidecar(self, tmp_path, capsys, out_of_memory_for_s1):
         manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
@@ -293,6 +309,63 @@ class TestBatch:
         )
         assert code == 1
         assert err == "MemoryError: cannot allocate the padded volume\n"
+        assert not out_csv.exists()
+
+    def test_values_overflowing_float64_go_to_sidecar(self, tmp_path, capsys):
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        write_phantom(tmp_path / "s1.npy", shape=(12, 12, 12), level=1e308)
+        out_csv = tmp_path / "cohort.csv"
+        code, _, err = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "1")
+        assert code == 0
+        rows = out_csv.read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["s0", "s0", "s2", "s2"]
+        errors = (tmp_path / "cohort.errors.csv").read_text().strip().splitlines()
+        assert errors[1:] == [
+            "s1,ValueRangeError,volume values overflow float64 in the complexity arithmetic; rescale the volume"
+        ]
+        assert "warning: 1 subject(s) failed" in err
+
+    @pytest.fixture
+    def worker_killed_on_s3(self, monkeypatch):
+        """A pool worker that starts reading ``s3.npy`` ends its own process
+        with ``os._exit``; the test process reads it as usual."""
+        read, parent = msc3d.cli.read_npy, os.getpid()
+
+        def killing_read(path):
+            if Path(path).name == "s3.npy" and os.getpid() != parent:
+                os._exit(1)
+            return read(path)
+
+        monkeypatch.setattr(msc3d.cli, "read_npy", killing_read)
+
+    def test_killed_worker_loses_no_finished_subject(self, tmp_path, capfd, worker_killed_on_s3):
+        manifest = write_cohort(tmp_path, n=6, shape=(12, 12, 12))
+        ref_csv = tmp_path / "ref.csv"
+        # At --jobs 1 the test process reads every volume itself, s3 included.
+        assert main(["batch", str(manifest), str(ref_csv), "--factors", "1,2", "--jobs", "1"]) == 0
+        out_csv = tmp_path / "cohort.csv"
+        capfd.readouterr()
+        code = main(["batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2"])
+        err = capfd.readouterr().err
+        assert code == 0
+        sidecar = tmp_path / "cohort.errors.csv"
+        lost = [row.split(",")[:2] for row in sidecar.read_text().splitlines()[1:]]
+        assert err == f"warning: {len(lost)} subject(s) failed, see {sidecar}\n"
+        assert {name for _, name in lost} == {"BrokenProcessPool"}
+        assert ["s3", "BrokenProcessPool"] in lost
+        rows = out_csv.read_text().splitlines()[1:]
+        written = list(dict.fromkeys(row.split(",")[0] for row in rows))
+        assert sorted(written + [sid for sid, _ in lost]) == [f"s{i}" for i in range(6)]
+        assert rows == [row for row in ref_csv.read_text().splitlines()[1:] if row.split(",")[0] in written]
+
+    def test_killed_worker_strict_exit_1(self, tmp_path, capfd, worker_killed_on_s3):
+        manifest = write_cohort(tmp_path, n=6, shape=(12, 12, 12))
+        out_csv = tmp_path / "cohort.csv"
+        code = main(["batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2", "--strict"])
+        err = capfd.readouterr().err
+        assert code == 1
+        assert err.startswith("BrokenProcessPool: ")
+        assert len(err.splitlines()) == 1
         assert not out_csv.exists()
 
     def test_strict_aborts(self, tmp_path, capsys):
@@ -641,6 +714,23 @@ class TestSynth:
         assert echo == ""
         assert err == f"NonFiniteDataError: {out}: values beyond the float32 range cannot be written as '<f4'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("level", ["1e300", "1e30"])
+    def test_radius_beyond_largest_dimension_exit_4(self, tmp_path, capsys, level):
+        out = tmp_path / "a.npy"
+        argv = ["synth", str(out), "--kind", "smoothed_noise", "--level", level, "--shape", "4,4,4"]
+        code, echo, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert echo == ""
+        assert err == f"InvalidSpecError: smoothing radius must be an integer of at most 4, got {float(level):g}\n"
+        assert not out.exists()
+
+    def test_radius_of_largest_dimension_generates(self, tmp_path, capsys):
+        out = tmp_path / "a.npy"
+        argv = ["synth", str(out), "--kind", "smoothed_noise", "--level", "6", "--shape", "4,6,5"]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert read_npy(out).shape == (4, 6, 5)
 
 
 class TestSlice:

@@ -246,7 +246,7 @@ class TestMultiscaleProfile:
                 ref.append(0.5 * np.mean((current - means) ** 2))
                 current, prev = means, factor
             tolerance = {"rel": 1e-10, "abs": 1e-15}
-        assert prof.complexities() == pytest.approx(ref, **tolerance)
+        assert [e.complexity for e in prof.per_scale] == pytest.approx(ref, **tolerance)
 
     @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
     def test_block_cascade_allocates_less_than_the_volume(self, shape, rng):
@@ -349,11 +349,11 @@ class TestMultiscaleProfile:
         v = Volume3D(rng.random((8, 8, 8)))
         result = multiscale_run(v, ScaleSchedule(factors=(1, 4)))
         rep = result.scale_reports[1]
-        assert rep.downsampled_shape == (2, 2, 2)
-        assert rep.window_used == (2, 2, 2)
-        assert rep.degenerate_sweep is True
-        assert result.scale_reports[0].window_used == (4, 4, 4)
-        assert result.scale_reports[0].degenerate_sweep is False
+        assert rep["downsampled_shape"] == (2, 2, 2)
+        assert rep["window_used"] == (2, 2, 2)
+        assert rep["degenerate_sweep"] is True
+        assert result.scale_reports[0]["window_used"] == (4, 4, 4)
+        assert result.scale_reports[0]["degenerate_sweep"] is False
 
 
 class TestInvariances:
@@ -397,8 +397,8 @@ class TestInvariances:
         moved = texture + offset
         for mode in ALL_MODES:
             sched = ScaleSchedule(factors=(1, 2, 4), mode=mode)
-            ref = multiscale_run(Volume3D(moved - offset), sched).profile.complexities()
-            got = multiscale_run(Volume3D(moved), sched).profile.complexities()
+            ref = [e.complexity for e in multiscale_run(Volume3D(moved - offset), sched).profile.per_scale]
+            got = [e.complexity for e in multiscale_run(Volume3D(moved), sched).profile.per_scale]
             np.testing.assert_allclose(got, ref, rtol=1e-6, atol=0, err_msg=mode)
 
 
@@ -419,8 +419,8 @@ class TestInvariances:
         moved = texture + offset
         for mode in ("algorithm1", "block_cascade"):
             sched = ScaleSchedule(factors=(1, 2, 4), mode=mode)
-            ref = multiscale_run(Volume3D(moved - offset), sched).profile.complexities()
-            got = multiscale_run(Volume3D(moved), sched).profile.complexities()
+            ref = [e.complexity for e in multiscale_run(Volume3D(moved - offset), sched).profile.per_scale]
+            got = [e.complexity for e in multiscale_run(Volume3D(moved), sched).profile.per_scale]
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=mode)
 
     @given(
@@ -439,8 +439,8 @@ class TestInvariances:
         texture = 1e-3 * np.random.default_rng(seed).random(dims)
         moved = texture + offset
         sched = ScaleSchedule(factors=(1, 2, 4), mode="sliding_cascade")
-        ref = multiscale_run(Volume3D(moved - offset), sched).profile.complexities()
-        got = multiscale_run(Volume3D(moved), sched).profile.complexities()
+        ref = [e.complexity for e in multiscale_run(Volume3D(moved - offset), sched).profile.per_scale]
+        got = [e.complexity for e in multiscale_run(Volume3D(moved), sched).profile.per_scale]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 

@@ -49,7 +49,7 @@ class TestReadNpy:
         data = np.zeros((128, 128, 128), dtype="<f4")
         path.write_bytes(make_npy_bytes(descr="<f4", shape=(128, 128, 128), payload=data.tobytes()))
         vol = read_npy(path)
-        assert vol.size == 2_097_152
+        assert vol.data.size == 2_097_152
 
     def test_magic_mismatch(self, tmp_path):
         path = tmp_path / "bad.npy"

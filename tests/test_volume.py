@@ -108,6 +108,7 @@ class TestGeneratePhantom:
             {"kind": "constant", "shape": (2, 2, 2), "level": -1.0},
             {"kind": "axis_stripes", "shape": (2, 2, 2), "period": 0},
             {"kind": "smoothed_noise", "shape": (2, 2, 2), "level": 1.5},
+            {"kind": "smoothed_noise", "shape": (2, 3, 2), "level": 4.0},
         ],
     )
     def test_invalid_specs(self, kwargs):
