@@ -19,18 +19,26 @@ that malformed files map to a stable, fine-grained error taxonomy.
 Manifest CSV: UTF-8 with header ``subject_id,volume_path,age_years``.
 Batch CSV: UTF-8 with header ``subject_id,scale_index,scale_factor,complexity``,
 one row per subject and scale, as ``msc3d batch`` writes it.
+
+Both CSVs are read whole as text by one column reader. A text with no ``"``,
+no ``\r`` and no line longer than ``csv.field_size_limit()`` cannot hold a
+quoted cell, so it is split on newlines and commas directly, with the row
+widths checked on the flat cell list. Any other text, and any file whose
+checks fail, goes through ``csv.reader`` row by row, which names the first
+bad line.
 """
 
 from __future__ import annotations
 
 import ast
 import csv
+import io
 import math
 import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -106,6 +114,10 @@ class NonPositiveAgeError(ManifestError):
 
 class MalformedRowError(ManifestError):
     pass
+
+
+class NotUtf8Error(ManifestError):
+    """A CSV file whose bytes are not UTF-8 text."""
 
 
 class ManifestEntry(NamedTuple):
@@ -224,17 +236,50 @@ def write_npy(volume: Volume3D, path: str | Path, dtype_code: str = "<f8") -> No
         raise IoFailureError(f"{path}: {exc}") from exc
 
 
-def _read_csv_records(path: Path, columns: tuple[str, ...]) -> tuple[list[list[str]], list[list[str]]]:
-    """All rows of the UTF-8 CSV at ``path``, whose first row must be the
-    header ``columns``, and its non-blank rows after the header."""
+def _read_csv_columns(path: Path, columns: tuple[str, ...]) -> tuple[str, list[Sequence[str]] | None]:
+    """The text of the UTF-8 CSV at ``path``, whose first row must be the
+    header ``columns``, and the columns of its non-blank rows after the
+    header; ``None`` in place of the columns when some row does not have
+    ``len(columns)`` fields."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
     except OSError as exc:
         raise IoFailureError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise NotUtf8Error(f"{path}: byte {exc.start} is not UTF-8 text") from None
+    n = len(columns)
+    lines = text.split("\n")
+    # Without a quote or a carriage return, csv.reader's rows are these lines
+    # split on commas; a line over the field limit is left to csv.reader,
+    # which refuses it.
+    plain = '"' not in text and "\r" not in text and max(map(len, lines)) <= csv.field_size_limit()
+    rows = [lines[0].split(",")] if plain else _csv_rows(path, text)
     if not rows or tuple(cell.strip() for cell in rows[0]) != columns:
         raise MissingColumnError(f"{path}: first row must be the header {','.join(columns)}")
-    return rows, [row for row in rows[1:] if row]
+    if plain:
+        body = [line for line in lines[1:] if line]
+        if not body:
+            return text, [()] * n
+        # A "\n" cell parts each row from the next, so every row has n fields
+        # exactly when those cells fall every n + 1 places.
+        flat = ",\n,".join(body).split(",")
+        if len(flat) != (n + 1) * len(body) - 1 or flat[n :: n + 1].count("\n") != len(body) - 1:
+            return text, None
+        return text, [flat[i :: n + 1] for i in range(n)]
+    records = [row for row in rows[1:] if row]
+    if set(map(len, records)) - {n}:
+        return text, None
+    return text, list(zip(*records)) or [()] * n
+
+
+def _csv_rows(path: Path, text: str) -> list[list[str]]:
+    """Every row ``csv.reader`` reads from ``text``, a blank line as ``[]``."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise MalformedRowError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 MANIFEST_COLUMNS = ("subject_id", "volume_path", "age_years")
@@ -249,15 +294,15 @@ def read_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
     row-by-row pass run, to name the offending line.
     """
     path = Path(path)
-    rows, records = _read_csv_records(path, MANIFEST_COLUMNS)
-    if set(map(len, records)) - {3}:
-        _raise_first_bad_manifest_row(path, rows)
-    sid_col, path_col, age_col = zip(*records) if records else ((), (), ())
+    text, cols = _read_csv_columns(path, MANIFEST_COLUMNS)
+    if cols is None:
+        _raise_first_bad_manifest_row(path, text)
+    sid_col, path_col, age_col = cols
     sids, volume_paths = list(map(str.strip, sid_col)), list(map(str.strip, path_col))
     try:
         ages = list(map(float, age_col))
     except ValueError:
-        _raise_first_bad_manifest_row(path, rows)
+        _raise_first_bad_manifest_row(path, text)
     if (
         not all(sids)
         or not all(volume_paths)
@@ -265,14 +310,14 @@ def read_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
         or not all(map((0.0).__lt__, ages))
         or math.inf in ages
     ):
-        _raise_first_bad_manifest_row(path, rows)
+        _raise_first_bad_manifest_row(path, text)
     return tuple(map(ManifestEntry._make, zip(sids, volume_paths, ages)))
 
 
-def _raise_first_bad_manifest_row(path: Path, rows: list[list[str]]) -> NoReturn:
+def _raise_first_bad_manifest_row(path: Path, text: str) -> NoReturn:
     """Check the body of a manifest row by row and raise at the first bad line."""
     seen: dict[str, int] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(_csv_rows(path, text)[1:], start=2):
         if not row:
             continue
         if len(row) != 3:
@@ -324,18 +369,20 @@ def read_batch_csv(path: str | Path) -> BatchTable:
     offending line.
     """
     path = Path(path)
-    rows, records = _read_csv_records(path, BATCH_COLUMNS)
-    if not records:
+    text, cols = _read_csv_columns(path, BATCH_COLUMNS)
+    if cols is None:
+        _raise_first_bad_row(path, text)
+    sid_col, k_col, factor_col, c_col = cols
+    if not sid_col:
         return BatchTable((), (), (), np.empty((0, 0)))
-    if set(map(len, records)) != {4}:
-        _raise_first_bad_row(path, rows)
-    sid_col, k_col, factor_col, c_col = ([row[i] for row in records] for i in range(4))
     try:
-        ks = list(map(int, k_col))
-        factors = list(map(int, factor_col))
-        cs = np.fromiter(map(float, c_col), np.float64, len(records))
+        # a few distinct index and factor strings repeat on every subject
+        int_of = {t: int(t) for t in {*k_col, *factor_col}}
+        cs = np.fromiter(map(float, c_col), np.float64, len(c_col))
     except ValueError:
-        _raise_first_bad_row(path, rows)
+        _raise_first_bad_row(path, text)
+    ks = list(map(int_of.__getitem__, k_col))
+    factors = list(map(int_of.__getitem__, factor_col))
     sids = list(map(str.strip, sid_col))
     row_of = {sid: i for i, sid in enumerate(dict.fromkeys(sids))}
     factor_of = dict(zip(ks, factors))
@@ -348,7 +395,7 @@ def read_batch_csv(path: str | Path) -> BatchTable:
         or np.bincount(cells).max() > 1
         or not np.isfinite(cs).all()
     ):
-        _raise_first_bad_row(path, rows)
+        _raise_first_bad_row(path, text)
     complexity = np.full(len(row_of) * len(indices), np.nan)
     complexity[cells] = cs
     return BatchTable(
@@ -359,11 +406,11 @@ def read_batch_csv(path: str | Path) -> BatchTable:
     )
 
 
-def _raise_first_bad_row(path: Path, rows: list[list[str]]) -> NoReturn:
+def _raise_first_bad_row(path: Path, text: str) -> NoReturn:
     """Check the body of a batch CSV row by row and raise at the first bad line."""
     line_of_cell: dict[tuple[str, int], int] = {}
     first_factor: dict[int, tuple[int, int]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(_csv_rows(path, text)[1:], start=2):
         if not row:
             continue
         if len(row) != 4:

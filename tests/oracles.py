@@ -7,9 +7,19 @@ no code shared with the production kernels.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
+
+from msc3d.npy_io import (
+    BatchTable,
+    DuplicateSubjectError,
+    MalformedRowError,
+    ManifestEntry,
+    MissingColumnError,
+    NonPositiveAgeError,
+)
 
 
 def pad_replicate(arr: np.ndarray, factor: int) -> np.ndarray:
@@ -178,3 +188,80 @@ def log_log_pairs_by_subject(batch_rows, manifest_ages, scale_index):
             continue
         pairs.append((math.log(c), math.log(age)))
     return pairs
+
+
+def csv_body(path, columns):
+    """Yield (line number, stripped cells) for each non-blank row after the
+    header, read by ``csv.reader`` straight from the file; a row of the wrong
+    width raises when it is reached."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise MalformedRowError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows or tuple(cell.strip() for cell in rows[0]) != columns:
+        raise MissingColumnError(f"{path}: first row must be the header {','.join(columns)}")
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise MalformedRowError(f"{path}: line {line_no}: expected {len(columns)} fields, got {len(row)}")
+        yield line_no, [cell.strip() for cell in row]
+
+
+def read_manifest(path):
+    """A manifest checked and converted one row at a time."""
+    entries = []
+    seen = {}
+    for line_no, (subject_id, volume_path, age_text) in csv_body(path, ("subject_id", "volume_path", "age_years")):
+        if not subject_id or not volume_path:
+            raise MalformedRowError(f"{path}: line {line_no}: empty subject_id or volume_path")
+        if subject_id in seen:
+            raise DuplicateSubjectError(
+                f"{path}: line {line_no}: subject_id {subject_id!r} already seen on line {seen[subject_id]}"
+            )
+        try:
+            age = float(age_text)
+        except ValueError:
+            raise MalformedRowError(f"{path}: line {line_no}: age_years {age_text!r} is not a number") from None
+        if not age > 0:
+            raise NonPositiveAgeError(f"{path}: line {line_no}: age_years must be > 0, got {age_text}")
+        if age == math.inf:
+            raise MalformedRowError(f"{path}: line {line_no}: age_years {age_text!r} is not a finite number")
+        seen[subject_id] = line_no
+        entries.append(ManifestEntry(subject_id, volume_path, age))
+    return tuple(entries)
+
+
+def read_batch_csv(path):
+    """A batch CSV checked one row at a time and filled into its matrix."""
+    value_at = {}
+    factor_at = {}
+    for line_no, (sid, k_text, factor_text, c_text) in csv_body(
+        path, ("subject_id", "scale_index", "scale_factor", "complexity")
+    ):
+        try:
+            k, factor, c = int(k_text), int(factor_text), float(c_text)
+        except ValueError as exc:
+            raise MalformedRowError(f"{path}: line {line_no}: {exc}") from None
+        if not math.isfinite(c):
+            raise MalformedRowError(f"{path}: line {line_no}: complexity {c_text!r} is not finite")
+        if (sid, k) in value_at:
+            raise MalformedRowError(
+                f"{path}: line {line_no}: subject {sid!r} at scale {k} already given on line {value_at[sid, k][0]}"
+            )
+        seen_factor, seen_line = factor_at.setdefault(k, (factor, line_no))
+        if factor != seen_factor:
+            raise MalformedRowError(
+                f"{path}: line {line_no}: scale {k} has factor {factor}, but factor {seen_factor} on line {seen_line}"
+            )
+        value_at[sid, k] = (line_no, c)
+    subjects = list(dict.fromkeys(sid for sid, _ in value_at))
+    scales = sorted(factor_at)
+    complexity = np.full((len(subjects), len(scales)), np.nan)
+    for (sid, k), (_, c) in value_at.items():
+        complexity[subjects.index(sid), scales.index(k)] = c
+    if not value_at:
+        complexity = np.empty((0, 0))
+    return BatchTable(tuple(subjects), tuple(scales), tuple(factor_at[k][0] for k in scales), complexity)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -53,6 +54,25 @@ def write_cohort(tmp_path, n=3, shape=(12, 12, 12), ages=None):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
+
+
+# Bytes that end a CSV's text: one that is not UTF-8, and a field over
+# csv.reader's limit.
+BAD_CSV_TAILS = {
+    "not_utf8": b"s9,\xff,1\n",
+    "long_field": b"s9," + b"v" * (csv.field_size_limit() + 1) + b",1\n",
+}
+
+
+def spoil_csv(path, bad):
+    """Append a line ``bad`` to the CSV at ``path``; the one stderr line
+    that reading it must give."""
+    held = path.read_bytes()
+    path.write_bytes(held + BAD_CSV_TAILS[bad])
+    if bad == "not_utf8":
+        return f"NotUtf8Error: {path}: byte {len(held) + 3} is not UTF-8 text"
+    line = held.count(b"\n") + 1
+    return f"MalformedRowError: {path}: line {line}: field larger than field limit ({csv.field_size_limit()})"
 
 
 class TestCompute:
@@ -242,6 +262,15 @@ class TestBatch:
         assert lines[0] == "subject_id,scale_index,scale_factor,complexity"
         assert len(lines) == 1 + 18
 
+    @pytest.mark.parametrize("bad", sorted(BAD_CSV_TAILS))
+    def test_unreadable_manifest_text_exit_2(self, tmp_path, capsys, bad):
+        manifest = write_cohort(tmp_path, n=2)
+        message = spoil_csv(manifest, bad)
+        out_csv = tmp_path / "cohort.csv"
+        code, out, err = run_cli(capsys, "batch", str(manifest), str(out_csv), "--jobs", "1")
+        assert (code, out, err.splitlines()) == (2, "", [message])
+        assert not out_csv.exists()
+
     def test_unreadable_file_goes_to_sidecar(self, tmp_path, capsys):
         manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
         (tmp_path / "s1.npy").write_bytes(b"garbage")
@@ -416,17 +445,18 @@ class TestBatch:
 
 
 class TestCorrelate:
-    def build_noiseless_cohort(self, tmp_path, capsys):
+    def build_noiseless_cohort(self, tmp_path, capsys, subject="s{}"):
         # complexity scales exactly with age^-0.25 via amplitude = age^-0.125
         ages = np.linspace(44.0, 90.0, 8)
-        lines = ["subject_id,volume_path,age_years"]
         base = generate_phantom(PhantomSpec(kind="white_noise", shape=(12, 12, 12), level=1.0, rng_seed=9))
-        for i, age in enumerate(ages):
-            vol = Volume3D(float(age**-0.125) * base.data)
-            write_npy(vol, tmp_path / f"s{i}.npy", "<f8")
-            lines.append(f"s{i},s{i}.npy,{age}")
         manifest = tmp_path / "manifest.csv"
-        manifest.write_text("\n".join(lines) + "\n")
+        with open(manifest, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["subject_id", "volume_path", "age_years"])
+            for i, age in enumerate(ages):
+                vol = Volume3D(float(age**-0.125) * base.data)
+                write_npy(vol, tmp_path / f"s{i}.npy", "<f8")
+                writer.writerow([subject.format(i), f"s{i}.npy", age])
         out_csv = tmp_path / "cohort.csv"
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2")
         assert code == 0
@@ -456,6 +486,31 @@ class TestCorrelate:
             assert len(scatter) == 1 + 8
             first = scatter[1].split(",")
             assert float(first[0]) == pytest.approx(np.log(44.0))
+
+    def test_subject_ids_with_commas(self, tmp_path, capsys):
+        # csv.writer quotes these ids in the manifest and the batch CSV, so
+        # both reach correlate through csv.reader
+        outputs = []
+        for subject in ("s{}", "s,{}"):
+            work = tmp_path / str(len(outputs))
+            work.mkdir()
+            manifest, batch_csv = self.build_noiseless_cohort(work, capsys, subject)
+            code, out, err = run_cli(capsys, "correlate", str(batch_csv), str(manifest), str(work / "out" / "corr"))
+            assert (code, err) == (0, "")
+            outputs.append((out, {f.name: f.read_bytes() for f in (work / "out").iterdir()}))
+        assert batch_csv.read_text().splitlines()[1].startswith('"s,0",0,1,')
+        assert len(outputs[1][1]) == 4
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("bad", sorted(BAD_CSV_TAILS))
+    @pytest.mark.parametrize("spoiled", ["batch_csv", "manifest"])
+    def test_unreadable_csv_text_exit_2(self, tmp_path, capsys, spoiled, bad):
+        rows, ages = self.small_cohort()
+        paths = dict(zip(("batch_csv", "manifest"), self.write_tables(tmp_path, rows, ages)))
+        message = spoil_csv(paths[spoiled], bad)
+        code, out, err = run_cli(capsys, "correlate", str(paths["batch_csv"]), str(paths["manifest"]), str(tmp_path / "c"))
+        assert (code, out, err.splitlines()) == (2, "", [message])
+        assert not (tmp_path / "c.csv").exists()
 
     def test_missing_subject_warning(self, tmp_path, capsys):
         manifest, batch_csv = self.build_noiseless_cohort(tmp_path, capsys)

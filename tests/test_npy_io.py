@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import csv
+import io
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from msc3d import Volume3D, read_manifest, read_npy, write_npy
+from msc3d import Volume3D, npy_io, read_manifest, read_npy, write_npy
 from msc3d.npy_io import (
     BadShapeError,
     DuplicateSubjectError,
@@ -14,15 +20,19 @@ from msc3d.npy_io import (
     IoFailureError,
     MagicMismatchError,
     MalformedRowError,
+    ManifestError,
     MissingColumnError,
     NonFiniteDataError,
     NonPositiveAgeError,
+    NotUtf8Error,
     TruncatedError,
     UnsupportedDtypeError,
     UnsupportedLayoutError,
     UnsupportedVersionError,
     read_batch_csv,
 )
+
+from . import oracles
 
 
 def make_npy_bytes(descr="<f8", fortran=False, shape=(2, 2, 2), payload=None, version=b"\x01\x00"):
@@ -370,3 +380,217 @@ class TestBatchCsv:
         path = write_batch(tmp_path, "a,0,1,2.0\na,1,2,1.0\nb,0,1,3.0\nb,1,4,1.0\n")
         with pytest.raises(MalformedRowError, match="line 5: scale 1 has factor 4, but factor 2 on line 3"):
             read_batch_csv(path)
+
+
+MANIFEST_HEADER = "subject_id,volume_path,age_years\n"
+FIELD_LIMIT = csv.field_size_limit()
+
+
+def write_lines(path, header, lines, newline="\n", bom=""):
+    """A CSV of ``header`` and ``lines``, written as the exact UTF-8 bytes."""
+    path.write_bytes((bom + newline.join([header, *lines]) + newline).encode())
+    return path
+
+
+def write_both(tmp_path, manifest_lines, batch_lines, **spelling):
+    return (
+        write_lines(tmp_path / "manifest.csv", MANIFEST_HEADER.strip(), manifest_lines, **spelling),
+        write_lines(tmp_path / "cohort.csv", BATCH_HEADER.strip(), batch_lines, **spelling),
+    )
+
+
+class TestCsvTexts:
+    """Texts that a plain split on newlines and commas would misread, and
+    the errors of the text itself, for both readers."""
+
+    @pytest.mark.parametrize(
+        "cells, ids",
+        [(['"a,b"', '"q""r"'], ["a,b", 'q"r']), (["a", "b"], ["a", "b"])],
+        ids=["quoted", "plain"],
+    )
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no_bom", "bom"])
+    def test_spellings_read_alike(self, tmp_path, cells, ids, newline, bom):
+        # blank lines before, between and after the rows
+        manifest, batch = write_both(
+            tmp_path,
+            ["", f"{cells[0]},/d/0.npy,60", "", "", f"{cells[1]},/d/1.npy,61.5", ""],
+            ["", f"{cells[0]},0,1,2.5", "", f"{cells[1]},0,1,3.0", f"{cells[0]},1,2,0.5", ""],
+            newline=newline,
+            bom=bom,
+        )
+        entries = read_manifest(manifest)
+        assert [tuple(e) for e in entries] == [(ids[0], "/d/0.npy", 60.0), (ids[1], "/d/1.npy", 61.5)]
+        table = read_batch_csv(batch)
+        assert table.subject_ids == tuple(ids)
+        assert (table.scale_indices, table.scale_factors) == ((0, 1), (1, 2))
+        assert np.array_equal(table.complexity, [[2.5, 0.5], [3.0, np.nan]], equal_nan=True)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_whitespace_only_line_is_a_one_field_row(self, tmp_path, newline):
+        manifest, batch = write_both(
+            tmp_path, ["a,/d/0.npy,60", "", " \t"], ["a,0,1,2.5", "", " \t"], newline=newline
+        )
+        with pytest.raises(MalformedRowError, match="line 4: expected 3 fields, got 1$"):
+            read_manifest(manifest)
+        with pytest.raises(MalformedRowError, match="line 4: expected 4 fields, got 1$"):
+            read_batch_csv(batch)
+
+    def test_plain_text_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+        # an unquoted LF file is read by the split, so every read of one
+        # through csv.reader would show here
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain text")
+
+        manifest, batch = write_both(
+            tmp_path,
+            ["a,/d/0.npy,60", "", "b,/d/1.npy,61"],
+            ["a,0,1,2.5", "", "b,0,1,3.0"],
+        )
+        monkeypatch.setattr(npy_io.csv, "reader", refuse)
+        assert [e.subject_id for e in read_manifest(manifest)] == ["a", "b"]
+        assert read_batch_csv(batch).complexity.tolist() == [[2.5], [3.0]]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_field_over_the_limit_names_its_line(self, tmp_path, quoted):
+        # csv.reader refuses a field over its limit; the split leaves every
+        # line over the limit to csv.reader, so both spellings end alike
+        q = '"' if quoted else ""
+        long_cell = "v" * (FIELD_LIMIT + 1)
+        manifest, batch = write_both(
+            tmp_path,
+            [f"{q}a{q},/d/0.npy,60", f"b,{long_cell},61"],
+            [f"{q}a{q},0,1,2.5", "b,0,1,3.0", f"{long_cell},0,1,3.0"],
+        )
+        message = f"line {{}}: field larger than field limit \\({FIELD_LIMIT}\\)$"
+        with pytest.raises(MalformedRowError, match=message.format(3)) as excinfo:
+            read_manifest(manifest)
+        assert str(excinfo.value).startswith(f"{manifest}: ")
+        with pytest.raises(MalformedRowError, match=message.format(4)):
+            read_batch_csv(batch)
+        assert csv.field_size_limit() == FIELD_LIMIT
+
+    def test_line_over_the_limit_with_fields_within_it_is_read(self, tmp_path):
+        # the batch subject id is exactly as long as the limit allows
+        half = "v" * (FIELD_LIMIT // 2 + 1)
+        manifest, batch = write_both(tmp_path, [f"{half},{half},60"], [f"{half}{half[:-2]},0,1,2.5"])
+        assert read_manifest(manifest) == ((half, half, 60.0),)
+        assert read_batch_csv(batch).subject_ids == (half + half[:-2],)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        for name, header in (("manifest.csv", MANIFEST_HEADER), ("cohort.csv", BATCH_HEADER)):
+            path = tmp_path / name
+            path.write_bytes(header.encode() + b"s\xff1,0,1,2.0\n")
+            read = read_manifest if name == "manifest.csv" else read_batch_csv
+            with pytest.raises(NotUtf8Error, match=f"^{path}: byte {len(header) + 1} is not UTF-8 text$"):
+                read(path)
+
+
+# Cells each column of the parity texts is drawn from: good values, values
+# that need quoting, and values each row check refuses.
+ID_CELLS = ("a", "b", " b ", "a,b", 'q"r', "x\ny", "")
+MANIFEST_CELLS = (
+    ID_CELLS,
+    ("/d/1.npy", " p.npy", "p,q.npy", ""),
+    ("60", " 61.5 ", "7e1", "0", "-1", "nan", "inf", "old"),
+)
+BATCH_CELLS = (
+    ID_CELLS,
+    ("0", "1", " 2 ", "x", "1.5"),
+    ("1", "2", "4"),
+    ("0.5", "-2.5", " 1e-3 ", "0", "nan", "inf", "much"),
+)
+
+
+@st.composite
+def csv_texts(draw, header, pools, good):
+    """A CSV text: rows mostly from ``good``, some with a cell from a pool,
+    a field dropped or added or a row repeated; each row plain (where no
+    cell holds a comma or newline), minimally quoted or fully quoted; LF,
+    CRLF or CR line ends; blank and whitespace-only lines; an optional BOM
+    and final newline."""
+    rows = [list(row) for row in draw(good)]
+    for _ in range(draw(st.integers(0, 2))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["cell", "cell", "cell", "drop", "add", "repeat"]))
+        if kind == "cell" and rows[i]:
+            j = draw(st.integers(0, min(len(rows[i]), len(pools)) - 1))
+            rows[i][j] = draw(st.sampled_from(pools[j]))
+        elif kind == "drop" and rows[i]:
+            rows[i].pop()
+        elif kind == "add":
+            rows[i].append("9")
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    quotings = [None, csv.QUOTE_MINIMAL, csv.QUOTE_ALL]
+    text_quoting = draw(st.sampled_from([None, None, csv.QUOTE_MINIMAL, "mixed"]))
+    lines = [header]
+    for row in rows:
+        lines += draw(st.sampled_from([[], [], [], [""], [""], [" "]]))
+        quoting = draw(st.sampled_from(quotings)) if text_quoting == "mixed" else text_quoting
+        if quoting is None and not any("," in cell or "\n" in cell for cell in row):
+            lines.append(",".join(row))
+        else:
+            out = io.StringIO()
+            csv.writer(out, quoting=quoting or csv.QUOTE_MINIMAL, lineterminator="").writerow(row)
+            lines.append(out.getvalue())
+    newlines = ["\n", "\r\n", "\r"]
+    text_newline = draw(st.sampled_from(["\n", "\n", "\r\n", "mixed"]))
+    ends = [draw(st.sampled_from(newlines)) if text_newline == "mixed" else text_newline for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def good_manifests():
+    """Manifest rows with unique ids and good paths and ages."""
+    ids = st.lists(st.sampled_from(["a", "b", "c", "a,b", 'q"r']), unique=True, max_size=4)
+    row = lambda sid: st.tuples(st.just(sid), st.sampled_from(["/d/1.npy", "p.npy"]), st.sampled_from(["60", "7e1"]))
+    return ids.flatmap(lambda sids: st.tuples(*map(row, sids)))
+
+
+def good_batches():
+    """Batch rows with unique (subject, scale) pairs, factor 2**scale and
+    finite complexities."""
+    keys = st.lists(st.tuples(st.sampled_from(["a", "b", "a,b"]), st.integers(0, 2)), unique=True, max_size=6)
+    row = lambda key: st.tuples(
+        st.just(key[0]), st.just(str(key[1])), st.just(str(2 ** key[1])), st.sampled_from(["0.5", "-2.5", "1e-3", "0"])
+    )
+    return keys.flatmap(lambda keys: st.tuples(*map(row, keys)))
+
+
+def outcome(read, path):
+    try:
+        result = read(path)
+    except ManifestError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, npy_io.BatchTable):
+        matrix = result.complexity
+        return result.subject_ids, result.scale_indices, result.scale_factors, matrix.shape, matrix.tobytes()
+    return result
+
+
+class TestReaderParity:
+    """The column readers against the row-by-row csv.reader oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts(MANIFEST_HEADER.strip(), MANIFEST_CELLS, good_manifests()))
+    def test_manifest(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.csv"
+            path.write_bytes(text.encode())
+            assert outcome(read_manifest, path) == outcome(oracles.read_manifest, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=csv_texts(BATCH_HEADER.strip(), BATCH_CELLS, good_batches()))
+    # 5 fields then 3 make the flat cell count of two 4-field rows, with the
+    # row break in the subject column, where an empty id is allowed
+    @example(text=BATCH_HEADER + "a,0,1,2.5,9\n1,2,3.0\n")
+    def test_batch(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cohort.csv"
+            path.write_bytes(text.encode())
+            assert outcome(read_batch_csv, path) == outcome(oracles.read_batch_csv, path)
