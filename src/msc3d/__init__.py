@@ -8,12 +8,10 @@ against subject age across a cohort in log-log space.
 
 from .complexity import (
     ComplexityMap,
-    ComplexityProfile,
     ProfileEntry,
     RunResult,
     ScaleSchedule,
     complexity_map,
-    multiscale_profile,
     multiscale_run,
     overlap,
 )
@@ -32,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComplexityMap",
-    "ComplexityProfile",
     "CorrelationRow",
     "ManifestEntry",
     "PhantomSpec",
@@ -45,7 +42,6 @@ __all__ = [
     "complexity_map",
     "generate_phantom",
     "mid_slice",
-    "multiscale_profile",
     "multiscale_run",
     "overlap",
     "pearson_regression",

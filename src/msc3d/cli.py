@@ -86,13 +86,13 @@ def cmd_compute(args: argparse.Namespace) -> int:
     vol = read_npy(volume_path)
     subject = volume_path.stem
     result = multiscale_run(vol, schedule)
-    for e in result.profile.per_scale:
+    for e in result.profile:
         print(f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}")
     if args.emit_maps:
         map_dir = Path(args.emit_maps)
         map_dir.mkdir(parents=True, exist_ok=True)
         # algorithm1 makes one map per scale, in schedule order
-        for cmap, e in zip(result.maps, result.profile.per_scale):
+        for cmap, e in zip(result.maps, result.profile):
             write_npy(Volume3D(cmap.values), map_dir / f"{subject}_scale{e.scale_index}_map.npy", "<f8")
     if args.report:
         report = {
@@ -117,7 +117,7 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
     try:
         vol = read_npy(path)
         result = multiscale_run(vol, schedule)
-        rows = [(e.scale_index, e.scale_factor, e.complexity) for e in result.profile.per_scale]
+        rows = [(e.scale_index, e.scale_factor, e.complexity) for e in result.profile]
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError, MemoryError) as exc:
         # A subject too large for memory fails alone, like a malformed one.
@@ -148,10 +148,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
         (e.subject_id, _resolve_volume_path(manifest_path, e.volume_path), schedule)
         for e in manifest
     ]
-    if jobs == 1 or len(tasks) <= 1:
+    # A pool starts all its workers at the first submit, so it gets no more
+    # of them than there are subjects.
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         results = [_batch_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_batch_task, t) for t in tasks]
             results = [_pool_result(f, t[0]) for f, t in zip(futures, tasks)]
 

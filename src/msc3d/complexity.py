@@ -9,7 +9,9 @@ Complexity at a scale is the magnitude of an overlap, so it is always
 non-negative and vanishes exactly for fields that coarse-graining leaves
 unchanged.
 
-Three pipeline modes are implemented:
+``multiscale_run`` is the one entry point. It returns a ``RunResult``: the
+per-scale ``ProfileEntry`` tuple, the complexity maps (algorithm1 only) and
+a JSON record of each scale. It runs one of three pipeline modes:
 
 * ``algorithm1`` - for every factor, block-downsample the *original*
   volume, then sweep a strided window over the downsampled field and score
@@ -127,17 +129,10 @@ class ProfileEntry:
 
 
 @dataclass(frozen=True)
-class ComplexityProfile:
-    """Per-scale complexity values for one volume."""
-
-    per_scale: tuple[ProfileEntry, ...]
-
-
-@dataclass(frozen=True)
 class RunResult:
     """Profile, maps (algorithm1 only) and, per scale, the JSON record of what ran."""
 
-    profile: ComplexityProfile
+    profile: tuple[ProfileEntry, ...]
     maps: tuple[ComplexityMap, ...]
     scale_reports: tuple[dict, ...]
 
@@ -305,7 +300,7 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
                 "degenerate_sweep": any(w == d for w, d in zip(w_used, u.shape)),
             }
         )
-    return RunResult(ComplexityProfile(tuple(entries)), tuple(maps), tuple(reports))
+    return RunResult(tuple(entries), tuple(maps), tuple(reports))
 
 
 def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, float]:
@@ -375,7 +370,7 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
                 "lattice_shape": lattice_shape,
             }
         )
-    return RunResult(ComplexityProfile(tuple(entries)), (), tuple(reports))
+    return RunResult(tuple(entries), (), tuple(reports))
 
 
 def multiscale_run(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
@@ -387,15 +382,9 @@ def multiscale_run(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     try:
         with np.errstate(over="raise", invalid="raise"):
             result = (_run_algorithm1 if schedule.mode == "algorithm1" else _run_cascade)(v, schedule)
-        finite = all(math.isfinite(e.complexity) for e in result.profile.per_scale)
+        finite = all(math.isfinite(e.complexity) for e in result.profile)
     except FloatingPointError:
         finite = False
     if not finite:
         raise ValueRangeError("volume values overflow float64 in the complexity arithmetic; rescale the volume")
     return result
-
-
-def multiscale_profile(v: Volume3D, schedule: ScaleSchedule) -> tuple[ComplexityProfile, list[ComplexityMap]]:
-    """Per-scale complexity of ``v`` plus complexity maps (algorithm1 mode only)."""
-    result = multiscale_run(v, schedule)
-    return result.profile, list(result.maps)

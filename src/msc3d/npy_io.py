@@ -24,8 +24,8 @@ Both CSVs are read whole as text by one column reader. A text with no ``"``,
 no ``\r`` and no line longer than ``csv.field_size_limit()`` cannot hold a
 quoted cell, so it is split on newlines and commas directly, with the row
 widths checked on the flat cell list. Any other text, and any file whose
-checks fail, goes through ``csv.reader`` row by row, which names the first
-bad line.
+checks fail, goes through ``csv.reader`` row by row, which names the line
+of the file that the first bad row starts on.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, NoReturn, Sequence
+from typing import Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -282,6 +282,21 @@ def _csv_rows(path: Path, text: str) -> list[list[str]]:
         raise MalformedRowError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
+def _csv_body(path: Path, text: str, n: int) -> Iterator[tuple[int, list[str]]]:
+    """The line of the file that each non-blank row after the header starts
+    on, and the row's stripped cells; a row without ``n`` fields raises."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)  # the header, already checked
+    start = reader.line_num + 1
+    for row in reader:
+        line_no, start = start, reader.line_num + 1
+        if not row:
+            continue
+        if len(row) != n:
+            raise MalformedRowError(f"{path}: line {line_no}: expected {n} fields, got {len(row)}")
+        yield line_no, [cell.strip() for cell in row]
+
+
 MANIFEST_COLUMNS = ("subject_id", "volume_path", "age_years")
 
 
@@ -317,12 +332,7 @@ def read_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
 def _raise_first_bad_manifest_row(path: Path, text: str) -> NoReturn:
     """Check the body of a manifest row by row and raise at the first bad line."""
     seen: dict[str, int] = {}
-    for line_no, row in enumerate(_csv_rows(path, text)[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise MalformedRowError(f"{path}: line {line_no}: expected 3 fields, got {len(row)}")
-        subject_id, volume_path, age_text = row[0].strip(), row[1].strip(), row[2].strip()
+    for line_no, (subject_id, volume_path, age_text) in _csv_body(path, text, 3):
         if not subject_id or not volume_path:
             raise MalformedRowError(f"{path}: line {line_no}: empty subject_id or volume_path")
         if subject_id in seen:
@@ -410,12 +420,7 @@ def _raise_first_bad_row(path: Path, text: str) -> NoReturn:
     """Check the body of a batch CSV row by row and raise at the first bad line."""
     line_of_cell: dict[tuple[str, int], int] = {}
     first_factor: dict[int, tuple[int, int]] = {}
-    for line_no, row in enumerate(_csv_rows(path, text)[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise MalformedRowError(f"{path}: line {line_no}: expected 4 fields, got {len(row)}")
-        sid, k_text, factor_text, c_text = (cell.strip() for cell in row)
+    for line_no, (sid, k_text, factor_text, c_text) in _csv_body(path, text, 4):
         try:
             k, factor, c = int(k_text), int(factor_text), float(c_text)
         except ValueError as exc:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import StatsError
 from .npy_io import ManifestEntry
@@ -138,6 +137,10 @@ def _regress(xs: np.ndarray, ys: np.ndarray) -> RegressionResult:
     if abs(r) == 1.0:
         p = 0.0
     else:
+        # Imported here, where only correlate reaches it, so that the other
+        # commands start without loading scipy.
+        from scipy.special import betainc
+
         # two-sided tail of the t-distribution: I_{df/(df+t^2)}(df/2, 1/2)
         t_sq = r * r * df / (1.0 - r * r)
         p = float(betainc(df / 2.0, 0.5, df / (df + t_sq)))

@@ -193,16 +193,20 @@ def log_log_pairs_by_subject(batch_rows, manifest_ages, scale_index):
 def csv_body(path, columns):
     """Yield (line number, stripped cells) for each non-blank row after the
     header, read by ``csv.reader`` straight from the file; a row of the wrong
-    width raises when it is reached."""
+    width raises when it is reached. A row's line number is the file line it
+    starts on: the line after the one the row before it ended on."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
+        rows, ends = [], []
         try:
-            rows = list(reader)
+            for row in reader:
+                rows.append(row)
+                ends.append(reader.line_num)
         except csv.Error as exc:
             raise MalformedRowError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows or tuple(cell.strip() for cell in rows[0]) != columns:
         raise MissingColumnError(f"{path}: first row must be the header {','.join(columns)}")
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in zip((end + 1 for end in ends), rows[1:]):
         if not row:
             continue
         if len(row) != len(columns):

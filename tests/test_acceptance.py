@@ -20,7 +20,7 @@ from msc3d import (
     Volume3D,
     benjamini_hochberg,
     generate_phantom,
-    multiscale_profile,
+    multiscale_run,
     overlap,
     pearson_regression,
     read_npy,
@@ -86,13 +86,13 @@ def test_criterion_2_algorithm_oracle_equivalence():
         assert len(specs) == 20
         for spec in specs:
             vol = generate_phantom(spec)
-            prof, maps = multiscale_profile(vol, schedule)
+            run = multiscale_run(vol, schedule)
             ref_values, ref_maps = oracles.algorithm1(
                 vol.data, schedule.factors, schedule.window, schedule.stride
             )
-            for entry, ref in zip(prof.per_scale, ref_values):
+            for entry, ref in zip(run.profile, ref_values):
                 assert abs(entry.complexity - ref) <= 1e-10
-            for cmap, ref_map in zip(maps, ref_maps):
+            for cmap, ref_map in zip(run.maps, ref_maps):
                 assert cmap.grid_shape == ref_map.shape
                 assert np.max(np.abs(cmap.values - ref_map)) <= 1e-10
         elapsed = time.perf_counter() - started
@@ -102,12 +102,12 @@ def test_criterion_2_algorithm_oracle_equivalence():
 def test_criterion_3_analytic_stripe_and_constant():
     with criterion(3, "stripe C = 1/6 and constant C = 0 in every mode"):
         stripes = generate_phantom(PhantomSpec(kind="axis_stripes", shape=(16, 16, 16), level=1.0, period=1))
-        prof, _ = multiscale_profile(stripes, ScaleSchedule(factors=(1,)))
-        assert abs(prof.per_scale[0].complexity - 1.0 / 6.0) <= 1e-12
+        prof = multiscale_run(stripes, ScaleSchedule(factors=(1,))).profile
+        assert abs(prof[0].complexity - 1.0 / 6.0) <= 1e-12
         constant = generate_phantom(PhantomSpec(kind="constant", shape=(36, 36, 36), level=3.25))
         for mode in ("algorithm1", "block_cascade", "sliding_cascade"):
-            prof, _ = multiscale_profile(constant, ScaleSchedule(mode=mode))
-            assert [e.complexity for e in prof.per_scale] == [0.0] * 6
+            prof = multiscale_run(constant, ScaleSchedule(mode=mode)).profile
+            assert [e.complexity for e in prof] == [0.0] * 6
 
 
 def test_criterion_4_invariance_suite():
@@ -121,13 +121,13 @@ def test_criterion_4_invariance_suite():
             gain = float(rng.uniform(0.5, 2.5))
             for mode in ("algorithm1", "block_cascade", "sliding_cascade"):
                 sched = ScaleSchedule(factors=schedule_factors, mode=mode)
-                base, _ = multiscale_profile(Volume3D(arr), sched)
-                moved, _ = multiscale_profile(Volume3D(arr + shift), sched)
-                assert [e.complexity for e in base.per_scale] == [
-                    e.complexity for e in moved.per_scale
+                base = multiscale_run(Volume3D(arr), sched).profile
+                moved = multiscale_run(Volume3D(arr + shift), sched).profile
+                assert [e.complexity for e in base] == [
+                    e.complexity for e in moved
                 ], f"offset invariance broke: case {case}, mode {mode}"
-                scaled, _ = multiscale_profile(Volume3D(gain * arr), sched)
-                for e_base, e_scaled in zip(base.per_scale, scaled.per_scale):
+                scaled = multiscale_run(Volume3D(gain * arr), sched).profile
+                for e_base, e_scaled in zip(base, scaled):
                     if e_base.complexity > 0.0:
                         rel = abs(e_scaled.complexity - gain**2 * e_base.complexity) / (
                             gain**2 * e_base.complexity
@@ -143,10 +143,10 @@ def test_criterion_5_sliding_stability_beats_block():
             vol = generate_phantom(
                 PhantomSpec(kind="white_noise", shape=(64, 64, 64), level=1.0, rng_seed=7000 + i)
             )
-            pb, _ = multiscale_profile(vol, ScaleSchedule(mode="block_cascade"))
-            ps, _ = multiscale_profile(vol, ScaleSchedule(mode="sliding_cascade"))
-            c_block.append(pb.per_scale[-1].complexity)
-            c_slide.append(ps.per_scale[-1].complexity)
+            pb = multiscale_run(vol, ScaleSchedule(mode="block_cascade")).profile
+            ps = multiscale_run(vol, ScaleSchedule(mode="sliding_cascade")).profile
+            c_block.append(pb[-1].complexity)
+            c_slide.append(ps[-1].complexity)
         block = np.array(c_block)
         slide = np.array(c_slide)
         cov_block = block.std(ddof=1) / block.mean()
@@ -270,7 +270,7 @@ def test_criterion_8a_single_volume_performance(tmp_path):
         for _ in range(3):
             start = time.perf_counter()
             vol = read_npy(vol_path)
-            multiscale_profile(vol, ScaleSchedule())
+            multiscale_run(vol, ScaleSchedule())
             timings.append(time.perf_counter() - start)
         best = min(timings)
         assert best < 1.0, f"single 128^3 volume took {best:.2f}s"

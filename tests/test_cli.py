@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from msc3d import (
     Volume3D,
     benjamini_hochberg,
     generate_phantom,
-    multiscale_profile,
+    multiscale_run,
     pearson_regression,
     read_npy,
     table_to_csv,
@@ -102,9 +103,9 @@ class TestCompute:
         vol = write_phantom(path, shape=(20, 20, 20), seed=7)
         code, out, _ = run_cli(capsys, "compute", str(path), "--factors", "1,2,4")
         assert code == 0
-        prof, _ = multiscale_profile(vol, ScaleSchedule(factors=(1, 2, 4)))
+        prof = multiscale_run(vol, ScaleSchedule(factors=(1, 2, 4))).profile
         got = [line.split(",") for line in out.strip().splitlines()]
-        for row, entry in zip(got, prof.per_scale):
+        for row, entry in zip(got, prof):
             assert float(row[2]) == entry.complexity
             assert float(row[3]) == entry.overlap
 
@@ -115,8 +116,8 @@ class TestCompute:
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 6
-        prof, _ = multiscale_profile(vol, ScaleSchedule())
-        for line, entry in zip(lines, prof.per_scale):
+        prof = multiscale_run(vol, ScaleSchedule()).profile
+        for line, entry in zip(lines, prof):
             parts = line.split(",")
             assert int(parts[1]) == entry.scale_factor
             assert float(parts[2]) == entry.complexity
@@ -431,6 +432,39 @@ class TestBatch:
             outs.append(out_csv.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("jobs, workers", [("2", 2), ("8", 3), ("0", 3)])
+    def test_pool_gets_no_more_workers_than_subjects(self, tmp_path, capsys, monkeypatch, jobs, workers):
+        # A stand-in pool records its size and runs each task at once, so
+        # no worker process starts whatever --jobs asks for.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        serial_csv = tmp_path / "serial.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")
+        assert code == 0
+        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(msc3d.cli.os, "cpu_count", lambda: 64)
+        out_csv = tmp_path / "cohort.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", jobs)
+        assert code == 0
+        assert sizes == [workers]
+        assert out_csv.read_bytes() == serial_csv.read_bytes()
+
     def test_mode_flag(self, tmp_path, capsys):
         manifest = write_cohort(tmp_path, n=1, shape=(16, 16, 16))
         out_csv = tmp_path / "cohort.csv"
@@ -439,9 +473,9 @@ class TestBatch:
         )
         assert code == 0
         vol = read_npy(tmp_path / "s0.npy")
-        prof, _ = multiscale_profile(vol, ScaleSchedule(factors=(1, 2, 4), mode="sliding_cascade"))
+        prof = multiscale_run(vol, ScaleSchedule(factors=(1, 2, 4), mode="sliding_cascade")).profile
         lines = out_csv.read_text().strip().splitlines()[1:]
-        assert float(lines[1].split(",")[3]) == prof.per_scale[1].complexity
+        assert float(lines[1].split(",")[3]) == prof[1].complexity
 
 
 class TestCorrelate:
@@ -832,3 +866,14 @@ class TestSlice:
     def test_io_error_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "slice", str(tmp_path / "none.npy"), "z", str(tmp_path / "o.pgm"))
         assert code == 2
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # only correlate's p-values need scipy, so the other commands start without it
+    src = str(Path(msc3d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, msc3d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout == "[]\n"

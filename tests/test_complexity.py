@@ -15,7 +15,6 @@ from msc3d import (
     Volume3D,
     complexity_map,
     generate_phantom,
-    multiscale_profile,
     multiscale_run,
     overlap,
 )
@@ -141,22 +140,22 @@ class TestMultiscaleProfile:
     def test_constant_volume_zero_everywhere_all_modes(self):
         v = Volume3D(np.full((36, 36, 36), 2.5))
         for mode in ALL_MODES:
-            prof, _ = multiscale_profile(v, ScaleSchedule(mode=mode))
-            assert [e.complexity for e in prof.per_scale] == [0.0] * 6
+            prof = multiscale_run(v, ScaleSchedule(mode=mode)).profile
+            assert [e.complexity for e in prof] == [0.0] * 6
 
     def test_stripes_factor_1_is_one_sixth(self):
         v = generate_phantom(PhantomSpec(kind="axis_stripes", shape=(8, 8, 8), level=1.0, period=1))
-        prof, _ = multiscale_profile(v, ScaleSchedule(factors=(1,)))
-        assert prof.per_scale[0].complexity == pytest.approx(1.0 / 6.0, abs=1e-12)
+        prof = multiscale_run(v, ScaleSchedule(factors=(1,))).profile
+        assert prof[0].complexity == pytest.approx(1.0 / 6.0, abs=1e-12)
 
     def test_algorithm1_matches_naive_oracle(self):
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=(20, 17, 23), level=1.0, rng_seed=31))
         sched = ScaleSchedule(factors=(1, 2, 4, 8))
-        prof, maps = multiscale_profile(v, sched)
+        run = multiscale_run(v, sched)
         ref_values, ref_maps = oracles.algorithm1(v.data, sched.factors, sched.window, sched.stride)
-        for entry, ref in zip(prof.per_scale, ref_values):
+        for entry, ref in zip(run.profile, ref_values):
             assert entry.complexity == pytest.approx(ref, abs=1e-12)
-        for cmap, ref_map in zip(maps, ref_maps):
+        for cmap, ref_map in zip(run.maps, ref_maps):
             assert cmap.grid_shape == ref_map.shape
             np.testing.assert_allclose(cmap.values, ref_map, rtol=0, atol=1e-12)
 
@@ -168,21 +167,21 @@ class TestMultiscaleProfile:
     def test_algorithm1_block_pyramid_matches_naive_oracle(self, shape, factors):
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=43))
         sched = ScaleSchedule(factors=factors)
-        prof, maps = multiscale_profile(v, sched)
+        run = multiscale_run(v, sched)
         ref_values, ref_maps = oracles.algorithm1(v.data, sched.factors, sched.window, sched.stride)
-        for entry, ref in zip(prof.per_scale, ref_values):
+        for entry, ref in zip(run.profile, ref_values):
             assert entry.complexity == pytest.approx(ref, abs=1e-12)
-        for cmap, ref_map in zip(maps, ref_maps):
+        for cmap, ref_map in zip(run.maps, ref_maps):
             assert cmap.grid_shape == ref_map.shape
             np.testing.assert_allclose(cmap.values, ref_map, rtol=0, atol=1e-12)
 
     def test_block_cascade_matches_loop_oracle(self):
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=(16, 16, 16), level=1.0, rng_seed=37))
         sched = ScaleSchedule(factors=(1, 2, 4, 8), mode="block_cascade")
-        prof, maps = multiscale_profile(v, sched)
-        assert maps == []
+        run = multiscale_run(v, sched)
+        assert run.maps == ()
         ref = oracles.block_cascade(v.data, sched.factors)
-        for entry, r in zip(prof.per_scale, ref):
+        for entry, r in zip(run.profile, ref):
             assert entry.complexity == pytest.approx(r, rel=1e-10, abs=1e-15)
 
     # A slab of one block row, and one slab covering the whole lattice.
@@ -197,10 +196,10 @@ class TestMultiscaleProfile:
         rows; however the slabs fall, the profile is the loop oracle's."""
         monkeypatch.setattr(coarse, "SLAB_ELEMENTS", self.SLAB_CHUNKS[chunk])
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=47))
-        prof, _ = multiscale_profile(v, ScaleSchedule(factors=factors, mode="block_cascade"))
+        prof = multiscale_run(v, ScaleSchedule(factors=factors, mode="block_cascade")).profile
         ref = oracles.block_cascade(v.data, factors)
-        assert [e.scale_factor for e in prof.per_scale] == list(factors)
-        for entry, r in zip(prof.per_scale, ref):
+        assert [e.scale_factor for e in prof] == list(factors)
+        for entry, r in zip(prof, ref):
             assert entry.complexity == pytest.approx(r, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("chunk", sorted(SLAB_CHUNKS))
@@ -230,10 +229,10 @@ class TestMultiscaleProfile:
         monkeypatch.setattr(coarse, "SLAB_ELEMENTS", shape[1] * shape[2])
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=53))
         sched = ScaleSchedule(factors=factors, mode=mode)
-        prof, maps = multiscale_profile(v, sched)
+        run = multiscale_run(v, sched)
         if mode == "algorithm1":
             ref, ref_maps = oracles.algorithm1(v.data, factors, sched.window, sched.stride)
-            for cmap, ref_map in zip(maps, ref_maps, strict=True):
+            for cmap, ref_map in zip(run.maps, ref_maps, strict=True):
                 np.testing.assert_allclose(cmap.values, ref_map, rtol=0, atol=1e-12)
             tolerance = {"abs": 1e-12}
         elif mode == "block_cascade":
@@ -246,7 +245,7 @@ class TestMultiscaleProfile:
                 ref.append(0.5 * np.mean((current - means) ** 2))
                 current, prev = means, factor
             tolerance = {"rel": 1e-10, "abs": 1e-15}
-        assert [e.complexity for e in prof.per_scale] == pytest.approx(ref, **tolerance)
+        assert [e.complexity for e in run.profile] == pytest.approx(ref, **tolerance)
 
     @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
     def test_block_cascade_allocates_less_than_the_volume(self, shape, rng):
@@ -268,14 +267,14 @@ class TestMultiscaleProfile:
 
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=(12, 12, 12), level=1.0, rng_seed=41))
         sched = ScaleSchedule(factors=(1, 2, 4), mode="sliding_cascade")
-        prof, _ = multiscale_profile(v, sched)
+        prof = multiscale_run(v, sched).profile
         current = v
         expected = []
         for inc in (1, 2, 2):
             coarse = sliding_mean(current, inc)
             expected.append(0.5 * np.mean((current.data - coarse.data) ** 2))
             current = coarse
-        for entry, ref in zip(prof.per_scale, expected):
+        for entry, ref in zip(prof, expected):
             assert entry.complexity == pytest.approx(ref, rel=1e-10, abs=1e-15)
 
     @pytest.mark.parametrize(
@@ -295,7 +294,7 @@ class TestMultiscaleProfile:
         from msc3d import sliding_mean
 
         v = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=43))
-        prof, _ = multiscale_profile(v, ScaleSchedule(factors=factors, mode="sliding_cascade"))
+        prof = multiscale_run(v, ScaleSchedule(factors=factors, mode="sliding_cascade")).profile
         current = v
         expected = []
         prev = 1
@@ -303,47 +302,47 @@ class TestMultiscaleProfile:
             coarse = sliding_mean(current, factor // prev)
             expected.append(0.5 * np.mean((current.data - coarse.data) ** 2))
             current, prev = coarse, factor
-        for entry, ref in zip(prof.per_scale, expected):
+        for entry, ref in zip(prof, expected):
             assert entry.complexity == pytest.approx(ref, rel=1e-10, abs=1e-15)
 
     def test_complexity_is_abs_overlap(self, rng):
         v = Volume3D(rng.random((16, 16, 16)))
         for mode in ALL_MODES:
-            prof, _ = multiscale_profile(v, ScaleSchedule(factors=(1, 2, 4), mode=mode))
-            for e in prof.per_scale:
+            prof = multiscale_run(v, ScaleSchedule(factors=(1, 2, 4), mode=mode)).profile
+            for e in prof:
                 assert e.overlap <= 0.0
                 assert e.complexity == abs(e.overlap)
 
     def test_entries_in_schedule_order(self, rng):
         v = Volume3D(rng.random((16, 16, 16)))
-        prof, _ = multiscale_profile(v, ScaleSchedule(factors=(1, 4, 8)))
-        assert [(e.scale_index, e.scale_factor) for e in prof.per_scale] == [(0, 1), (1, 4), (2, 8)]
+        prof = multiscale_run(v, ScaleSchedule(factors=(1, 4, 8))).profile
+        assert [(e.scale_index, e.scale_factor) for e in prof] == [(0, 1), (1, 4), (2, 8)]
 
     def test_infeasible_factor(self, rng):
         v = Volume3D(rng.random((8, 8, 8)))
         with pytest.raises(ScheduleInfeasibleError):
-            multiscale_profile(v, ScaleSchedule(factors=(1, 8)))
+            multiscale_run(v, ScaleSchedule(factors=(1, 8)))
 
     def test_non_integer_cascade_ratio(self, rng):
         v = Volume3D(rng.random((10, 10, 10)))
         with pytest.raises(ScheduleInfeasibleError):
-            multiscale_profile(v, ScaleSchedule(factors=(2, 5), mode="block_cascade"))
+            multiscale_run(v, ScaleSchedule(factors=(2, 5), mode="block_cascade"))
 
     def test_degenerate_window_single_cell(self, rng):
         v = Volume3D(rng.random((4, 4, 4)))
         cmap = complexity_map(v, (4, 4, 4), (4, 4, 4))
         assert cmap.grid_shape == (1, 1, 1)
-        prof, maps = multiscale_profile(v, ScaleSchedule(factors=(1,), window=(4, 4, 4), stride=(4, 4, 4)))
-        assert prof.per_scale[0].complexity == cmap.values[0, 0, 0]
+        prof = multiscale_run(v, ScaleSchedule(factors=(1,), window=(4, 4, 4), stride=(4, 4, 4))).profile
+        assert prof[0].complexity == cmap.values[0, 0, 0]
 
     def test_factor_1_equals_native_shift_overlap(self, rng):
         # mode agreement at the finest step: one full-volume window
         arr = rng.random((6, 6, 6))
-        prof, _ = multiscale_profile(
+        prof = multiscale_run(
             Volume3D(arr), ScaleSchedule(factors=(1,), window=(6, 6, 6), stride=(1, 1, 1))
-        )
+        ).profile
         ox, oy, oz = oracles.shift_overlaps(arr)
-        assert prof.per_scale[0].complexity == pytest.approx(-(ox + oy + oz) / 3.0, abs=1e-15)
+        assert prof[0].complexity == pytest.approx(-(ox + oy + oz) / 3.0, abs=1e-15)
 
     def test_run_reports_record_clipping(self, rng):
         v = Volume3D(rng.random((8, 8, 8)))
@@ -362,18 +361,18 @@ class TestInvariances:
         arr = dyadic_array(rng, (16, 16, 16))
         shift = 3.25
         sched = ScaleSchedule(factors=(1, 2, 4), mode=mode)
-        base, _ = multiscale_profile(Volume3D(arr), sched)
-        moved, _ = multiscale_profile(Volume3D(arr + shift), sched)
-        assert [e.complexity for e in base.per_scale] == [e.complexity for e in moved.per_scale]
+        base = multiscale_run(Volume3D(arr), sched).profile
+        moved = multiscale_run(Volume3D(arr + shift), sched).profile
+        assert [e.complexity for e in base] == [e.complexity for e in moved]
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_quadratic_intensity_scaling(self, mode, rng):
         arr = rng.random((16, 16, 16))
         gain = 1.7
         sched = ScaleSchedule(factors=(1, 2, 4), mode=mode)
-        base, _ = multiscale_profile(Volume3D(arr), sched)
-        scaled, _ = multiscale_profile(Volume3D(gain * arr), sched)
-        for e_base, e_scaled in zip(base.per_scale, scaled.per_scale):
+        base = multiscale_run(Volume3D(arr), sched).profile
+        scaled = multiscale_run(Volume3D(gain * arr), sched).profile
+        for e_base, e_scaled in zip(base, scaled):
             if e_base.complexity > 0:
                 assert e_scaled.complexity == pytest.approx(gain**2 * e_base.complexity, rel=1e-10)
 
@@ -397,8 +396,8 @@ class TestInvariances:
         moved = texture + offset
         for mode in ALL_MODES:
             sched = ScaleSchedule(factors=(1, 2, 4), mode=mode)
-            ref = [e.complexity for e in multiscale_run(Volume3D(moved - offset), sched).profile.per_scale]
-            got = [e.complexity for e in multiscale_run(Volume3D(moved), sched).profile.per_scale]
+            ref = [e.complexity for e in multiscale_run(Volume3D(moved - offset), sched).profile]
+            got = [e.complexity for e in multiscale_run(Volume3D(moved), sched).profile]
             np.testing.assert_allclose(got, ref, rtol=1e-6, atol=0, err_msg=mode)
 
 
@@ -419,8 +418,8 @@ class TestInvariances:
         moved = texture + offset
         for mode in ("algorithm1", "block_cascade"):
             sched = ScaleSchedule(factors=(1, 2, 4), mode=mode)
-            ref = [e.complexity for e in multiscale_run(Volume3D(moved - offset), sched).profile.per_scale]
-            got = [e.complexity for e in multiscale_run(Volume3D(moved), sched).profile.per_scale]
+            ref = [e.complexity for e in multiscale_run(Volume3D(moved - offset), sched).profile]
+            got = [e.complexity for e in multiscale_run(Volume3D(moved), sched).profile]
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=mode)
 
     @given(
@@ -439,8 +438,8 @@ class TestInvariances:
         texture = 1e-3 * np.random.default_rng(seed).random(dims)
         moved = texture + offset
         sched = ScaleSchedule(factors=(1, 2, 4), mode="sliding_cascade")
-        ref = [e.complexity for e in multiscale_run(Volume3D(moved - offset), sched).profile.per_scale]
-        got = [e.complexity for e in multiscale_run(Volume3D(moved), sched).profile.per_scale]
+        ref = [e.complexity for e in multiscale_run(Volume3D(moved - offset), sched).profile]
+        got = [e.complexity for e in multiscale_run(Volume3D(moved), sched).profile]
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
 

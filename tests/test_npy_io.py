@@ -477,6 +477,20 @@ class TestCsvTexts:
         assert read_manifest(manifest) == ((half, half, 60.0),)
         assert read_batch_csv(batch).subject_ids == (half + half[:-2],)
 
+    # A quoted id spans lines 2 and 3, so every later row is one line
+    # further down the file than its csv.reader record number.
+    def test_manifest_row_after_a_quoted_newline_names_its_file_line(self, tmp_path):
+        path = write_lines(tmp_path / "manifest.csv", MANIFEST_HEADER.strip(), ['"a\nb",/d/1.npy,60', "c,/d/2.npy,old"])
+        with pytest.raises(MalformedRowError) as excinfo:
+            read_manifest(path)
+        assert str(excinfo.value) == f"{path}: line 4: age_years 'old' is not a number"
+
+    def test_batch_row_after_a_quoted_newline_names_its_file_line(self, tmp_path):
+        path = write_lines(tmp_path / "cohort.csv", BATCH_HEADER.strip(), ['"a\nb",0,1,0.5', "", "c,0,1,nan"])
+        with pytest.raises(MalformedRowError) as excinfo:
+            read_batch_csv(path)
+        assert str(excinfo.value) == f"{path}: line 5: complexity 'nan' is not finite"
+
     def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
         for name, header in (("manifest.csv", MANIFEST_HEADER), ("cohort.csv", BATCH_HEADER)):
             path = tmp_path / name

@@ -5,7 +5,6 @@ import msc3d
 
 PUBLIC_NAMES = [
     "ComplexityMap",
-    "ComplexityProfile",
     "CorrelationRow",
     "ManifestEntry",
     "PhantomSpec",
@@ -18,7 +17,6 @@ PUBLIC_NAMES = [
     "complexity_map",
     "generate_phantom",
     "mid_slice",
-    "multiscale_profile",
     "multiscale_run",
     "overlap",
     "pearson_regression",
