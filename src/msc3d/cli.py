@@ -72,6 +72,17 @@ def _schedule_from_args(args: argparse.Namespace) -> ScaleSchedule:
         raise ScheduleInfeasibleError(str(exc)) from exc
 
 
+def _job_count(text: str) -> int:
+    """A ``--jobs`` value: an integer >= 0, where 0 means one worker per core."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = -1
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return jobs
+
+
 def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
     default = ScaleSchedule()
     parser.add_argument("--mode", choices=sorted(MODE_FLAGS), default=default.mode.replace("_", "-"))
@@ -143,7 +154,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     schedule = _schedule_from_args(args)
     manifest_path = Path(args.manifest)
     manifest = read_manifest(manifest_path)
-    jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
     tasks = [
         (e.subject_id, _resolve_volume_path(manifest_path, e.volume_path), schedule)
         for e in manifest
@@ -294,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("output", help="cohort CSV to write")
     _add_schedule_flags(p)
-    p.add_argument("--jobs", type=int, default=0, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=_job_count, default=0, help="worker processes (default: all cores)")
     p.add_argument("--strict", action="store_true", help="abort on the first failing subject")
     p.set_defaults(func=cmd_batch)
 

@@ -373,7 +373,7 @@ def read_batch_csv(path: str | Path) -> BatchTable:
     """Parse a batch CSV in one columnar pass.
 
     Every row needs 4 fields, an integer scale index and factor and a finite
-    complexity. A ``(subject_id, scale_index)`` pair may appear only once,
+    complexity >= 0. A ``(subject_id, scale_index)`` pair may appear only once,
     and a scale index only ever with one factor. The columns are converted
     whole; only when a check fails does a row-by-row pass run, to name the
     offending line.
@@ -404,6 +404,7 @@ def read_batch_csv(path: str | Path) -> BatchTable:
         len(set(zip(ks, factors))) != len(factor_of)
         or np.bincount(cells).max() > 1
         or not np.isfinite(cs).all()
+        or (cs < 0.0).any()
     ):
         _raise_first_bad_row(path, text)
     complexity = np.full(len(row_of) * len(indices), np.nan)
@@ -427,6 +428,8 @@ def _raise_first_bad_row(path: Path, text: str) -> NoReturn:
             raise MalformedRowError(f"{path}: line {line_no}: {exc}") from exc
         if not math.isfinite(c):
             raise MalformedRowError(f"{path}: line {line_no}: complexity {c_text!r} is not finite")
+        if c < 0.0:
+            raise MalformedRowError(f"{path}: line {line_no}: complexity {c_text!r} is negative")
         if (sid, k) in line_of_cell:
             raise MalformedRowError(
                 f"{path}: line {line_no}: subject {sid!r} at scale {k} already given on line {line_of_cell[sid, k]}"

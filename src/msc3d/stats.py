@@ -5,8 +5,10 @@ adjustment across scales.
 Logs are natural (base e) throughout; Pearson r and p are base-invariant,
 slopes and intercepts are not, so report renderers state the base. The
 regression treats log age as the predictor and log complexity as the
-response, i.e. slope = d(ln C)/d(ln age). p-values below 1e-300 are
-clamped and rendered as "<1e-300".
+response, i.e. slope = d(ln C)/d(ln age). The t-test p-value is computed
+here from t^2, as a continued fraction for the regularized incomplete beta
+function, to the last few digits even at r near 0. p-values below 1e-300
+are clamped and rendered as "<1e-300".
 
 Everything works on a subject x scale complexity matrix, as
 ``npy_io.read_batch_csv`` returns it: :func:`log_log_columns` aligns it to
@@ -134,25 +136,65 @@ def _regress(xs: np.ndarray, ys: np.ndarray) -> RegressionResult:
     intercept = ym - slope * xm
     r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
     df = n - 2
-    if abs(r) == 1.0:
-        p = 0.0
-    else:
-        # Imported here, where only correlate reaches it, so that the other
-        # commands start without loading scipy.
-        from scipy.special import betainc
-
-        # two-sided tail of the t-distribution: I_{df/(df+t^2)}(df/2, 1/2)
-        t_sq = r * r * df / (1.0 - r * r)
-        p = float(betainc(df / 2.0, 0.5, df / (df + t_sq)))
+    p = 0.0 if abs(r) == 1.0 else _t_tail(r * r * df / (1.0 - r * r), df)
     return RegressionResult(r=r, slope=slope, intercept=intercept, p=max(p, P_CLAMP))
+
+
+def _t_tail(t_sq: float, df: int) -> float:
+    """Two-sided Student-t tail P(|T| >= t) on ``df`` degrees of freedom, from
+    t^2: the regularized incomplete beta I_x(a, 1/2), a = df/2, x = df/(df + t^2).
+
+    The continued fraction is summed by Lentz's method (Numerical Recipes
+    6.4) in DiDonato and Morris's form (ACM TOMS 708, 1992, BFRAC), whose
+    partial denominators are sums of positive terms: in the textbook form
+    they cancel near x = 1, losing digits in proportion to df. Where
+    x > (a+1)/(a+5/2) it is taken of I_{1-x}(1/2, a) = 1 - I_x(a, 1/2)
+    instead. 1 - x is always t^2/(df + t^2), never a difference, so p keeps
+    its digits as t -> 0.
+    """
+    if t_sq == 0.0:
+        return 1.0
+    a = df / 2.0
+    if a > 30.0:
+        # ln Gamma(a + 1/2) - ln Gamma(a) by Stirling's series, whose terms
+        # are small where two lgamma values of size a ln a would round.
+        def stirling(z: float) -> float:
+            return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z * z)) / (z * z)) / z
+
+        ln_gamma_ratio = 0.5 * math.log(a) + (a * math.log1p(0.5 / a) - 0.5) + stirling(a + 0.5) - stirling(a)
+    else:
+        ln_gamma_ratio = math.lgamma(a + 0.5) - math.lgamma(a)
+    # x^a (1-x)^(1/2) / B(a, 1/2), from ln x = -log1p(t^2/df) and ln(1-x)
+    ln_powers = -a * math.log1p(t_sq / df) + 0.5 * (math.log(t_sq) - math.log(df + t_sq))
+    front = math.exp(ln_powers + ln_gamma_ratio - 0.5 * math.log(math.pi))
+    x, y = df / (df + t_sq), t_sq / (df + t_sq)
+    # I_x(p, q) and DiDonato and Morris's lam = p - (p + q) x, taken as
+    # +-(x/2)(t^2 - 1) so that it cancels no more than t^2 - 1 does
+    p, q, lam = a, 0.5, 0.5 * x * (t_sq - 1.0)
+    swap = t_sq * (df + 2.0) < 3.0 * df
+    if swap:
+        p, q, x, y, lam = q, p, y, x, -lam
+    f = p * (1.0 + lam) / (p + 1.0)
+    c, d = f, 0.0
+    for n in range(1, 1000):
+        s = p + 2 * n - 1
+        alpha = (p + n - 1) * (p + q + n - 1) * n * (q - n) * x * x / (s * s)
+        beta = n + n * (q - n) * x / s + (p + n) * (1.0 + lam + n * (1.0 + y)) / (s + 2)
+        d = 1.0 / (beta + alpha * d)
+        c = beta + alpha / c
+        f *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return 1.0 - front / f if swap else front / f
+    raise ArithmeticError(f"t-test tail did not converge for df={df}, t^2={t_sq!r}")
 
 
 def pearson_regression(pairs: Sequence[tuple[float, float]]) -> RegressionResult:
     """Least-squares fit of y on x plus the sample Pearson coefficient.
 
-    The two-sided p-value comes from t = r*sqrt((n-2)/(1-r^2)) under the
-    t-distribution with n-2 degrees of freedom, evaluated through the
-    regularized incomplete beta function.
+    The two-sided p-value comes from t^2 = r^2 (n-2)/(1-r^2) under the
+    t-distribution with n-2 degrees of freedom: the regularized incomplete
+    beta I_x((n-2)/2, 1/2) at x = (n-2)/(n-2 + t^2), summed as a continued
+    fraction by Lentz's method.
     """
     return _regress(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
 

@@ -251,6 +251,8 @@ def read_batch_csv(path):
             raise MalformedRowError(f"{path}: line {line_no}: {exc}") from None
         if not math.isfinite(c):
             raise MalformedRowError(f"{path}: line {line_no}: complexity {c_text!r} is not finite")
+        if c < 0.0:
+            raise MalformedRowError(f"{path}: line {line_no}: complexity {c_text!r} is negative")
         if (sid, k) in value_at:
             raise MalformedRowError(
                 f"{path}: line {line_no}: subject {sid!r} at scale {k} already given on line {value_at[sid, k][0]}"

@@ -40,6 +40,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def src_env(**overrides):
+    """The environment with this package's source on PYTHONPATH, for a
+    subprocess that imports it."""
+    env = dict(os.environ, **overrides)
+    src = str(Path(msc3d.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def write_phantom(path, kind="white_noise", shape=(16, 16, 16), level=1.0, seed=0, period=1):
     vol = generate_phantom(PhantomSpec(kind=kind, shape=shape, level=level, period=period, rng_seed=seed))
     write_npy(vol, path, "<f8")
@@ -465,6 +474,20 @@ class TestBatch:
         assert sizes == [workers]
         assert out_csv.read_bytes() == serial_csv.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["-3", "-1", "abc"])
+    def test_jobs_below_zero_or_not_an_integer_exit_2(self, tmp_path, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", no_pool)
+        manifest = write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        out_csv = tmp_path / "cohort.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", str(manifest), str(out_csv), "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert f"argument --jobs: expected an integer >= 0, got '{jobs}'" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_mode_flag(self, tmp_path, capsys):
         manifest = write_cohort(tmp_path, n=1, shape=(16, 16, 16))
         out_csv = tmp_path / "cohort.csv"
@@ -643,16 +666,13 @@ class TestCorrelate:
             for k in range(6)
         ]
         batch, manifest = self.write_tables(tmp_path, rows, ages)
-        src = str(Path(msc3d.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             out = tmp_path / f"threads{threads}"
             out.mkdir()
             subprocess.run(
                 [sys.executable, "-m", "msc3d.cli", "correlate", str(batch), str(manifest), str(out / "corr")],
-                env=env,
+                env=src_env(OPENBLAS_NUM_THREADS=threads),
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -703,6 +723,43 @@ class TestCorrelate:
             "EmptyAfterFilteringError: batch CSV holds no complexity rows",
         ]
         assert not (tmp_path / "c.csv").exists()
+
+    def test_runs_with_scipy_unimportable(self, tmp_path, capsys):
+        # None in sys.modules makes every import of scipy fail, so neither
+        # importing msc3d nor correlate's p-values may need it
+        rows, ages = self.small_cohort()
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        code, out, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "inproc" / "c"))
+        assert code == 0
+        probe = "import sys; sys.modules['scipy'] = None; from msc3d.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "correlate", str(batch), str(manifest), str(tmp_path / "sub" / "c")],
+            env=src_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, err)
+        written = [{f.name: f.read_bytes() for f in (tmp_path / d).iterdir()} for d in ("inproc", "sub")]
+        assert len(written[0]) == 4
+        assert written[0] == written[1]
+
+    def test_negative_complexity_exit_2(self, tmp_path, capsys):
+        rows, ages = self.small_cohort()
+        rows[3] = ("s1", 1, 2, -0.25)  # line 5
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        code, out, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert (code, out) == (2, "")
+        assert err == f"MalformedRowError: {batch}: line 5: complexity '-0.25' is negative\n"
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_negative_zero_complexity_is_excluded_as_zero(self, tmp_path, capsys):
+        rows, ages = self.small_cohort()
+        rows[3] = ("s1", 1, 2, -0.0)
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        code, _, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert code == 0
+        assert err == "warning: scale 1: 1 subject(s) excluded (zero complexity)\n"
 
     def test_repeated_subject_and_scale_exit_2(self, tmp_path, capsys):
         rows, ages = self.small_cohort()
@@ -867,13 +924,3 @@ class TestSlice:
         code, _, err = run_cli(capsys, "slice", str(tmp_path / "none.npy"), "z", str(tmp_path / "o.pgm"))
         assert code == 2
 
-
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # only correlate's p-values need scipy, so the other commands start without it
-    src = str(Path(msc3d.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, msc3d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True, timeout=60
-    )
-    assert done.stdout == "[]\n"

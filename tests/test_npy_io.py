@@ -363,6 +363,7 @@ class TestBatchCsv:
             ("b,0,1,much\n", "could not convert"),
             ("b,0,1,nan\n", "complexity 'nan' is not finite"),
             ("b,0,1,inf\n", "complexity 'inf' is not finite"),
+            ("b,0,1,-0.25\n", "complexity '-0.25' is negative"),
         ],
     )
     def test_malformed_row_names_line(self, tmp_path, bad, match):
@@ -512,7 +513,7 @@ BATCH_CELLS = (
     ID_CELLS,
     ("0", "1", " 2 ", "x", "1.5"),
     ("1", "2", "4"),
-    ("0.5", "-2.5", " 1e-3 ", "0", "nan", "inf", "much"),
+    ("0.5", " 1e-3 ", "0", "-0.0", "-2.5", "nan", "inf", "much"),
 )
 
 
@@ -568,10 +569,10 @@ def good_manifests():
 
 def good_batches():
     """Batch rows with unique (subject, scale) pairs, factor 2**scale and
-    finite complexities."""
+    finite complexities >= 0, -0.0 among them."""
     keys = st.lists(st.tuples(st.sampled_from(["a", "b", "a,b"]), st.integers(0, 2)), unique=True, max_size=6)
     row = lambda key: st.tuples(
-        st.just(key[0]), st.just(str(key[1])), st.just(str(2 ** key[1])), st.sampled_from(["0.5", "-2.5", "1e-3", "0"])
+        st.just(key[0]), st.just(str(key[1])), st.just(str(2 ** key[1])), st.sampled_from(["0.5", "2.5", "1e-3", "0", "-0.0"])
     )
     return keys.flatmap(lambda keys: st.tuples(*map(row, keys)))
 

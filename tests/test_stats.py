@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msc3d import (
@@ -15,10 +16,12 @@ from msc3d import (
 )
 from msc3d.npy_io import ManifestEntry
 from msc3d.stats import (
+    P_CLAMP,
     DegenerateVarianceError,
     EmptyAfterFilteringError,
     OutOfRangeError,
     TooFewPointsError,
+    _t_tail,
     correlate_columns,
     log_log_columns,
 )
@@ -35,6 +38,32 @@ def scale0_pairs(manifest, complexity_of):
     complexity = np.array([[c] for c in complexity_of.values()])
     ln_age, ln_c = log_log_columns(tuple(complexity_of), complexity, manifest).pairs(0, 0)
     return list(zip(ln_c.tolist(), ln_age.tolist()))
+
+
+def linear_pairs(seed):
+    """200 pairs with r near 0.7."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 2.0, 200)
+    y = 0.7 * x + rng.normal(0.0, 1.5, 200)
+    return list(zip(x.tolist(), y.tolist()))
+
+
+def near_zero_pairs(seed):
+    """300 pairs with r near 1e-8: y is the part of an independent z that is
+    orthogonal to x - mean(x), plus 1e-8 (x - mean(x))."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, 300)
+    z = rng.normal(0.0, 1.0, 300)
+    dx = x - x.mean()
+    y = z - (z @ dx) / (dx @ dx) * dx + 1e-8 * dx
+    return list(zip(x.tolist(), y.tolist()))
+
+
+def betainc_mp(t_sq, df):
+    """I_x(df/2, 1/2) at x = df/(df + t^2), to 60 digits."""
+    with mp.workdps(60):
+        x = mp.mpf(df) / (df + mp.mpf(t_sq))
+        return float(mp.betainc(mp.mpf(df) / 2, mp.mpf(0.5), 0, x, regularized=True))
 
 
 def correlation_rows(manifest, complexities):
@@ -123,13 +152,15 @@ class TestPearsonRegression:
         with pytest.raises(DegenerateVarianceError):
             pearson_regression([(1, 5), (2, 5), (3, 5)])
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_high_precision_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 200
-        x = rng.normal(0.0, 2.0, n)
-        y = 0.7 * x + rng.normal(0.0, 1.5, n)
-        pairs = list(zip(x.tolist(), y.tolist()))
+    # near_zero: t is so small that 1 - x = t^2/(df + t^2) holds all of p's
+    # distance from 1, which 1 - x formed as a difference would lose
+    @pytest.mark.parametrize(
+        "make_pairs, seed",
+        [pytest.param(linear_pairs, seed, id=str(seed)) for seed in range(10)]
+        + [pytest.param(near_zero_pairs, seed, id=f"near_zero-{seed}") for seed in range(5)],
+    )
+    def test_matches_high_precision_oracle(self, make_pairs, seed):
+        pairs = make_pairs(seed)
         fit = pearson_regression(pairs)
         r_ref, slope_ref, intercept_ref, p_ref = oracles.pearson_mp(pairs)
         assert fit.r == pytest.approx(r_ref, abs=1e-9)
@@ -171,6 +202,57 @@ class TestPearsonRegression:
     def test_perfect_fit_p_clamped(self):
         fit = pearson_regression([(float(i), 2.0 * i) for i in range(10)])
         assert fit.p == 1e-300
+
+    def test_near_perfect_fit_p_clamped(self):
+        # |r| < 1, but t^2 is so large that the tail underflows
+        x = np.arange(300.0)
+        fit = pearson_regression(list(zip(x.tolist(), (x + 1e-3 * np.sin(x)).tolist())))
+        assert fit.r < 1.0
+        assert fit.p == P_CLAMP
+
+
+class TestTTail:
+    @given(df=st.integers(1, 20_000), u=st.floats(0.0, 1.0))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_mpmath_betainc(self, df, u):
+        # r^2/(1 - r^2) = t^2/df from 1e-16 up to where (1 + t^2/df)^(-df/2),
+        # which p is near, reaches 1e-300
+        top = min(15.0, math.log10(math.expm1(min(1400.0 / df, 700.0))))
+        q = 10.0 ** (-16.0 + u * (top + 16.0))
+        r = math.sqrt(q / (1.0 + q))
+        assume(r < 1.0)
+        t_sq = r * r * df / (1.0 - r * r)  # as pearson_regression forms it
+        try:
+            expected = betainc_mp(t_sq, df)
+        except mp.libmp.NoConvergence:
+            assume(False)
+        assume(expected >= P_CLAMP)
+        assert _t_tail(t_sq, df) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("df", [1, 2, 298, 10**7 - 2])
+    def test_zero_t_is_exactly_one(self, df):
+        assert _t_tail(0.0, df) == 1.0
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-3, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6])
+    def test_closed_forms_at_one_and_two_degrees_of_freedom(self, t):
+        with mp.workdps(30):
+            one = float(1 - 2 / mp.pi * mp.atan(t))
+            two = float(1 - t / mp.sqrt(2 + mp.mpf(t) ** 2))
+        assert _t_tail(t * t, 1) == pytest.approx(one, rel=1e-14, abs=0.0)
+        assert _t_tail(t * t, 2) == pytest.approx(two, rel=1e-14, abs=0.0)
+
+    def test_ten_million_points_converge(self):
+        # every t^2 from 1e-300 to 1e300, closest around the switch to
+        # 1 - I_{1-x}(1/2, a) at t^2 = 3 df/(df + 2) and around t^2 = 1
+        df = 10**7 - 2
+        switch = 3.0 * df / (df + 2.0)
+        grid = [10.0**e for e in range(-300, 301, 5)]
+        grid += [switch * (1.0 + k * 1e-4) for k in range(-20, 21)] + [1.0 + k * 1e-2 for k in range(-20, 21)]
+        ps = [_t_tail(t_sq, df) for t_sq in sorted(grid)]
+        assert 0.0 <= ps[-1] and ps[0] <= 1.0
+        assert all(a >= b for a, b in zip(ps, ps[1:]))
+        for t_sq in (1e-12, 1.0, switch * 0.999, switch * 1.001, 25.0, 400.0):
+            assert _t_tail(t_sq, df) == pytest.approx(betainc_mp(t_sq, df), rel=1e-12, abs=0.0)
 
 
 class TestBenjaminiHochberg:
