@@ -7,7 +7,8 @@ failure, 1 out of memory (in every command) or, for a batch subject under
 ``--strict``, out of memory or a killed worker. Every failure prints a
 single ``ErrorName: message`` line on stderr; in ``batch`` a failing
 subject goes to the errors sidecar instead, ``BrokenProcessPool`` if its
-worker was killed, and the other subjects are still written.
+worker was killed, and the other subjects are still written: those a
+killed worker's pool had not finished run again in a fresh pool.
 
 All outputs are deterministic functions of the inputs and flags; batch
 results are buffered and written in manifest order regardless of worker
@@ -132,15 +133,64 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError, MemoryError) as exc:
         # A subject too large for memory fails alone, like a malformed one.
-        return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
+        return _error_result(subject_id, exc)
 
 
-def _pool_result(future, subject_id: str):
-    """The subject's result, or an error result if a killed worker lost it."""
-    try:
-        return future.result()
-    except BrokenProcessPool as exc:
-        return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
+def _error_result(subject_id: str, exc: BaseException):
+    return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
+
+
+def _pool_results(tasks: list, workers: int) -> list:
+    """The results of ``tasks``, in order, from a pool of ``workers`` processes.
+
+    A killed worker breaks its pool, and every subject the pool had not
+    finished is lost with it. Those are run again, in manifest order, in a
+    fresh one-worker pool. One worker runs its subjects in order, so when
+    the future of a subject in such a pool raises ``BrokenProcessPool``,
+    that subject is the one whose worker died: it gets a
+    ``BrokenProcessPool`` error result, and the ones after it go to the next
+    fresh pool. Subjects a pool broke before taking go there too; only if
+    it took none does the subject it refused get the error. So each
+    one-worker pool finishes or fails at least one subject.
+    """
+    results = [None] * len(tasks)
+    pending = list(range(len(tasks)))
+    while pending:
+        futures, lost, broken = [], [], None
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            try:
+                for i in pending:
+                    futures.append(pool.submit(_batch_task, tasks[i]))
+            except BrokenProcessPool as exc:
+                if not futures:
+                    broken = exc  # the pool broke before it took a subject
+            for i, future in zip(pending, futures):
+                if not lost:
+                    try:
+                        results[i] = future.result()
+                        continue
+                    except BrokenProcessPool as exc:
+                        broken = exc
+                # Once the pool is known broken, wait on no future: one
+                # submitted as the pool broke may never complete.
+                elif future.done() and future.exception() is None:
+                    results[i] = future.result()
+                    continue
+                lost.append(i)
+        lost += pending[len(futures) :]
+        if broken is not None and workers == 1:
+            results[lost[0]] = _error_result(tasks[lost[0]][0], broken)
+            lost = lost[1:]
+        pending = lost
+        workers = 1
+    return results
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _resolve_volume_path(manifest_path: Path, volume_path: str) -> str:
@@ -154,7 +204,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     schedule = _schedule_from_args(args)
     manifest_path = Path(args.manifest)
     manifest = read_manifest(manifest_path)
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = args.jobs or _usable_cpus()
     tasks = [
         (e.subject_id, _resolve_volume_path(manifest_path, e.volume_path), schedule)
         for e in manifest
@@ -165,9 +215,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if workers <= 1:
         results = [_batch_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_batch_task, t) for t in tasks]
-            results = [_pool_result(f, t[0]) for f, t in zip(futures, tasks)]
+        results = _pool_results(tasks, workers)
 
     failures = [(sid, info) for sid, status, info in results if status == "err"]
     if args.strict and failures:
@@ -305,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("output", help="cohort CSV to write")
     _add_schedule_flags(p)
-    p.add_argument("--jobs", type=_job_count, default=0, help="worker processes (default: all cores)")
+    p.add_argument("--jobs", type=_job_count, default=0, help="worker processes (default 0: one per CPU this process may use)")
     p.add_argument("--strict", action="store_true", help="abort on the first failing subject")
     p.set_defaults(func=cmd_batch)
 

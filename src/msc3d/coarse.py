@@ -1,8 +1,8 @@
 """Coarse-graining kernels: block averaging and sliding cubic means.
 
-The kernels ``edge_pad``, ``block_sums`` and ``window_means_into`` work on
-plain float64 ndarrays; ``block_downsample`` and ``sliding_mean`` wrap them
-for :class:`Volume3D`, which validates its data once, at that boundary.
+The kernels ``edge_pad``, ``block_sums`` and ``window_means_in_place`` work
+on plain float64 ndarrays; ``block_downsample`` and ``sliding_mean`` wrap
+them for :class:`Volume3D`, which validates its data once, at that boundary.
 
 Block means: ``edge_pad`` makes one float64 copy of the volume, less a DC
 offset, edge-padded to whole blocks (or fills a buffer the caller passes,
@@ -11,20 +11,23 @@ basic slices. Each block is summed in the order numpy's pairwise sum adds a
 C-ordered run of its values, so ``block_downsample`` equals the mean of every
 block to the bit, and a factor-2 step is three strided pair sums.
 
-``window_means_into`` is the one sliding-mean kernel. The window is
-separable: it writes the clipped window sums along x into the output the
-caller passes in, then takes each slab of x-planes, while it is in cache,
-through its y and z sums and one multiply by ``1/side**3`` (a slab is
-about ``SLAB_ELEMENTS`` values, the one slab size of the package); only the
-clipped boundary slabs are then rescaled to their in-bounds counts. Small
-sides add the ``side - 1`` shifted runs of the flattened array, the first
-straight into the output, and sum the clipped boundary slabs again from
-their own slabs; large sides take two slices of a running sum, so their
-cost does not grow with the side. Apart from one slab buffer the
-small-side path allocates nothing, so the sliding cascade runs every step
-on the same two full-size buffers. ``sliding_mean`` runs the kernel on a
-copy taken relative to the first voxel. The test suite checks both paths
-against a plain loop oracle.
+``window_means_in_place`` is the one sliding-mean kernel. It overwrites the
+field it is given with its window means, walking it in slabs of x-planes of
+about ``SLAB_ELEMENTS`` values (the one slab size of the package). The
+window is separable: each slab takes its clipped x window sums into a slab
+buffer, then, while that is in cache, its y and z sums, one multiply by
+``1/side**3`` and the rescaling of its clipped windows to their in-bounds
+counts; the squared difference from the planes it replaces is summed, and
+the means go back over the field once no later x window reads those
+planes, so a step holds no second full-size field. The y and z steps are
+numpy calls bound once per slab buffer. Small sides add ``side - 1``
+shifted runs: whole x-planes, clipped to the axis, and along y and z the
+flattened slab, whose clipped boundary rows are then summed again; large
+sides take two slices of a running sum, so their cost does not grow with
+the side. ``sliding_mean`` runs the kernel on a copy taken relative to the
+first voxel, and the sliding cascade on its one relative field. The test
+suite checks both paths against loop oracles, one of them exact to the
+bit.
 
 Window placement for even sides: a window of side ``s`` centered at voxel
 ``i`` spans ``i - s//2 .. i + s - 1 - s//2`` inclusive per axis (for even
@@ -34,7 +37,8 @@ the window is clipped and the mean renormalized by the in-bounds count.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
@@ -113,11 +117,17 @@ def _cut(axis: int, start: int | None, stop: int | None) -> tuple[slice, ...]:
     return (slice(None),) * axis + (slice(start, stop),)
 
 
-def _axis_window_sums(src: np.ndarray, axis: int, side: int, out: np.ndarray) -> np.ndarray:
-    """Write the clipped window sums of ``src`` along ``axis`` into ``out``, and return ``out``.
+def _axis_window_steps(
+    src: np.ndarray, axis: int, side: int, out: np.ndarray, run: np.ndarray | None
+) -> list[Callable[[], object]]:
+    """The steps that write the clipped window sums of ``src`` along
+    ``axis`` into ``out``: numpy calls bound to views of these arrays, so a
+    slab loop that refills the same buffers binds them once.
 
     Windows are placed as in :func:`sliding_mean`. ``out`` must not overlap
-    ``src``; both are C-contiguous float64 arrays of one shape.
+    ``src``; both are C-contiguous float64 arrays of one shape, and so is
+    ``run``, which sides above ``_SHIFT_ADD_MAX_SIDE`` take their running
+    sum in.
     """
     n = src.shape[axis]
     before = side // 2
@@ -126,21 +136,16 @@ def _axis_window_sums(src: np.ndarray, axis: int, side: int, out: np.ndarray) ->
     if side > _SHIFT_ADD_MAX_SIDE:
         # out[i] = run[min(i + after, n - 1)] - run[i - before - 1], where a
         # negative index stands for the empty prefix.
-        if axis == 0:
-            # Plane-wise in-place adds keep np.cumsum's add order, so the
-            # result is the same to the bit, at a tenth of its time along
-            # the outer axis of a C-ordered array.
-            run = src.copy()
-            for i in range(1, n):
-                run[i] += run[i - 1]
-        else:
-            run = np.cumsum(src, axis=axis)
         k = max(0, n - after)
-        out[_cut(axis, None, k)] = run[_cut(axis, after, after + k)]
-        out[_cut(axis, k, None)] = run[_cut(axis, n - 1, None)]
+        steps = [
+            partial(np.cumsum, src, axis=axis, out=run),
+            partial(np.copyto, out[_cut(axis, None, k)], run[_cut(axis, after, after + k)]),
+            partial(np.copyto, out[_cut(axis, k, None)], run[_cut(axis, n - 1, None)]),
+        ]
         if before + 1 < n:
-            out[_cut(axis, before + 1, None)] -= run[_cut(axis, None, n - before - 1)]
-        return out
+            tail = out[_cut(axis, before + 1, None)]
+            steps.append(partial(np.subtract, tail, run[_cut(axis, None, n - before - 1)], out=tail))
+        return steps
     # The window adds the voxel itself, then the shifts +1..+after and
     # -1..-before that stay inside the axis, in that order. Each shift is one
     # add of two runs of the flattened arrays, which also adds across the
@@ -149,59 +154,173 @@ def _axis_window_sums(src: np.ndarray, axis: int, side: int, out: np.ndarray) ->
     # own slabs. Along z that replaces many short rows by one long run.
     shifts = [d for d in range(1, after + 1) if d < n] + [-d for d in range(1, before + 1) if d < n]
     if not shifts:
-        np.copyto(out, src)
-        return out
+        return [partial(np.copyto, out, src)]
     flat, total = src.reshape(-1), out.reshape(-1)
-    stride = flat.size // math.prod(src.shape[: axis + 1])
+    size = flat.size
+    stride = src.strides[axis] // src.itemsize
+    steps = []
     for j, d in enumerate(shifts):
-        lo, hi = max(d, 0) * stride, flat.size + min(d, 0) * stride
-        shift = d * stride
-        if j == 0:
-            np.add(flat[lo - shift : hi - shift], flat[lo:hi], out=total[lo - shift : hi - shift])
-        else:
-            total[lo - shift : hi - shift] += flat[lo:hi]
-    for i in sorted({*range(min(before, n)), *range(max(n - after, 0), n)}):
-        slab = out[_cut(axis, i, i + 1)]
-        np.copyto(slab, src[_cut(axis, i, i + 1)])
+        k = d * stride
+        dst, add = (total[: size - k], flat[k:]) if k > 0 else (total[-k:], flat[: size + k])
+        first = flat[: size - k] if k > 0 else flat[-k:]
+        steps.append(partial(np.add, first if j == 0 else dst, add, out=dst))
+    cut = [slice(None)] * (axis + 1)
+    for i in (*range(min(before, n)), *range(max(n - after, before), n)):
+        cut[axis] = slice(i, i + 1)
+        edge = out[tuple(cut)]
+        steps.append(partial(np.copyto, edge, src[tuple(cut)]))
         for d in shifts:
             if 0 <= i + d < n:
-                slab += src[_cut(axis, i + d, i + d + 1)]
-    return out
+                cut[axis] = slice(i + d, i + d + 1)
+                steps.append(partial(np.add, edge, src[tuple(cut)], out=edge))
+    return steps
 
 
-def window_means_into(src: np.ndarray, side: int, out: np.ndarray) -> np.ndarray:
-    """Write the clipped mean over the cubic window of ``side`` centered at
-    each voxel of ``src`` into ``out``, and return ``out``.
+def _x_window_sums(field: np.ndarray, start: int, stop: int, shifts: list[int], out: np.ndarray) -> None:
+    """Write the clipped window sums along x of planes ``start:stop`` of
+    ``field`` into ``out``, for sides up to ``_SHIFT_ADD_MAX_SIDE``.
 
-    ``out`` must not overlap ``src``; both are C-contiguous float64 arrays
-    of one shape. The x sums fill ``out``; then each slab of x-planes takes
-    its y sums into a slab buffer and its z sums back into ``out``, and is
-    multiplied by ``1/side**3`` while it is still in cache. Only the
-    boundary slabs, whose windows are clipped, are then rescaled to their
-    in-bounds counts.
+    Each plane adds itself, then its planes ``shifts`` away (+1..+after,
+    then -1..-before) that stay inside the axis, in that order: the first
+    shift adds straight into ``out``, and planes it does not reach start as
+    a copy of themselves.
     """
-    _axis_window_sums(src, 0, side, out)
-    nx, ny, nz = out.shape
-    planes = max(1, SLAB_ELEMENTS // (ny * nz))
-    part = np.empty((min(planes, nx), ny, nz))
-    for start in range(0, nx, planes):
-        slab = out[start : start + planes]
-        sums = part[: len(slab)]
-        _axis_window_sums(slab, 1, side, sums)
-        _axis_window_sums(sums, 2, side, slab)
-        slab *= 1.0 / side**3
+    if not shifts:
+        np.copyto(out, field[start:stop])
+        return
+    n = field.shape[0]
+    for k, d in enumerate(shifts):
+        a, b = max(start, -d), min(stop, n - d)  # the planes whose shift stays inside
+        if k == 0:
+            for lo, hi in ((start, min(a, stop)), (max(a, b), stop)):
+                if lo < hi:
+                    np.copyto(out[lo - start : hi - start], field[lo:hi])
+            if a < b:
+                np.add(field[a:b], field[a + d : b + d], out=out[a - start : b - start])
+        elif a < b:
+            out[a - start : b - start] += field[a + d : b + d]
+
+
+def _x_running_sums(
+    field: np.ndarray, start: int, stop: int, side: int, ring: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the clipped window sums along x of planes ``start:stop`` of
+    ``field`` into ``out``, for sides above ``_SHIFT_ADD_MAX_SIDE``.
+
+    ``ring`` holds the running sum over the planes, that of plane ``j`` at
+    ``j % len(ring)``, and needs at least ``stop - start + side`` planes.
+    Called on the slabs in order, each call adds the running sums up to
+    plane ``stop + after - 1`` that the calls before it have not, one
+    plane-wise add each: the order ``np.cumsum`` adds in, at a tenth of its
+    time along the outer axis of a C-ordered array. A window's sum is then
+    ``run[min(i + after, n - 1)] - run[i - before - 1]``, where a negative
+    index stands for the empty prefix.
+    """
+    n = field.shape[0]
     before = side // 2
     after = side - 1 - before
-    for axis, n in enumerate(out.shape):
-        pos = np.arange(n)
-        count = np.minimum(pos + after, n - 1) - np.maximum(pos - before, 0) + 1
-        lo = min(before, n)
-        hi = max(n - after, lo)
-        for start, stop in ((0, lo), (hi, n)):
-            if start < stop:
-                rescale = side / count[start:stop]
-                out[_cut(axis, start, stop)] *= rescale.reshape((-1,) + (1,) * (2 - axis))
-    return out
+    r = len(ring)
+    for j in range(min(start + after, n) if start else 0, min(stop + after, n)):
+        if j == 0:
+            np.copyto(ring[0], field[0])
+        else:
+            np.add(ring[(j - 1) % r], field[j], out=ring[j % r])
+    for i in range(start, stop):
+        last = ring[min(i + after, n - 1) % r]
+        if i > before:
+            np.subtract(last, ring[(i - before - 1) % r], out=out[i - start])
+        else:
+            np.copyto(out[i - start], last)
+
+
+def _clip_rescales(n: int, side: int) -> list[tuple[int, int, np.ndarray]]:
+    """``(start, stop, side / count)`` of the runs along an axis of ``n``
+    whose windows are clipped, where ``count`` is their in-bounds length."""
+    before = side // 2
+    after = side - 1 - before
+    lo = min(before, n)
+    hi = max(n - after, lo)
+    return [
+        (a, b, side / np.array([min(i + after, n - 1) - max(i - before, 0) + 1 for i in range(a, b)]))
+        for a, b in ((0, lo), (hi, n))
+        if a < b
+    ]
+
+
+def window_means_in_place(field: np.ndarray, side: int) -> float:
+    """Overwrite ``field`` with its clipped mean over the cubic window of
+    ``side`` centered at each voxel, and return the sum of the squared
+    differences between the old and the new field.
+
+    ``field`` is a C-contiguous float64 array. It is walked in slabs of
+    x-planes, about ``SLAB_ELEMENTS`` values each. A slab takes its x window
+    sums into a slab buffer and, while it is in cache, its y and z sums, one
+    multiply by ``1/side**3`` and the rescaling of its clipped windows to
+    their in-bounds counts; its squared difference from the planes it
+    replaces is summed, one numpy sum per slab. Small sides read the x
+    windows from ``field`` itself, so a slab's means are written over it
+    only once no later window reaches back into it, ``ceil((side // 2) /
+    planes)`` slabs on. Large sides read them from a ring of running sums
+    of the original planes, so their cost does not grow with the side.
+    """
+    nx, ny, nz = field.shape
+    before = side // 2
+    after = side - 1 - before
+    planes = max(1, SLAB_ELEMENTS // (ny * nz))
+    large = side > _SHIFT_ADD_MAX_SIDE
+    slab_shape = (min(planes, nx), ny, nz)
+    if large:
+        ring = np.empty((min(planes + side, nx), ny, nz))
+        run = np.empty(slab_shape)
+    # Slab k's means wait in means[k % len(means)] until slab k + lag is
+    # done, the last one whose x windows read its planes.
+    lag = 0 if large else -(-before // planes)
+    means = [np.empty(slab_shape) for _ in range(lag + 1)]
+    part = np.empty(slab_shape)
+    shifts = [*range(1, after + 1), *range(-1, -before - 1, -1)]
+    scale = 1.0 / side**3
+    x_rescales, y_rescales, z_rescales = (_clip_rescales(n, side) for n in field.shape)
+    # Per slab buffer and slab length: the y and z sums and the multiply by
+    # 1/side**3, then the y and z rescaling of clipped windows. They are
+    # bound once because a 121x145x121 grid has one-plane slabs, where
+    # slicing them afresh per slab cost as much as writing in place saved.
+    steps: dict[tuple[int, int], tuple[list, list]] = {}
+    starts = range(0, nx, planes)
+    total = 0.0
+    for k, start in enumerate(starts):
+        stop = min(start + planes, nx)
+        if k > lag:
+            done = starts[k - lag - 1]
+            np.copyto(field[done : done + planes], means[(k - lag - 1) % len(means)])
+        key = (k % len(means), stop - start)
+        xs, ys = means[key[0]][: key[1]], part[: key[1]]
+        if large:
+            _x_running_sums(field, start, stop, side, ring, xs)
+        else:
+            _x_window_sums(field, start, stop, shifts, xs)
+        if key not in steps:
+            rs = run[: key[1]] if large else None
+            sums = _axis_window_steps(xs, 1, side, ys, rs) + _axis_window_steps(ys, 2, side, xs, rs)
+            sums.append(partial(np.multiply, xs, scale, out=xs))
+            rescales = [partial(np.multiply, xs[:, a:b], f[:, None], out=xs[:, a:b]) for a, b, f in y_rescales]
+            rescales += [partial(np.multiply, xs[:, :, a:b], f, out=xs[:, :, a:b]) for a, b, f in z_rescales]
+            steps[key] = (sums, rescales)
+        sums, rescales = steps[key]
+        for step in sums:
+            step()
+        for a, b, rescale in x_rescales:
+            lo, hi = max(a, start), min(b, stop)
+            if lo < hi:
+                xs[lo - start : hi - start] *= rescale[lo - a : hi - a, None, None]
+        for step in rescales:
+            step()
+        np.subtract(field[start:stop], xs, out=ys)
+        np.square(ys, out=ys)
+        total += float(ys.sum())
+    for k in range(max(0, len(starts) - lag - 1), len(starts)):
+        start = starts[k]
+        np.copyto(field[start : start + planes], means[k % len(means)][: min(planes, nx - start)])
+    return total
 
 
 def sliding_mean(v: Volume3D, side: int) -> Volume3D:
@@ -218,7 +337,7 @@ def sliding_mean(v: Volume3D, side: int) -> Volume3D:
     # Working relative to the first voxel keeps constant fields exact and
     # bounds the magnitude of the window sums.
     offset = float(v.data.flat[0])
-    rel = v.data - offset
-    mean = window_means_into(rel, side, np.empty_like(rel))
+    mean = v.data - offset
+    window_means_in_place(mean, side)
     mean += offset
     return Volume3D(mean)

@@ -32,11 +32,14 @@ block cascade holds no full-size field: each step walks its lattice in
 cache-sized slabs of whole block rows along x, fills one slab buffer with
 that part of the edge-padded relative field, writes the part's block means
 and sums the squared residual the re-upsampled means leave on the slab.
-The sliding cascade subtracts that voxel once and then runs every step on
-two full-size buffers, the running field and its window means (written by
-``coarse.window_means_into``), which swap roles after each step. Overlaps
-square and sum their difference one slab at a time; every slab, here and
-in ``coarse``, holds about ``coarse.SLAB_ELEMENTS`` float64 values.
+The sliding cascade subtracts that voxel once, into the one full-size
+field it holds, and each step writes its window means over that field with
+``coarse.window_means_in_place``, which also returns the squared difference
+the step's overlap is taken from. Overlaps square and sum their difference
+one slab at a time; every slab, here and in ``coarse``, holds about
+``coarse.SLAB_ELEMENTS`` float64 values, and each overlap sums its slabs in
+the same order, so the in-place steps give the overlap of the two fields
+to the bit.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coarse
-from .coarse import block_downsample, block_sums, edge_pad, window_means_into
+from .coarse import block_downsample, block_sums, edge_pad, window_means_in_place
 from .errors import InputError, ScheduleError, ShapeMismatchError
 from .volume import Volume3D
 
@@ -137,6 +140,12 @@ class RunResult:
     scale_reports: tuple[dict, ...]
 
 
+def _overlap_of_sum(total: float, size: int) -> float:
+    """The overlap -<(a - b)^2>/2 of two fields of ``size`` voxels whose
+    squared difference sums to ``total``, never -0.0."""
+    return -0.5 * (total / size) + 0.0
+
+
 def _difference_overlap(a: np.ndarray, b: np.ndarray) -> float:
     """-<(a - b)^2>/2, never -0.0: the overlap in the form a DC offset cannot cancel.
 
@@ -154,7 +163,7 @@ def _difference_overlap(a: np.ndarray, b: np.ndarray) -> float:
         np.subtract(a[start : start + planes], b[start : start + planes], out=d)
         np.square(d, out=d)
         total += float(d.sum())
-    return -0.5 * (total / a.size) + 0.0
+    return _overlap_of_sum(total, a.size)
 
 
 def overlap(a: Volume3D, b: Volume3D) -> float:
@@ -333,7 +342,7 @@ def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, 
         d = slab[: x - r0 * inc, :y, :z]
         np.square(d, out=d)
         total += float(d.sum())
-    return means, -0.5 * (total / current.size) + 0.0
+    return means, _overlap_of_sum(total, current.size)
 
 
 def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
@@ -345,10 +354,9 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     # means round at the scale of the texture, not of a DC offset.
     ref = float(current.flat[0])
     if schedule.mode == "sliding_cascade":
-        # Two full-size buffers serve every step: the running field and its
-        # window means, which then become the next step's field.
+        # The one relative copy is the running field: each step writes its
+        # window means over it.
         current = current - ref
-        spare = np.empty_like(current)
     for k, (factor, inc) in enumerate(zip(schedule.factors, incs)):
         lattice_shape = current.shape
         if inc == 1:
@@ -357,9 +365,7 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
             current, o = _block_step(current, ref, inc)
             ref = 0.0
         else:
-            means = window_means_into(current, inc, spare)
-            o = _difference_overlap(current, means)
-            current, spare = means, current
+            o = _overlap_of_sum(window_means_in_place(current, inc), current.size)
         entries.append(ProfileEntry(k, factor, abs(o)))
         reports.append(
             {

@@ -66,6 +66,54 @@ def sliding_window_mean(arr: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
+def _window_sums_along(arr: np.ndarray, axis: int, side: int, running_sum: bool) -> np.ndarray:
+    """Clipped window sums along one axis, one index at a time, adding in
+    the order the production kernels add: either the voxel, then the
+    offsets +1..+after, then -1..-before that stay inside the axis; or two
+    entries of a sequential running sum."""
+    a = np.moveaxis(arr, axis, 0)
+    n = a.shape[0]
+    before = side // 2
+    after = side - 1 - before
+    out = np.empty_like(a)
+    if running_sum:
+        run = np.empty_like(a)
+        for i in range(n):
+            run[i] = a[i] if i == 0 else run[i - 1] + a[i]
+        for i in range(n):
+            last = run[min(i + after, n - 1)]
+            out[i] = last - run[i - before - 1] if i - before - 1 >= 0 else last
+    else:
+        for i in range(n):
+            acc = a[i].copy()
+            for d in [*range(1, after + 1), *range(-1, -before - 1, -1)]:
+                if 0 <= i + d < n:
+                    acc += a[i + d]
+            out[i] = acc
+    return np.moveaxis(out, 0, axis)
+
+
+def separable_window_means(arr: np.ndarray, side: int, running_sum: bool) -> np.ndarray:
+    """Clipped cubic window means with the production kernels' arithmetic,
+    written as plain loops: window sums along x, then y, then z, one
+    multiply by 1/side**3, then per axis one multiply by side / count, the
+    in-bounds count of each index (1.0 inside). Equal to the bit to what
+    ``coarse`` computes."""
+    out = arr
+    for axis in range(3):
+        out = _window_sums_along(out, axis, side, running_sum)
+    out = out * (1.0 / side**3)
+    before = side // 2
+    after = side - 1 - before
+    for axis in range(3):
+        n = out.shape[axis]
+        view = np.moveaxis(out, axis, 0)
+        for i in range(n):
+            count = min(i + after, n - 1) - max(i - before, 0) + 1
+            view[i] *= side / count
+    return out
+
+
 def shift_overlaps(block: np.ndarray) -> tuple[float, float, float]:
     """Forward-difference form: o_axis = -mean of squared forward diffs / 2."""
     wx, wy, wz = block.shape

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -378,7 +379,9 @@ class TestBatch:
         monkeypatch.setattr(msc3d.cli, "read_npy", killing_read)
 
     def test_killed_worker_loses_no_finished_subject(self, tmp_path, capfd, worker_killed_on_s3):
-        manifest = write_cohort(tmp_path, n=6, shape=(12, 12, 12))
+        # The subjects the broken pool had not finished run again in fresh
+        # one-worker pools, so only the subject that kills its worker is lost.
+        manifest = write_cohort(tmp_path, n=12, shape=(12, 12, 12))
         ref_csv = tmp_path / "ref.csv"
         # At --jobs 1 the test process reads every volume itself, s3 included.
         assert main(["batch", str(manifest), str(ref_csv), "--factors", "1,2", "--jobs", "1"]) == 0
@@ -389,13 +392,10 @@ class TestBatch:
         assert code == 0
         sidecar = tmp_path / "cohort.errors.csv"
         lost = [row.split(",")[:2] for row in sidecar.read_text().splitlines()[1:]]
-        assert err == f"warning: {len(lost)} subject(s) failed, see {sidecar}\n"
-        assert {name for _, name in lost} == {"BrokenProcessPool"}
-        assert ["s3", "BrokenProcessPool"] in lost
+        assert err == f"warning: 1 subject(s) failed, see {sidecar}\n"
+        assert lost == [["s3", "BrokenProcessPool"]]
         rows = out_csv.read_text().splitlines()[1:]
-        written = list(dict.fromkeys(row.split(",")[0] for row in rows))
-        assert sorted(written + [sid for sid, _ in lost]) == [f"s{i}" for i in range(6)]
-        assert rows == [row for row in ref_csv.read_text().splitlines()[1:] if row.split(",")[0] in written]
+        assert rows == [row for row in ref_csv.read_text().splitlines()[1:] if row.split(",")[0] != "s3"]
 
     def test_killed_worker_strict_exit_1(self, tmp_path, capfd, worker_killed_on_s3):
         manifest = write_cohort(tmp_path, n=6, shape=(12, 12, 12))
@@ -441,10 +441,10 @@ class TestBatch:
             outs.append(out_csv.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("jobs, workers", [("2", 2), ("8", 3), ("0", 3)])
-    def test_pool_gets_no_more_workers_than_subjects(self, tmp_path, capsys, monkeypatch, jobs, workers):
-        # A stand-in pool records its size and runs each task at once, so
-        # no worker process starts whatever --jobs asks for.
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        """A stand-in pool that records its size and runs each task at once,
+        so no worker process starts whatever --jobs asks for."""
         sizes = []
 
         class InlinePool:
@@ -462,17 +462,79 @@ class TestBatch:
                 future.set_result(fn(*args))
                 return future
 
+        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    @pytest.mark.parametrize("jobs, workers", [("2", 2), ("8", 3), ("0", 3)])
+    def test_pool_gets_no_more_workers_than_subjects(self, tmp_path, capsys, monkeypatch, inline_pool, jobs, workers):
         manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
         serial_csv = tmp_path / "serial.csv"
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")
         assert code == 0
-        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", InlinePool)
+        assert inline_pool == []
+        monkeypatch.setattr(msc3d.cli.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         monkeypatch.setattr(msc3d.cli.os, "cpu_count", lambda: 64)
         out_csv = tmp_path / "cohort.csv"
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", jobs)
         assert code == 0
-        assert sizes == [workers]
+        assert inline_pool == [workers]
         assert out_csv.read_bytes() == serial_csv.read_bytes()
+
+    @pytest.mark.parametrize("cpus, workers", [({0}, None), ({2, 5}, 2), ({0, 1, 2, 3}, 3)])
+    def test_jobs_0_counts_the_cpus_this_process_may_use(self, tmp_path, capsys, monkeypatch, inline_pool, cpus, workers):
+        # --jobs 0 follows the affinity set, not the machine's CPU count;
+        # one usable CPU runs the subjects in this process, with no pool.
+        monkeypatch.setattr(msc3d.cli.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        monkeypatch.setattr(msc3d.cli.os, "cpu_count", lambda: 64)
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(tmp_path / "cohort.csv"), "--factors", "1,2", "--jobs", "0")
+        assert code == 0
+        assert inline_pool == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize(
+        "refused, lost",
+        [({3, 5}, []), ({3, 4}, ["s2"])],
+        ids=["after_successes", "before_any"],
+    )
+    def test_refused_submit_blames_no_subject_that_ran(self, tmp_path, capsys, monkeypatch, refused, lost):
+        # The 2-worker pool takes s0 and s1 and refuses s2. The fresh
+        # one-worker pool either takes s2 and refuses s3, which no run broke,
+        # so s3 goes on to the next pool; or refuses s2 before taking any
+        # subject, so s2 gets the error and the next pool runs the rest.
+        submits, sizes = [], []
+
+        class RefusingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                submits.append(args[0][0])
+                if len(submits) in refused:
+                    raise BrokenProcessPool("refused")
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        manifest = write_cohort(tmp_path, n=5, shape=(12, 12, 12))
+        serial_csv = tmp_path / "serial.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")
+        assert code == 0
+        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", RefusingPool)
+        out_csv = tmp_path / "cohort.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")
+        assert code == 0
+        assert sizes == [2, 1, 1]
+        sidecar = tmp_path / "cohort.errors.csv"
+        got = [row.split(",")[0] for row in sidecar.read_text().splitlines()[1:]] if sidecar.exists() else []
+        assert got == lost
+        rows = serial_csv.read_text().splitlines()
+        assert out_csv.read_text().splitlines() == [r for r in rows if r.split(",")[0] not in lost]
 
     @pytest.mark.parametrize("jobs", ["-3", "-1", "abc"])
     def test_jobs_below_zero_or_not_an_integer_exit_2(self, tmp_path, capsys, monkeypatch, jobs):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msc3d import PhantomSpec, Volume3D, block_downsample, generate_phantom, sliding_mean
+from msc3d import PhantomSpec, Volume3D, block_downsample, generate_phantom, overlap, sliding_mean
 from msc3d import coarse
 
 from . import oracles
@@ -148,13 +148,52 @@ class TestKernelAgreement:
 
     @pytest.mark.parametrize("side", [11, 16, 40])
     def test_axis0_running_sum_is_cumsum_to_the_bit(self, rng, side):
-        # axis 0 runs plane-wise adds, the last axis np.cumsum; on the
-        # transposed volume both add the same values in the same order
+        # x streams plane-wise adds through a ring, the last axis takes
+        # np.cumsum; on the transposed volume both add the same values in
+        # the same order
         a = rng.normal(size=(23, 9, 14)) + 1e3
         assert side > coarse._SHIFT_ADD_MAX_SIDE
-        got = coarse._axis_window_sums(a, 0, side, np.empty_like(a))
-        ref = coarse._axis_window_sums(np.ascontiguousarray(a.transpose(2, 1, 0)), 2, side, np.empty(a.shape[::-1]))
+        got = np.empty_like(a)
+        # one slab of every plane, with a ring that holds every running sum
+        coarse._x_running_sums(a, 0, a.shape[0], side, np.empty_like(a), got)
+        t = np.ascontiguousarray(a.transpose(2, 1, 0))
+        ref = np.empty_like(t)
+        for step in coarse._axis_window_steps(t, 2, side, ref, np.empty_like(t)):
+            step()
         assert np.array_equal(got, ref.transpose(2, 1, 0))
+
+
+class TestInPlaceKernel:
+    """``window_means_in_place`` equals an exact loop oracle to the bit, on
+    both side paths, and returns the squared difference that ``overlap``
+    sums."""
+
+    @pytest.mark.parametrize("running_sum", [False, True], ids=["shift_add", "running_sum"])
+    def test_exact_oracle_agrees_with_seven_loop_oracle(self, running_sum, rng):
+        arr = rng.random((7, 6, 5))
+        for side in (2, 3, 12):
+            ref = oracles.sliding_window_mean(arr, side)
+            got = oracles.separable_window_means(arr, side, running_sum)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("side", [2, 3, 12, 25])
+    @pytest.mark.parametrize("running_sum", [False, True], ids=["shift_add", "running_sum"])
+    @pytest.mark.parametrize(
+        "shape, slab_planes",
+        [((11, 6, 7), 1), ((11, 6, 7), 3), ((5, 9, 8), None), ((1, 6, 7), None)],
+        ids=["one_plane_slabs", "three_plane_slabs", "one_slab", "one_plane"],
+    )
+    def test_matches_exact_loop_oracle(self, shape, slab_planes, running_sum, side, rng, monkeypatch):
+        # One-plane slabs put every side above the slab's plane count; sides
+        # 12 and 25 are above nx on every shape.
+        monkeypatch.setattr(coarse, "_SHIFT_ADD_MAX_SIDE", 1 if running_sum else 25)
+        if slab_planes:
+            monkeypatch.setattr(coarse, "SLAB_ELEMENTS", slab_planes * shape[1] * shape[2])
+        arr = rng.normal(size=shape) + 1e3
+        field = arr.copy()
+        total = coarse.window_means_in_place(field, side)
+        assert np.array_equal(field, oracles.separable_window_means(arr, side, running_sum))
+        assert -0.5 * (total / arr.size) + 0.0 == overlap(Volume3D(arr), Volume3D(field))
 
 
 class TestLinearity:

@@ -262,6 +262,21 @@ class TestMultiscaleProfile:
             tracemalloc.stop()
         assert peak < v.data.nbytes
 
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
+    def test_sliding_cascade_allocates_under_one_and_a_half_volumes(self, shape, rng):
+        """A warm sliding-cascade run holds one full-size field, the relative
+        copy each step writes its window means over, plus slab buffers."""
+        v = Volume3D(rng.random(shape))
+        schedule = ScaleSchedule(mode="sliding_cascade")
+        multiscale_run(v, schedule)
+        tracemalloc.start()
+        try:
+            multiscale_run(v, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * v.data.nbytes
+
     def test_sliding_cascade_matches_direct_recompute(self):
         from msc3d import sliding_mean
 
@@ -287,7 +302,7 @@ class TestMultiscaleProfile:
         ids=["side_above_shift_add", "side_above_dims", "odd_sides"],
     )
     def test_sliding_cascade_matches_recompute_on_odd_shapes(self, shape, factors):
-        """The cascade's reused buffers give what a fresh ``sliding_mean`` of
+        """The cascade's in-place steps give what a fresh ``sliding_mean`` of
         each step's field gives: a side on the running-sum path, sides larger
         than a dimension and odd sides, on shapes that are neither cubic nor
         even."""
