@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -335,7 +336,12 @@ def cmd_slice(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``msc3d`` argument parser, built at its first use in a process.
+
+    Parsing leaves the parser as it was, so every call shares the one built.
+    """
     parser = argparse.ArgumentParser(
         prog="msc3d",
         description="Multiscale structural complexity of 3-D volumes",
@@ -347,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     p.add_argument("--emit-maps", metavar="DIR", help="write per-scale complexity maps here")
     p.add_argument("--report", metavar="PATH", help="write a JSON run report")
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("batch", help="complexity for every subject in a manifest")
     p.add_argument("manifest")
@@ -355,13 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     p.add_argument("--jobs", type=_job_count, default=0, help="worker processes (default 0: one per CPU this process may use)")
     p.add_argument("--strict", action="store_true", help="abort on the first failing subject")
-    p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("correlate", help="log-log age correlation table from a batch CSV")
     p.add_argument("batch_csv")
     p.add_argument("manifest")
     p.add_argument("output_prefix", help="writes PREFIX.csv, PREFIX.txt and per-scale scatter CSVs")
-    p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("synth", help="generate a phantom volume")
     p.add_argument("output")
@@ -371,21 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dtype", choices=("f4", "f8"), default="f8")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("slice", help="mid-slice of a volume as a binary PGM")
     p.add_argument("volume")
     p.add_argument("axis", choices=("x", "y", "z"))
     p.add_argument("output")
-    p.set_defaults(func=cmd_slice)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up when the command runs, so a command replaced after the
+    # parser was built is the one that runs.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (Msc3dError, OSError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)

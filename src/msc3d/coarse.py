@@ -25,9 +25,9 @@ shifted runs: whole x-planes, clipped to the axis, and along y and z the
 flattened slab, whose clipped boundary rows are then summed again; large
 sides take two slices of a running sum, so their cost does not grow with
 the side. ``sliding_mean`` runs the kernel on a copy taken relative to the
-first voxel, and the sliding cascade on its one relative field. The test
-suite checks both paths against loop oracles, one of them exact to the
-bit.
+first voxel, without the squared difference it has no use for, and the
+sliding cascade on its one relative field. The test suite checks both
+paths against loop oracles, one of them exact to the bit.
 
 Window placement for even sides: a window of side ``s`` centered at voxel
 ``i`` spans ``i - s//2 .. i + s - 1 - s//2`` inclusive per axis (for even
@@ -247,21 +247,23 @@ def _clip_rescales(n: int, side: int) -> list[tuple[int, int, np.ndarray]]:
     ]
 
 
-def window_means_in_place(field: np.ndarray, side: int) -> float:
+def window_means_in_place(field: np.ndarray, side: int, difference: bool = True) -> float | None:
     """Overwrite ``field`` with its clipped mean over the cubic window of
     ``side`` centered at each voxel, and return the sum of the squared
-    differences between the old and the new field.
+    differences between the old and the new field, or ``None`` without
+    ``difference``, which skips that sum.
 
     ``field`` is a C-contiguous float64 array. It is walked in slabs of
     x-planes, about ``SLAB_ELEMENTS`` values each. A slab takes its x window
     sums into a slab buffer and, while it is in cache, its y and z sums, one
     multiply by ``1/side**3`` and the rescaling of its clipped windows to
     their in-bounds counts; its squared difference from the planes it
-    replaces is summed, one numpy sum per slab. Small sides read the x
-    windows from ``field`` itself, so a slab's means are written over it
-    only once no later window reaches back into it, ``ceil((side // 2) /
-    planes)`` slabs on. Large sides read them from a ring of running sums
-    of the original planes, so their cost does not grow with the side.
+    replaces is summed, one numpy sum per slab, unless ``difference`` is
+    false. Small sides read the x windows from ``field`` itself, so a
+    slab's means are written over it only once no later window reaches back
+    into it, ``ceil((side // 2) / planes)`` slabs on. Large sides read them
+    from a ring of running sums of the original planes, so their cost does
+    not grow with the side.
     """
     nx, ny, nz = field.shape
     before = side // 2
@@ -272,12 +274,13 @@ def window_means_in_place(field: np.ndarray, side: int) -> float:
     if large:
         ring = np.empty((min(planes + side, nx), ny, nz))
         run = np.empty(slab_shape)
+    else:
+        shifts = [*range(1, after + 1), *range(-1, -before - 1, -1)]
     # Slab k's means wait in means[k % len(means)] until slab k + lag is
     # done, the last one whose x windows read its planes.
     lag = 0 if large else -(-before // planes)
     means = [np.empty(slab_shape) for _ in range(lag + 1)]
     part = np.empty(slab_shape)
-    shifts = [*range(1, after + 1), *range(-1, -before - 1, -1)]
     scale = 1.0 / side**3
     x_rescales, y_rescales, z_rescales = (_clip_rescales(n, side) for n in field.shape)
     # Per slab buffer and slab length: the y and z sums and the multiply by
@@ -314,13 +317,14 @@ def window_means_in_place(field: np.ndarray, side: int) -> float:
                 xs[lo - start : hi - start] *= rescale[lo - a : hi - a, None, None]
         for step in rescales:
             step()
-        np.subtract(field[start:stop], xs, out=ys)
-        np.square(ys, out=ys)
-        total += float(ys.sum())
+        if difference:
+            np.subtract(field[start:stop], xs, out=ys)
+            np.square(ys, out=ys)
+            total += float(ys.sum())
     for k in range(max(0, len(starts) - lag - 1), len(starts)):
         start = starts[k]
         np.copyto(field[start : start + planes], means[k % len(means)][: min(planes, nx - start)])
-    return total
+    return total if difference else None
 
 
 def sliding_mean(v: Volume3D, side: int) -> Volume3D:
@@ -338,6 +342,6 @@ def sliding_mean(v: Volume3D, side: int) -> Volume3D:
     # bounds the magnitude of the window sums.
     offset = float(v.data.flat[0])
     mean = v.data - offset
-    window_means_in_place(mean, side)
+    window_means_in_place(mean, side, difference=False)
     mean += offset
     return Volume3D(mean)

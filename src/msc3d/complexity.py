@@ -362,6 +362,12 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
         if inc == 1:
             o = 0.0  # the coarse field is the field itself
         elif schedule.mode == "block_cascade":
+            padded = tuple(math.ceil(dim / inc) * inc for dim in lattice_shape)
+            if math.prod(padded) * 8 > np.iinfo(np.intp).max:
+                raise ScheduleInfeasibleError(
+                    f"factor {factor} pads the lattice {lattice_shape} to {padded}, "
+                    "more float64 values than an array can index"
+                )
             current, o = _block_step(current, ref, inc)
             ref = 0.0
         else:

@@ -12,6 +12,8 @@ On-disk layout handled here::
 
 Only little-endian float32/float64, C-order, 3-D payloads are accepted;
 anything else is rejected with a specific error rather than coerced.
+``read_npy`` checks that every value read is finite, one slab at a time as
+it reads, and so hands ``Volume3D`` data it need not check again.
 Written headers are padded so magic+version+length+dict total a multiple
 of 64 bytes. The parser is deliberately independent of ``numpy.load`` so
 that malformed files map to a stable, fine-grained error taxonomy.
@@ -42,6 +44,7 @@ from typing import Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
+from . import coarse
 from .errors import InputError
 from .volume import Volume3D
 
@@ -150,7 +153,8 @@ def _parse_header_dict(raw: bytes, path: Path) -> NpyHeader:
     if order:
         raise UnsupportedLayoutError(f"{path}: Fortran-order payloads are rejected, convert to C order")
     shape = meta["shape"]
-    if not isinstance(shape, tuple) or not all(isinstance(d, int) for d in shape):
+    # bool is an int subclass, but True is no dimension
+    if not isinstance(shape, tuple) or not all(type(d) is int for d in shape):
         raise HeaderMalformedError(f"{path}: shape must be a tuple of ints")
     if len(shape) != 3 or min(shape) < 1:
         raise BadShapeError(f"{path}: expected a positive 3-D shape, got {shape}")
@@ -179,29 +183,48 @@ def _read_header_from(fh, path: Path) -> NpyHeader:
 
 
 def read_npy(path: str | Path) -> Volume3D:
-    """Read a 3-D little-endian float volume; values are widened to float64."""
+    """Read a 3-D little-endian float volume; values are widened to float64.
+
+    The payload is read ``coarse.SLAB_ELEMENTS`` values at a time, and each
+    slab is checked for NaN and Inf in the file's own dtype: a ``<f4`` slab
+    in one slab buffer, before it is widened into the volume, a ``<f8`` slab
+    in the volume itself. So the float64 volume is the only full-size array
+    the read makes, and ``Volume3D`` does not check it again.
+    """
     path = Path(path)
     try:
         with open(path, "rb") as fh:
             header = _read_header_from(fh, path)
-            itemsize = 4 if header.dtype_code == "<f4" else 8
-            need = header.shape[0] * header.shape[1] * header.shape[2] * itemsize
+            dtype = np.dtype(header.dtype_code)
+            size = math.prod(header.shape)
+            need = size * dtype.itemsize
             # Compared before reading, so a header that declares a huge shape
             # never asks for that much memory; a file with bytes after the
             # payload is not an exact v1.0 volume either.
             held = os.fstat(fh.fileno()).st_size - fh.tell()
             if held != need:
                 raise TruncatedError(f"{path}: payload holds {held} bytes, shape {header.shape} needs {need}")
-            values = np.fromfile(fh, np.dtype(header.dtype_code), need // itemsize)
+            data = np.empty(header.shape)
+            flat = data.reshape(-1)
+            chunk = min(size, coarse.SLAB_ELEMENTS)
+            buf = None if dtype == data.dtype else np.empty(chunk, dtype)
+            finite = np.empty(chunk, bool)
+            for lo in range(0, size, chunk):
+                hi = min(lo + chunk, size)
+                slab = flat[lo:hi] if buf is None else buf[: hi - lo]
+                # The file can shrink between the size check and the read.
+                if fh.readinto(slab) != slab.nbytes:
+                    raise TruncatedError(f"{path}: payload ends before the {need} bytes shape {header.shape} needs")
+                ok = finite[: hi - lo]
+                np.isfinite(slab, out=ok)
+                if not ok.all():
+                    raise NonFiniteDataError(f"{path}: payload contains NaN or Inf")
+                if buf is not None:
+                    flat[lo:hi] = slab
     except OSError as exc:
         raise IoFailureError(f"{path}: {exc}") from exc
-    # The header check leaves a positive 3-D shape, so Volume3D, which widens
-    # the payload to float64 and checks every voxel once, can only refuse it
-    # for a NaN or Inf.
-    try:
-        return Volume3D(values.reshape(header.shape))
-    except ValueError as exc:
-        raise NonFiniteDataError(f"{path}: payload contains NaN or Inf") from exc
+    # The header check leaves a positive 3-D shape and every slab is finite.
+    return Volume3D._of_checked(data)
 
 
 def write_npy(volume: Volume3D, path: str | Path, dtype_code: str = "<f8") -> None:

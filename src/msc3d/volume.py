@@ -4,6 +4,10 @@ Axis convention: volumes are indexed (x, y, z) in C order, z fastest,
 matching the payload layout of the ``.npy`` files this package reads and
 writes. All arithmetic is done in float64 regardless of on-disk dtype.
 
+Every voxel of a ``Volume3D`` is finite. ``Volume3D(data)`` checks that
+where the data enters; ``read_npy`` checks it slab by slab as it reads the
+payload, and builds its volume without a second check.
+
 Phantom reproducibility: random phantoms are drawn from numpy's PCG64
 generator seeded with ``PhantomSpec.rng_seed``, so a spec always yields
 the same volume, bit for bit.
@@ -31,7 +35,9 @@ class Volume3D:
     """Immutable 3-D scalar field.
 
     The backing array is coerced to C-contiguous float64 and marked
-    read-only; every voxel must be finite.
+    read-only; every voxel must be finite. Only ``read_npy``, which checks
+    its payload as it reads it, skips these checks, through
+    :meth:`_of_checked`.
     """
 
     data: np.ndarray
@@ -46,6 +52,16 @@ class Volume3D:
             raise ValueError("volume contains NaN or Inf values")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _of_checked(cls, arr: np.ndarray) -> Volume3D:
+        """The volume over ``arr``, which the caller has checked to be a
+        C-contiguous float64 array of positive 3-D shape and finite values;
+        it is only marked read-only, not copied or checked again."""
+        arr.setflags(write=False)
+        volume = object.__new__(cls)
+        object.__setattr__(volume, "data", arr)
+        return volume
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -234,6 +234,23 @@ class TestCompute:
         assert code == 3
         assert "ScheduleInfeasibleError" in err
 
+    def test_bool_dim_in_header_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bool.npy"
+        path.write_bytes(make_npy_bytes(shape=(True, 2, 2), payload=bytes(32)))
+        code, out, err = run_cli(capsys, "compute", str(path))
+        assert (code, out, err) == (2, "", f"HeaderMalformedError: {path}: shape must be a tuple of ints\n")
+
+    def test_unindexable_block_lattice_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "small.npy"
+        write_phantom(path, shape=(8, 8, 8))
+        argv = ["compute", str(path), "--mode", "block-cascade", "--factors", "1,1000000000000"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "ScheduleInfeasibleError: factor 1000000000000 pads the lattice (8, 8, 8) to "
+            "(1000000000000, 1000000000000, 1000000000000), more float64 values than an array can index\n"
+        )
+
     def test_out_of_memory_exit_1(self, tmp_path, capsys):
         # The one padded block is 65536^3 float64, 2 PiB: above any user
         # address space, so the allocation fails before a page is touched.
@@ -261,6 +278,44 @@ class TestCompute:
     @pytest.mark.parametrize("command", [["compute", "v.npy"], ["batch", "m.csv", "out.csv"]])
     def test_schedule_flags_default_to_the_default_schedule(self, command):
         assert _schedule_from_args(build_parser().parse_args(command)) == ScaleSchedule()
+
+
+class TestParser:
+    """One parser serves every ``main`` call in a process."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_leaks_no_flags(self, tmp_path, capsys):
+        path = tmp_path / "v.npy"
+        write_phantom(path, shape=(64, 64, 64))
+        build_parser.cache_clear()
+        first = run_cli(capsys, "compute", str(path))
+        assert first[0] == 0
+        maps, report = tmp_path / "maps", tmp_path / "report.json"
+        argv = ["compute", str(path), "--emit-maps", str(maps), "--report", str(report), "--mode", "sliding-cascade"]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert report.is_file()
+        maps.rmdir()
+        report.unlink()
+        assert run_cli(capsys, "compute", str(path)) == first
+        assert not maps.exists() and not report.exists()
+
+    def test_command_replaced_after_first_call_is_the_one_that_runs(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "v.npy"
+        write_phantom(path, shape=(8, 8, 8))
+        assert run_cli(capsys, "compute", str(path), "--factors", "1,2")[0] == 0
+        seen = []
+        monkeypatch.setattr(msc3d.cli, "cmd_compute", lambda args: seen.append(args.volume) or 7)
+        assert run_cli(capsys, "compute", str(path), "--factors", "1,2")[0] == 7
+        assert seen == [str(path)]
+
+    def test_import_builds_no_parser_and_loads_no_scipy(self):
+        probe = "import sys, msc3d.cli; print(msc3d.cli.build_parser.cache_info().currsize, 'scipy' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0 False\n", "")
 
 
 class TestBatch:
@@ -317,6 +372,19 @@ class TestBatch:
         errors = (tmp_path / "cohort.errors.csv").read_text().strip().splitlines()
         assert errors[1].startswith("s1,TruncatedError")
         assert "payload holds 13846 bytes, shape (12, 12, 12) needs 13824" in errors[1]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bool_dim_in_header_goes_to_sidecar(self, tmp_path, capsys, jobs):
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        s1 = tmp_path / "s1.npy"
+        s1.write_bytes(make_npy_bytes(shape=(2, True, 2), payload=bytes(32)))
+        out_csv = tmp_path / "cohort.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", jobs)
+        assert code == 0
+        rows = out_csv.read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["s0", "s0", "s2", "s2"]
+        errors = (tmp_path / "cohort.errors.csv").read_text().splitlines()
+        assert errors == ["subject_id,error,message", f"s1,HeaderMalformedError,{s1}: shape must be a tuple of ints"]
 
     @pytest.fixture
     def out_of_memory_for_s1(self, monkeypatch):

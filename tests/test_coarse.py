@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,23 @@ class TestInPlaceKernel:
         total = coarse.window_means_in_place(field, side)
         assert np.array_equal(field, oracles.separable_window_means(arr, side, running_sum))
         assert -0.5 * (total / arr.size) + 0.0 == overlap(Volume3D(arr), Volume3D(field))
+        means_only = arr.copy()
+        assert coarse.window_means_in_place(means_only, side, difference=False) is None
+        assert np.array_equal(means_only, field)
+
+    def test_huge_side_allocates_nothing_that_grows_with_it(self, rng):
+        # The running-sum path reads no list of shifts, so none is built.
+        side = 10**6
+        arr = rng.normal(size=(2, 2, 2)) + 1e3
+        field = arr.copy()
+        tracemalloc.start()
+        try:
+            coarse.window_means_in_place(field, side)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert np.array_equal(field, oracles.separable_window_means(arr, side, True))
 
 
 class TestLinearity:

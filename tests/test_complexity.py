@@ -338,6 +338,17 @@ class TestMultiscaleProfile:
         with pytest.raises(ScheduleInfeasibleError):
             multiscale_run(v, ScaleSchedule(factors=(1, 8)))
 
+    def test_unindexable_block_lattice_names_the_factor(self, rng):
+        # The second step's ratio, 10**12, pads the 4^3 lattice of the first
+        # to one block of 10**36 voxels, beyond any array index.
+        v = Volume3D(rng.random((8, 8, 8)))
+        with pytest.raises(ScheduleInfeasibleError) as excinfo:
+            multiscale_run(v, ScaleSchedule(factors=(2, 2 * 10**12), mode="block_cascade"))
+        assert str(excinfo.value) == (
+            "factor 2000000000000 pads the lattice (4, 4, 4) to (1000000000000, 1000000000000, 1000000000000), "
+            "more float64 values than an array can index"
+        )
+
     def test_non_integer_cascade_ratio(self, rng):
         v = Volume3D(rng.random((10, 10, 10)))
         with pytest.raises(ScheduleInfeasibleError):

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from msc3d import Volume3D, npy_io, read_manifest, read_npy, write_npy
+from msc3d import Volume3D, coarse, npy_io, read_manifest, read_npy, write_npy
 from msc3d.npy_io import (
     BadShapeError,
     DuplicateSubjectError,
@@ -132,6 +134,14 @@ class TestReadNpy:
         with pytest.raises(NonFiniteDataError, match="inf.npy: payload contains NaN or Inf"):
             read_npy(path)
 
+    @pytest.mark.parametrize("shape", [(True, 2, 2), (2, 2, False)], ids=str)
+    def test_bool_dim_rejected(self, tmp_path, shape):
+        # bool is an int subclass, so True passed as a dimension of 1
+        path = tmp_path / "bool.npy"
+        path.write_bytes(make_npy_bytes(shape=shape, payload=bytes(32)))
+        with pytest.raises(HeaderMalformedError, match=r"bool.npy: shape must be a tuple of ints$"):
+            read_npy(path)
+
     def test_header_garbage(self, tmp_path):
         path = tmp_path / "garbage.npy"
         raw = b"{'descr': '<f8', 'fortran_order'"
@@ -154,6 +164,65 @@ class TestReadNpy:
                 read_npy(path)
             errs.append(type(ei.value))
         assert errs[0] is errs[1]
+
+
+class TestSlabbedRead:
+    """``read_npy`` reads and checks the payload one slab of
+    ``coarse.SLAB_ELEMENTS`` values at a time."""
+
+    # 36,000 values: one whole slab of 32,768 and a part slab
+    SHAPE = (5, 80, 90)
+
+    @pytest.mark.parametrize("descr", ["<f4", "<f8"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "slab_end", "slab_start", "last"])
+    def test_non_finite_value_anywhere_rejected(self, tmp_path, descr, value, where):
+        size = math.prod(self.SHAPE)
+        index = {"first": 0, "slab_end": coarse.SLAB_ELEMENTS - 1, "slab_start": coarse.SLAB_ELEMENTS, "last": size - 1}
+        payload = np.ones(size, dtype=descr)
+        payload[index[where]] = value
+        path = tmp_path / "bad.npy"
+        path.write_bytes(make_npy_bytes(descr=descr, shape=self.SHAPE, payload=payload.tobytes()))
+        with pytest.raises(NonFiniteDataError) as excinfo:
+            read_npy(path)
+        assert str(excinfo.value) == f"{path}: payload contains NaN or Inf"
+
+    @pytest.mark.parametrize("descr", ["<f4", "<f8"])
+    @pytest.mark.parametrize("shape, slab", [(SHAPE, None), ((3, 7, 11), 10), ((1, 1, 1), None)], ids=str)
+    def test_values_equal_numpy_load_to_the_bit(self, tmp_path, rng, monkeypatch, descr, shape, slab):
+        if slab:
+            monkeypatch.setattr(coarse, "SLAB_ELEMENTS", slab)
+        finfo = np.finfo(descr)
+        values = (rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)).astype(descr)
+        values.flat[:4] = [-0.0, finfo.smallest_subnormal, finfo.max, -finfo.max][: values.size]
+        path = tmp_path / "v.npy"
+        np.save(path, values)
+        got = read_npy(path).data
+        want = np.load(path).astype(np.float64)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("descr", ["<f4", "<f8"])
+    def test_data_is_read_only_c_contiguous_float64(self, tmp_path, descr):
+        path = tmp_path / "v.npy"
+        np.save(path, np.ones(self.SHAPE, dtype=descr))
+        data = read_npy(path).data
+        assert data.dtype == np.float64
+        assert data.flags.c_contiguous
+        assert not data.flags.writeable
+        with pytest.raises(ValueError):
+            data[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("descr", ["<f4", "<f8"])
+    def test_peak_memory_is_the_volume_and_one_slab(self, tmp_path, descr):
+        path = tmp_path / "v.npy"
+        np.save(path, np.ones((40, 40, 41), dtype=descr))
+        tracemalloc.start()
+        try:
+            vol = read_npy(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= vol.data.nbytes + coarse.SLAB_ELEMENTS * 8
 
 
 class TestWriteNpy:
