@@ -22,6 +22,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .complexity import MODES, ScaleSchedule, ScheduleInfeasibleError, multiscale_run
-from .errors import InputError, Msc3dError, PhantomError, ScheduleError, ShapeMismatchError, StatsError
+from .errors import InputError, Msc3dError, PhantomError, ScheduleError, StatsError
 from .npy_io import BATCH_COLUMNS, read_batch_csv, read_manifest, read_npy, write_npy
 from .stats import EmptyAfterFilteringError, correlate_columns, log_log_columns, table_to_csv, table_to_text
 from .volume import PHANTOM_KINDS, InvalidSpecError, PhantomSpec, Volume3D, generate_phantom, mid_slice
@@ -43,7 +44,7 @@ MODE_FLAGS = {mode.replace("_", "-"): mode for mode in MODES}
 def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, (InputError, OSError)):
         return 2
-    if isinstance(exc, (ScheduleError, ShapeMismatchError)):
+    if isinstance(exc, ScheduleError):
         return 3
     if isinstance(exc, PhantomError):
         return 4
@@ -194,22 +195,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _resolve_volume_path(manifest_path: Path, volume_path: str) -> str:
-    path = Path(volume_path)
-    if not path.is_absolute():
-        path = manifest_path.parent / path
-    return str(path)
-
-
 def cmd_batch(args: argparse.Namespace) -> int:
     schedule = _schedule_from_args(args)
     manifest_path = Path(args.manifest)
     manifest = read_manifest(manifest_path)
     jobs = args.jobs or _usable_cpus()
-    tasks = [
-        (e.subject_id, _resolve_volume_path(manifest_path, e.volume_path), schedule)
-        for e in manifest
-    ]
+    # A relative volume path resolves against the manifest's directory.
+    tasks = [(e.subject_id, str(manifest_path.parent / e.volume_path), schedule) for e in manifest]
     # A pool starts all its workers at the first submit, so it gets no more
     # of them than there are subjects.
     workers = min(jobs, len(tasks))
@@ -325,7 +317,9 @@ def cmd_slice(args: argparse.Namespace) -> int:
     if hi == lo:
         pixels = np.full(img.shape, 128, dtype=np.uint8)
     else:
-        pixels = np.rint((img - lo) / (hi - lo) * 255.0).astype(np.uint8)
+        # Halves keep a range wider than float64 can hold finite.
+        s = 1.0 if math.isfinite(hi - lo) else 0.5
+        pixels = np.rint((img * s - lo * s) / (hi * s - lo * s) * 255.0).astype(np.uint8)
     height, width = pixels.shape
     try:
         with open(args.output, "wb") as fh:

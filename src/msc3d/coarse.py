@@ -4,30 +4,14 @@ The kernels ``edge_pad``, ``block_sums`` and ``window_means_in_place`` work
 on plain float64 ndarrays; ``block_downsample`` and ``sliding_mean`` wrap
 them for :class:`Volume3D`, which validates its data once, at that boundary.
 
-Block means: ``edge_pad`` makes one float64 copy of the volume, less a DC
-offset, edge-padded to whole blocks (or fills a buffer the caller passes,
-such as one slab of x-planes), and ``block_sums`` sums its blocks from
-basic slices. Each block is summed in the order numpy's pairwise sum adds a
-C-ordered run of its values, so ``block_downsample`` equals the mean of every
-block to the bit, and a factor-2 step is three strided pair sums.
-
-``window_means_in_place`` is the one sliding-mean kernel. It overwrites the
-field it is given with its window means, walking it in slabs of x-planes of
-about ``SLAB_ELEMENTS`` values (the one slab size of the package). The
-window is separable: each slab takes its clipped x window sums into a slab
-buffer, then, while that is in cache, its y and z sums, one multiply by
-``1/side**3`` and the rescaling of its clipped windows to their in-bounds
-counts; the squared difference from the planes it replaces is summed, and
-the means go back over the field once no later x window reads those
-planes, so a step holds no second full-size field. The y and z steps are
-numpy calls bound once per slab buffer. Small sides add ``side - 1``
-shifted runs: whole x-planes, clipped to the axis, and along y and z the
-flattened slab, whose clipped boundary rows are then summed again; large
-sides take two slices of a running sum, so their cost does not grow with
-the side. ``sliding_mean`` runs the kernel on a copy taken relative to the
-first voxel, without the squared difference it has no use for, and the
-sliding cascade on its one relative field. The test suite checks both
-paths against loop oracles, one of them exact to the bit.
+Block means are taken over an edge-padded copy (``edge_pad``) and summed
+in the order numpy's pairwise sum adds a C-ordered block (``block_sums``),
+so each equals numpy's mean of its block to the bit.
+``window_means_in_place`` is the one sliding-mean kernel, for
+``sliding_mean`` and the sliding cascade; its docstring says how it streams
+a field through slabs of about ``SLAB_ELEMENTS`` values, the one slab size
+of the package. The test suite checks both of its side paths against loop
+oracles, one of them exact to the bit.
 
 Window placement for even sides: a window of side ``s`` centered at voxel
 ``i`` spans ``i - s//2 .. i + s - 1 - s//2`` inclusive per axis (for even
@@ -185,9 +169,6 @@ def _x_window_sums(field: np.ndarray, start: int, stop: int, shifts: list[int], 
     shift adds straight into ``out``, and planes it does not reach start as
     a copy of themselves.
     """
-    if not shifts:
-        np.copyto(out, field[start:stop])
-        return
     n = field.shape[0]
     for k, d in enumerate(shifts):
         a, b = max(start, -d), min(stop, n - d)  # the planes whose shift stays inside
@@ -249,7 +230,7 @@ def _clip_rescales(n: int, side: int) -> list[tuple[int, int, np.ndarray]]:
 
 def window_means_in_place(field: np.ndarray, side: int, difference: bool = True) -> float | None:
     """Overwrite ``field`` with its clipped mean over the cubic window of
-    ``side`` centered at each voxel, and return the sum of the squared
+    ``side >= 2`` centered at each voxel, and return the sum of the squared
     differences between the old and the new field, or ``None`` without
     ``difference``, which skips that sum.
 

@@ -23,23 +23,13 @@ a JSON record of each scale. It runs one of three pipeline modes:
 * ``sliding_cascade`` - same cascade, but the coarse field is a sliding
   cubic mean of the running field, so every step stays on the full lattice.
 
-``algorithm1`` edge-pads the volume once, relative to its first voxel, and
-builds its block means as a pyramid, each factor from the one before it.
-Its sweep squares the forward differences in place and takes the strided
-window sums one axis at a time. The cascades run on plain ndarrays,
-relative to the first voxel, so a DC offset never enters their sums. The
-block cascade holds no full-size field: each step walks its lattice in
-cache-sized slabs of whole block rows along x, fills one slab buffer with
-that part of the edge-padded relative field, writes the part's block means
-and sums the squared residual the re-upsampled means leave on the slab.
-The sliding cascade subtracts that voxel once, into the one full-size
-field it holds, and each step writes its window means over that field with
-``coarse.window_means_in_place``, which also returns the squared difference
-the step's overlap is taken from. Overlaps square and sum their difference
-one slab at a time; every slab, here and in ``coarse``, holds about
-``coarse.SLAB_ELEMENTS`` float64 values, and each overlap sums its slabs in
-the same order, so the in-place steps give the overlap of the two fields
-to the bit.
+Every mode takes its block and window means relative to the volume's first
+voxel, so they round at the scale of the texture, not of a DC offset.
+``algorithm1`` builds its block means as a pyramid, each factor from the
+one before it, and ``complexity_map`` documents its sweep. How the
+cascades and ``overlap`` stream their fields through slabs of about
+``coarse.SLAB_ELEMENTS`` values is documented where it happens:
+``_block_step``, ``coarse.window_means_in_place`` and ``overlap``.
 """
 
 from __future__ import annotations
@@ -146,35 +136,27 @@ def _overlap_of_sum(total: float, size: int) -> float:
     return -0.5 * (total / size) + 0.0
 
 
-def _difference_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """-<(a - b)^2>/2, never -0.0: the overlap in the form a DC offset cannot cancel.
-
-    The difference is squared and summed a slab of x-planes at a time, in
-    one buffer of about ``coarse.SLAB_ELEMENTS`` elements that stays in
-    cache between its subtract, square and sum, so no full-size temporary
-    is made.
-    """
-    nx = a.shape[0]
-    planes = max(1, coarse.SLAB_ELEMENTS // (a.size // nx))
-    buf = np.empty((min(planes, nx),) + a.shape[1:])
-    total = 0.0
-    for start in range(0, nx, planes):
-        d = buf[: min(planes, nx - start)]
-        np.subtract(a[start : start + planes], b[start : start + planes], out=d)
-        np.square(d, out=d)
-        total += float(d.sum())
-    return _overlap_of_sum(total, a.size)
-
-
 def overlap(a: Volume3D, b: Volume3D) -> float:
     """Overlap <ab> - (<a^2> + <b^2>)/2 of two same-shape volumes; always <= 0.
 
     Evaluated as -<(a - b)^2>/2, which keeps full precision under a large
-    common offset, where the expanded form cancels catastrophically.
+    common offset, where the expanded form cancels catastrophically. The
+    difference is squared and summed a slab of x-planes at a time, in one
+    buffer of about ``coarse.SLAB_ELEMENTS`` elements that stays in cache
+    between its subtract, square and sum, so no full-size temporary is made.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"volume shapes differ: {a.shape} vs {b.shape}")
-    return _difference_overlap(a.data, b.data)
+    nx = a.shape[0]
+    planes = max(1, coarse.SLAB_ELEMENTS // (a.data.size // nx))
+    buf = np.empty((min(planes, nx),) + a.shape[1:])
+    total = 0.0
+    for start in range(0, nx, planes):
+        d = buf[: min(planes, nx - start)]
+        np.subtract(a.data[start : start + planes], b.data[start : start + planes], out=d)
+        np.square(d, out=d)
+        total += float(d.sum())
+    return _overlap_of_sum(total, a.data.size)
 
 
 def _squared_differences(arr: np.ndarray) -> np.ndarray:

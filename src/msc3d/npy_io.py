@@ -93,12 +93,6 @@ class IoFailureError(NpyIoError):
     """Underlying OS-level read/write failure."""
 
 
-@dataclass(frozen=True)
-class NpyHeader:
-    dtype_code: str
-    shape: tuple[int, int, int]
-
-
 class ManifestError(InputError):
     """Base for manifest CSV failures."""
 
@@ -131,7 +125,7 @@ class ManifestEntry(NamedTuple):
     age_years: float
 
 
-def _parse_header_dict(raw: bytes, path: Path) -> NpyHeader:
+def _parse_header_dict(raw: bytes, path: Path) -> tuple[str, tuple[int, int, int]]:
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -158,10 +152,11 @@ def _parse_header_dict(raw: bytes, path: Path) -> NpyHeader:
         raise HeaderMalformedError(f"{path}: shape must be a tuple of ints")
     if len(shape) != 3 or min(shape) < 1:
         raise BadShapeError(f"{path}: expected a positive 3-D shape, got {shape}")
-    return NpyHeader(dtype_code=descr, shape=shape)  # type: ignore[arg-type]
+    return descr, shape
 
 
-def _read_header_from(fh, path: Path) -> NpyHeader:
+def _read_header_from(fh, path: Path) -> tuple[str, tuple[int, int, int]]:
+    """The ``(descr, shape)`` of the v1.0 header that ``fh`` starts with."""
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise MagicMismatchError(f"{path}: not an .npy file")
@@ -194,17 +189,17 @@ def read_npy(path: str | Path) -> Volume3D:
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            header = _read_header_from(fh, path)
-            dtype = np.dtype(header.dtype_code)
-            size = math.prod(header.shape)
+            descr, shape = _read_header_from(fh, path)
+            dtype = np.dtype(descr)
+            size = math.prod(shape)
             need = size * dtype.itemsize
             # Compared before reading, so a header that declares a huge shape
             # never asks for that much memory; a file with bytes after the
             # payload is not an exact v1.0 volume either.
             held = os.fstat(fh.fileno()).st_size - fh.tell()
             if held != need:
-                raise TruncatedError(f"{path}: payload holds {held} bytes, shape {header.shape} needs {need}")
-            data = np.empty(header.shape)
+                raise TruncatedError(f"{path}: payload holds {held} bytes, shape {shape} needs {need}")
+            data = np.empty(shape)
             flat = data.reshape(-1)
             chunk = min(size, coarse.SLAB_ELEMENTS)
             buf = None if dtype == data.dtype else np.empty(chunk, dtype)
@@ -214,7 +209,7 @@ def read_npy(path: str | Path) -> Volume3D:
                 slab = flat[lo:hi] if buf is None else buf[: hi - lo]
                 # The file can shrink between the size check and the read.
                 if fh.readinto(slab) != slab.nbytes:
-                    raise TruncatedError(f"{path}: payload ends before the {need} bytes shape {header.shape} needs")
+                    raise TruncatedError(f"{path}: payload ends before the {need} bytes shape {shape} needs")
                 ok = finite[: hi - lo]
                 np.isfinite(slab, out=ok)
                 if not ok.all():
@@ -242,19 +237,19 @@ def write_npy(volume: Volume3D, path: str | Path, dtype_code: str = "<f8") -> No
     total = prefix_len + len(header_dict) + 1  # final newline
     padding = (-total) % _HEADER_ALIGN
     header = header_dict.encode("ascii") + b" " * padding + b"\n"
+    # A '<f8' payload is the volume's own C-ordered data, written uncopied.
     with np.errstate(over="ignore"):
-        values = volume.data.astype(np.dtype(dtype_code))
+        values = volume.data.astype(dtype_code, copy=False)
     # Volume3D values are finite, so only the float32 cast can overflow to Inf.
     if dtype_code == "<f4" and not np.isfinite(values).all():
         raise NonFiniteDataError(f"{path}: values beyond the float32 range cannot be written as '<f4'")
-    payload = values.tobytes(order="C")
     try:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(b"\x01\x00")
             fh.write(struct.pack("<H", len(header)))
             fh.write(header)
-            fh.write(payload)
+            fh.write(values)
     except OSError as exc:
         raise IoFailureError(f"{path}: {exc}") from exc
 

@@ -44,7 +44,7 @@ class TooFewPointsError(StatsError):
 
 
 class EmptyAfterFilteringError(StatsError):
-    """No usable (complexity, age) pairs remain at this scale."""
+    """No scale of a cohort has usable (complexity, age) pairs left."""
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,6 @@ class LogLogColumns:
     def usable(self, column: int) -> np.ndarray:
         """Mask of the subjects whose log complexity exists in ``column``."""
         return ~np.isnan(self.ln_c[:, column])
-
-    def pairs(self, column: int, scale_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ln age, ln C) of the usable subjects in ``column``."""
-        usable = self.usable(column)
-        if not usable.any():
-            raise EmptyAfterFilteringError(f"no usable subjects at scale {scale_index}")
-        return self.ln_age[usable], self.ln_c[usable, column]
 
 
 def log_log_columns(
@@ -233,10 +226,11 @@ def correlate_columns(
     """
     partial = []
     for j, (k, factor) in enumerate(zip(scale_indices, scale_factors)):
+        usable = columns.usable(j)
+        ln_c = columns.ln_c[usable, j]
         try:
-            ln_age, ln_c = columns.pairs(j, k)
             # regress ln C on ln age: age is the predictor
-            fit = _regress(ln_age, ln_c)
+            fit = _regress(columns.ln_age[usable], ln_c)
         except StatsError:
             continue
         partial.append((k, factor, len(ln_c), fit))

@@ -32,7 +32,7 @@ import msc3d
 from msc3d.cli import _schedule_from_args, build_parser, main
 
 from . import oracles
-from .test_npy_io import make_npy_bytes
+from .test_npy_io import MALFORMED_HEADERS, make_npy_bytes
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +240,13 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", str(path))
         assert (code, out, err) == (2, "", f"HeaderMalformedError: {path}: shape must be a tuple of ints\n")
 
+    def test_malformed_header_exit_2(self, tmp_path, capsys):
+        blob, message = MALFORMED_HEADERS["integer_fortran_order"]
+        path = tmp_path / "v.npy"
+        path.write_bytes(blob)
+        code, out, err = run_cli(capsys, "compute", str(path))
+        assert (code, out, err) == (2, "", f"HeaderMalformedError: {path}: {message}\n")
+
     def test_unindexable_block_lattice_exit_3(self, tmp_path, capsys):
         path = tmp_path / "small.npy"
         write_phantom(path, shape=(8, 8, 8))
@@ -318,6 +325,58 @@ class TestParser:
         assert (done.returncode, done.stdout, done.stderr) == (0, "0 False\n", "")
 
 
+class TestFlagErrors:
+    """A bad flag value, or an output in a missing directory, gives one
+    stderr line and its exit code, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, line, code",
+        [
+            (
+                ["compute", "v.npy", "--factors", "1,x"],
+                "ScheduleInfeasibleError: --factors must be comma-separated integers, got '1,x'",
+                3,
+            ),
+            (
+                ["compute", "v.npy", "--window", "4,4"],
+                "ScheduleInfeasibleError: --window needs exactly 3 values, got '4,4'",
+                3,
+            ),
+            (
+                ["compute", "v.npy", "--factors", "2,1"],
+                "ScheduleInfeasibleError: factors must be strictly increasing and >= 1, got (2, 1)",
+                3,
+            ),
+            (
+                ["batch", "m.csv", "out.csv", "--stride", "0,1,1"],
+                "ScheduleInfeasibleError: stride dims must be >= 1, got (0, 1, 1)",
+                3,
+            ),
+            (
+                ["synth", "o.npy", "--kind", "constant", "--shape", "1,2"],
+                "InvalidSpecError: --shape needs exactly 3 values, got '1,2'",
+                4,
+            ),
+            (
+                ["synth", "o.npy", "--kind", "constant", "--shape", "4,4,4", "--seed", "-1"],
+                "InvalidSpecError: rng_seed must be >= 0, got -1",
+                4,
+            ),
+            (
+                ["synth", "missing/o.npy", "--kind", "constant", "--shape", "4,4,4"],
+                "IoFailureError: missing/o.npy: [Errno 2] No such file or directory: 'missing/o.npy'",
+                2,
+            ),
+        ],
+        ids=["factors_not_ints", "window_of_two", "factors_decreasing", "stride_zero", "shape_of_two",
+             "negative_seed", "synth_missing_directory"],
+    )
+    def test_one_line_and_exit_code(self, tmp_path, capsys, monkeypatch, argv, line, code):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (code, "", line + "\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBatch:
     def test_three_subjects_18_rows(self, tmp_path, capsys):
         manifest = write_cohort(tmp_path, n=3, shape=(36, 36, 36))
@@ -385,6 +444,19 @@ class TestBatch:
         assert [row.split(",")[0] for row in rows[1:]] == ["s0", "s0", "s2", "s2"]
         errors = (tmp_path / "cohort.errors.csv").read_text().splitlines()
         assert errors == ["subject_id,error,message", f"s1,HeaderMalformedError,{s1}: shape must be a tuple of ints"]
+
+    def test_header_cut_short_goes_to_sidecar(self, tmp_path, capsys):
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        blob, message = MALFORMED_HEADERS["cut_in_version"]
+        s1 = tmp_path / "s1.npy"
+        s1.write_bytes(blob)
+        out_csv = tmp_path / "cohort.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "1")
+        assert code == 0
+        rows = out_csv.read_text().strip().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["s0", "s0", "s2", "s2"]
+        errors = (tmp_path / "cohort.errors.csv").read_text().splitlines()
+        assert errors == ["subject_id,error,message", f"s1,HeaderMalformedError,{s1}: {message}"]
 
     @pytest.fixture
     def out_of_memory_for_s1(self, monkeypatch):
@@ -841,6 +913,17 @@ class TestCorrelate:
         table = (tmp_path / "c.csv").read_text().strip().splitlines()
         assert [line.split(",")[2] for line in table[1:]] == ["3", "3"]
 
+    @pytest.mark.parametrize("usable", [(), ("s2",)], ids=["none", "one"])
+    def test_scale_with_too_few_usable_subjects_skipped(self, tmp_path, capsys, usable):
+        # scale 0 keeps its complexity only for the subjects in ``usable``
+        rows, ages = self.small_cohort()
+        rows = [(sid, k, factor, c if k or sid in usable else 0.0) for sid, k, factor, c in rows]
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        code, _, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert (code, err) == (0, "warning: scale 0 skipped (too few usable subjects)\n")
+        table = (tmp_path / "c.csv").read_text().strip().splitlines()
+        assert [line.split(",")[:3] for line in table[1:]] == [["1", "2", "4"]]
+
     def test_empty_table_exit_5_after_missing_warnings(self, tmp_path, capsys):
         _, ages = self.small_cohort()
         batch, manifest = self.write_tables(tmp_path, [], ages[:2])
@@ -1049,6 +1132,27 @@ class TestSlice:
         assert code == 0
         img = self.read_pgm(out)
         assert img.shape == (7, 6)  # (z, y) for an x slice
+
+    def test_range_beyond_float64_spans_the_gray_levels(self, tmp_path, capsys):
+        # max - min of the x=2 plane overflows float64
+        arr = np.zeros((4, 4, 4))
+        arr[2, 0, 1] = -1.5e308
+        arr[2, 3, 2] = 1.5e308
+        path = tmp_path / "v.npy"
+        write_npy(Volume3D(arr), path, "<f8")
+        out = tmp_path / "v.pgm"
+        assert run_cli(capsys, "slice", str(path), "x", str(out)) == (0, "", "")
+        expected = np.full((4, 4), 128, dtype=np.uint8)  # (z, y)
+        expected[1, 0] = 0
+        expected[2, 3] = 255
+        assert np.array_equal(self.read_pgm(out), expected)
+
+    def test_missing_output_directory_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "v.npy"
+        write_phantom(path, shape=(4, 4, 4))
+        out = tmp_path / "missing" / "v.pgm"
+        code, stdout, err = run_cli(capsys, "slice", str(path), "x", str(out))
+        assert (code, stdout, err) == (2, "", f"InputError: {out}: [Errno 2] No such file or directory: '{out}'\n")
 
     def test_io_error_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "slice", str(tmp_path / "none.npy"), "z", str(tmp_path / "o.pgm"))

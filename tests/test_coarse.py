@@ -182,12 +182,21 @@ class TestInPlaceKernel:
     @pytest.mark.parametrize("running_sum", [False, True], ids=["shift_add", "running_sum"])
     @pytest.mark.parametrize(
         "shape, slab_planes",
-        [((11, 6, 7), 1), ((11, 6, 7), 3), ((5, 9, 8), None), ((1, 6, 7), None)],
-        ids=["one_plane_slabs", "three_plane_slabs", "one_slab", "one_plane"],
+        [
+            ((11, 6, 7), 1),
+            ((11, 6, 7), 3),
+            ((5, 9, 8), None),
+            ((1, 6, 7), None),
+            ((6, 1, 7), None),
+            ((6, 7, 1), None),
+            ((1, 1, 5), None),
+        ],
+        ids=["one_plane_slabs", "three_plane_slabs", "one_slab", "one_plane", "one_row", "one_column", "one_line"],
     )
     def test_matches_exact_loop_oracle(self, shape, slab_planes, running_sum, side, rng, monkeypatch):
         # One-plane slabs put every side above the slab's plane count; sides
-        # 12 and 25 are above nx on every shape.
+        # 12 and 25 are above nx on every shape. A y or z extent of 1 leaves
+        # the small-side sums along that axis no shift to add.
         monkeypatch.setattr(coarse, "_SHIFT_ADD_MAX_SIDE", 1 if running_sum else 25)
         if slab_planes:
             monkeypatch.setattr(coarse, "SLAB_ELEMENTS", slab_planes * shape[1] * shape[2])

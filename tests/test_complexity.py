@@ -59,12 +59,13 @@ class TestOverlap:
 
     def test_slabs_of_x_planes_match_difference_form(self, rng, monkeypatch):
         # 3 x-planes per slab, so the 11 planes make four slabs, the last one
-        # short; the shifted views of the array are not contiguous
+        # short; the 10x5x6 volumes copied from shifted views of the array
+        # make slabs of 4 planes, the last one short too
         monkeypatch.setattr(coarse, "SLAB_ELEMENTS", 3 * 6 * 7)
         a, b = rng.random((11, 6, 7)), rng.random((11, 6, 7))
         ref = -0.5 * np.mean((a - b) ** 2)
         assert overlap(Volume3D(a), Volume3D(b)) == pytest.approx(ref, rel=1e-12)
-        ox = complexity._difference_overlap(a[1:, :-1, :-1], a[:-1, :-1, :-1])
+        ox = overlap(Volume3D(a[1:, :-1, :-1]), Volume3D(a[:-1, :-1, :-1]))
         assert ox == pytest.approx(-0.5 * np.mean((a[1:, :-1, :-1] - a[:-1, :-1, :-1]) ** 2), rel=1e-12)
 
     @given(

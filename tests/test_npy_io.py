@@ -46,6 +46,29 @@ def make_npy_bytes(descr="<f8", fortran=False, shape=(2, 2, 2), payload=None, ve
     return b"\x93NUMPY" + version + struct.pack("<H", len(raw)) + raw + payload
 
 
+def npy_with_header(raw, payload=b""):
+    """A v1.0 file whose header dict is the bytes ``raw``."""
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(raw)) + raw + payload
+
+
+# Files whose header is cut short or malformed, and the message that ends the
+# HeaderMalformedError each raises.
+MALFORMED_HEADERS = {
+    "cut_in_version": (b"\x93NUMPY\x01", "file ends inside the version field"),
+    "cut_in_header_length": (b"\x93NUMPY\x01\x00\x46", "file ends inside the header-length field"),
+    "cut_in_header_dict": (make_npy_bytes()[:40], "file ends inside the header dict"),
+    "not_ascii": (
+        npy_with_header("{'descr': '<f8', 'fortran_order': False, 'shape': (2, 2, 2), 'é': 1}\n".encode()),
+        "header is not ASCII",
+    ),
+    "no_fortran_order": (
+        npy_with_header(b"{'descr': '<f8', 'shape': (2, 2, 2), }\n", bytes(64)),
+        "header dict must have exactly descr/fortran_order/shape",
+    ),
+    "integer_fortran_order": (make_npy_bytes(fortran=0), "fortran_order must be a boolean"),
+}
+
+
 class TestReadNpy:
     def test_zero_volume_roundtrip_through_raw_bytes(self, tmp_path):
         path = tmp_path / "zeros.npy"
@@ -141,6 +164,15 @@ class TestReadNpy:
         path.write_bytes(make_npy_bytes(shape=shape, payload=bytes(32)))
         with pytest.raises(HeaderMalformedError, match=r"bool.npy: shape must be a tuple of ints$"):
             read_npy(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_named(self, tmp_path, case):
+        blob, message = MALFORMED_HEADERS[case]
+        path = tmp_path / "bad.npy"
+        path.write_bytes(blob)
+        with pytest.raises(HeaderMalformedError) as raised:
+            read_npy(path)
+        assert str(raised.value) == f"{path}: {message}"
 
     def test_header_garbage(self, tmp_path):
         path = tmp_path / "garbage.npy"

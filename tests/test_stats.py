@@ -18,7 +18,6 @@ from msc3d.npy_io import ManifestEntry
 from msc3d.stats import (
     P_CLAMP,
     DegenerateVarianceError,
-    EmptyAfterFilteringError,
     OutOfRangeError,
     TooFewPointsError,
     _t_tail,
@@ -36,8 +35,9 @@ def make_manifest(ages):
 def scale0_pairs(manifest, complexity_of):
     """(ln C, ln age) pairs at scale 0 of the subjects in ``complexity_of``, in manifest order."""
     complexity = np.array([[c] for c in complexity_of.values()])
-    ln_age, ln_c = log_log_columns(tuple(complexity_of), complexity, manifest).pairs(0, 0)
-    return list(zip(ln_c.tolist(), ln_age.tolist()))
+    columns = log_log_columns(tuple(complexity_of), complexity, manifest)
+    usable = columns.usable(0)
+    return list(zip(columns.ln_c[usable, 0].tolist(), columns.ln_age[usable].tolist()))
 
 
 def linear_pairs(seed):
@@ -94,9 +94,10 @@ class TestLogLogPairs:
             assert x == y
 
     def test_empty_after_filtering(self):
-        manifest = make_manifest([50.0])
-        with pytest.raises(EmptyAfterFilteringError):
-            scale0_pairs(manifest, {"s0": 0.0})
+        # scale 0 is all zero, so nothing is left of it to fit
+        manifest = make_manifest([50.0, 60.0, 70.0])
+        rows = correlation_rows(manifest, [[0.0, 1.0], [0.0, 2.0], [0.0, 4.0]])
+        assert [row.scale_index for row in rows] == [1]
 
     def test_manifest_order(self):
         manifest = make_manifest([50.0, 60.0, 70.0])
@@ -120,11 +121,10 @@ class TestLogLogColumns:
         manifest = make_manifest([50.0, 60.0, 70.0])
         complexity = np.array([[0.0], [np.nan], [3.0]])
         columns = log_log_columns(("s0", "s1", "s2"), complexity, manifest)
-        ln_age, ln_c = columns.pairs(0, 7)
-        assert ln_age.tolist() == [math.log(70.0)]
-        assert ln_c.tolist() == [math.log(3.0)]
-        with pytest.raises(EmptyAfterFilteringError, match="scale 7"):
-            log_log_columns(("s0",), np.zeros((1, 1)), manifest).pairs(0, 7)
+        usable = columns.usable(0)
+        assert columns.ln_age[usable].tolist() == [math.log(70.0)]
+        assert columns.ln_c[usable, 0].tolist() == [math.log(3.0)]
+        assert not log_log_columns(("s0",), np.zeros((1, 1)), manifest).usable(0).any()
 
 
 class TestPearsonRegression:
