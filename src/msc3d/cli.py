@@ -131,7 +131,7 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
     try:
         vol = read_npy(path)
         result = multiscale_run(vol, schedule)
-        rows = [(e.scale_index, e.scale_factor, e.complexity) for e in result.profile]
+        rows = [(subject_id, e.scale_index, e.scale_factor, repr(e.complexity)) for e in result.profile]
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError, MemoryError) as exc:
         # A subject too large for memory fails alone, like a malformed one.
@@ -158,7 +158,7 @@ def _pool_results(tasks: list, workers: int) -> list:
     results = [None] * len(tasks)
     pending = list(range(len(tasks)))
     while pending:
-        futures, lost, broken = [], [], None
+        futures, broken = [], None
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 for i in pending:
@@ -167,19 +167,14 @@ def _pool_results(tasks: list, workers: int) -> list:
                 if not futures:
                     broken = exc  # the pool broke before it took a subject
             for i, future in zip(pending, futures):
-                if not lost:
-                    try:
-                        results[i] = future.result()
-                        continue
-                    except BrokenProcessPool as exc:
-                        broken = exc
                 # Once the pool is known broken, wait on no future: one
                 # submitted as the pool broke may never complete.
-                elif future.done() and future.exception() is None:
-                    results[i] = future.result()
-                    continue
-                lost.append(i)
-        lost += pending[len(futures) :]
+                if broken is None or future.done():
+                    try:
+                        results[i] = future.result()
+                    except BrokenProcessPool as exc:
+                        broken = broken or exc
+        lost = [i for i in pending if results[i] is None]
         if broken is not None and workers == 1:
             results[lost[0]] = _error_result(tasks[lost[0]][0], broken)
             lost = lost[1:]
@@ -220,11 +215,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BATCH_COLUMNS)
-        for sid, status, info in results:
-            if status != "ok":
-                continue
-            for scale_index, factor, complexity in info:
-                writer.writerow([sid, scale_index, factor, repr(complexity)])
+        for _, status, info in results:
+            if status == "ok":
+                writer.writerows(info)
     if failures:
         sidecar = out_path.with_suffix(".errors.csv")
         with open(sidecar, "w", newline="") as fh:

@@ -87,8 +87,13 @@ def block_downsample(v: Volume3D, factor: int) -> Volume3D:
 
 
 # Sides up to this add side-1 shifted slices per axis; larger sides take two
-# slices of a running sum, whose cost does not grow with the side. On a
-# 128^3 volume the two paths cost the same near side 10.
+# slices of a running sum, whose cost does not grow with the side. Medians
+# of one ``window_means_in_place`` call on a 2-CPU Xeon VM, shift path vs
+# running sums: 33.9 vs 49.2 ms at side 5 and 64.9 vs 48.2 ms at side 9 on
+# 128^3, 37.8 vs 53.1 and 76.0 vs 51.0 ms on 121x145x121, 4.87 vs 6.44 and
+# 9.12 vs 6.41 ms on 64^3. So the paths cross between sides 5 and 9, below
+# this bound. It stays at 10: moving it would change the bytes of
+# ``smoothed_noise`` phantoms at levels 3-4 (sides 7 and 9).
 _SHIFT_ADD_MAX_SIDE = 10
 
 # Every streamed kernel, here and in ``complexity``, works on slabs of about

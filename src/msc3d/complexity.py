@@ -130,12 +130,6 @@ class RunResult:
     scale_reports: tuple[dict, ...]
 
 
-def _overlap_of_sum(total: float, size: int) -> float:
-    """The overlap -<(a - b)^2>/2 of two fields of ``size`` voxels whose
-    squared difference sums to ``total``, never -0.0."""
-    return -0.5 * (total / size) + 0.0
-
-
 def overlap(a: Volume3D, b: Volume3D) -> float:
     """Overlap <ab> - (<a^2> + <b^2>)/2 of two same-shape volumes; always <= 0.
 
@@ -156,7 +150,7 @@ def overlap(a: Volume3D, b: Volume3D) -> float:
         np.subtract(a.data[start : start + planes], b.data[start : start + planes], out=d)
         np.square(d, out=d)
         total += float(d.sum())
-    return _overlap_of_sum(total, a.data.size)
+    return -0.5 * (total / a.data.size) + 0.0
 
 
 def _squared_differences(arr: np.ndarray) -> np.ndarray:
@@ -272,8 +266,10 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
         base = factor
         cx, cy, cz = down_shape
         u = level if level.shape == down_shape else Volume3D(level.data[:cx, :cy, :cz])
-        w_used = tuple(max(2, min(w, d)) for w, d in zip(schedule.window, u.shape))
-        s_used = tuple(max(1, min(s, d)) for s, d in zip(schedule.stride, u.shape))
+        # The schedule's windows are >= 2 and strides >= 1, and every level
+        # is >= 2 voxels per axis, so clipping to the level keeps them so.
+        w_used = tuple(min(w, d) for w, d in zip(schedule.window, u.shape))
+        s_used = tuple(min(s, d) for s, d in zip(schedule.stride, u.shape))
         cmap = complexity_map(u, w_used, s_used, scale_factor=factor)
         c = float(np.mean(cmap.values))
         entries.append(ProfileEntry(k, factor, c))
@@ -295,8 +291,8 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
 
 
 def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, float]:
-    """Block means of ``current - ref`` and the overlap of ``current`` with
-    their re-upsampled copy.
+    """Block means of ``current - ref`` and the sum of squared differences
+    between ``current`` and their re-upsampled copy.
 
     The lattice, edge-padded to whole blocks, is walked in slabs of whole
     ``inc``-thick block rows along x, about ``coarse.SLAB_ELEMENTS``
@@ -324,7 +320,7 @@ def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, 
         d = slab[: x - r0 * inc, :y, :z]
         np.square(d, out=d)
         total += float(d.sum())
-    return means, _overlap_of_sum(total, current.size)
+    return means, total
 
 
 def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
@@ -342,7 +338,7 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     for k, (factor, inc) in enumerate(zip(schedule.factors, incs)):
         lattice_shape = current.shape
         if inc == 1:
-            o = 0.0  # the coarse field is the field itself
+            total = 0.0  # the coarse field is the field itself
         elif schedule.mode == "block_cascade":
             padded = tuple(math.ceil(dim / inc) * inc for dim in lattice_shape)
             if math.prod(padded) * 8 > np.iinfo(np.intp).max:
@@ -350,11 +346,11 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
                     f"factor {factor} pads the lattice {lattice_shape} to {padded}, "
                     "more float64 values than an array can index"
                 )
-            current, o = _block_step(current, ref, inc)
+            current, total = _block_step(current, ref, inc)
             ref = 0.0
         else:
-            o = _overlap_of_sum(window_means_in_place(current, inc), current.size)
-        entries.append(ProfileEntry(k, factor, abs(o)))
+            total = window_means_in_place(current, inc)
+        entries.append(ProfileEntry(k, factor, 0.5 * (total / math.prod(lattice_shape))))
         reports.append(
             {
                 "scale_index": k,

@@ -676,6 +676,58 @@ class TestBatch:
         rows = serial_csv.read_text().splitlines()
         assert out_csv.read_text().splitlines() == [r for r in rows if r.split(",")[0] not in lost]
 
+    def test_broken_pool_keeps_what_it_finished(self, tmp_path, capsys, monkeypatch):
+        # The 2-worker pool breaks on s1 after s2 has finished and before s3
+        # has. s2's result is kept, nothing waits on s3's future, and the
+        # fresh one-worker pool runs s1 and s3; no subject is blamed.
+        ran, sizes = [], []
+
+        class NeverDone(Future):
+            def result(self, timeout=None):
+                raise AssertionError("waited on a future of a broken pool")
+
+        class BreakingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                sid = args[0][0]
+                if len(sizes) == 1 and sid == "s3":
+                    return NeverDone()
+                future = Future()
+                if len(sizes) == 1 and sid == "s1":
+                    future.set_exception(BrokenProcessPool("worker died"))
+                else:
+                    future.set_result(fn(*args))
+                return future
+
+        manifest = write_cohort(tmp_path, n=4, shape=(12, 12, 12))
+        serial_csv = tmp_path / "serial.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")
+        assert code == 0
+        task = msc3d.cli._batch_task
+        monkeypatch.setattr(msc3d.cli, "_batch_task", lambda t: ran.append(t[0]) or task(t))
+        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", BreakingPool)
+        out_csv = tmp_path / "cohort.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")
+        assert code == 0
+        assert sizes == [2, 1]
+        assert ran == ["s0", "s2", "s1", "s3"]
+        assert out_csv.read_bytes() == serial_csv.read_bytes()
+        assert not (tmp_path / "cohort.errors.csv").exists()
+
+    @pytest.mark.parametrize("count, cpus", [(6, 6), (None, 1)])
+    def test_usable_cpus_without_affinity_is_the_cpu_count(self, monkeypatch, count, cpus):
+        monkeypatch.delattr(msc3d.cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(msc3d.cli.os, "cpu_count", lambda: count)
+        assert msc3d.cli._usable_cpus() == cpus
+
     @pytest.mark.parametrize("jobs", ["-3", "-1", "abc"])
     def test_jobs_below_zero_or_not_an_integer_exit_2(self, tmp_path, capsys, monkeypatch, jobs):
         def no_pool(*args, **kwargs):

@@ -32,6 +32,10 @@ class TestBlockDownsample:
         v = Volume3D(rng.random((5, 5, 5)))
         assert block_downsample(v, 1) is v
 
+    def test_factor_0_refused(self, rng):
+        with pytest.raises(ValueError, match=r"^factor must be >= 1, got 0$"):
+            block_downsample(Volume3D(rng.random((4, 4, 4))), 0)
+
     def test_2_cubed_mean(self):
         v = Volume3D(np.arange(8.0).reshape(2, 2, 2))
         out = block_downsample(v, 2)
@@ -85,6 +89,10 @@ class TestSlidingMeans:
     def test_side_1_identity(self, func, rng):
         v = Volume3D(rng.random((4, 4, 4)))
         assert func(v, 1) is v
+
+    def test_side_0_refused(self, func, rng):
+        with pytest.raises(ValueError, match=r"^side must be >= 1, got 0$"):
+            func(Volume3D(rng.random((4, 4, 4))), 0)
 
     def test_constant_exact(self, func):
         v = Volume3D(np.full((5, 6, 7), 0.1))

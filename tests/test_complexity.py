@@ -132,6 +132,10 @@ class TestComplexityMap:
         with pytest.raises(WindowTooSmallError):
             complexity_map(Volume3D(rng.random((4, 4, 4))), (1, 4, 4), (1, 1, 1))
 
+    def test_stride_0_refused(self, rng):
+        with pytest.raises(ValueError, match=r"^stride dims must be >= 1, got \(0, 1, 1\)$"):
+            complexity_map(Volume3D(rng.random((4, 4, 4))), (2, 2, 2), (0, 1, 1))
+
     def test_values_non_negative(self, rng):
         cmap = complexity_map(Volume3D(rng.random((10, 10, 10))), (3, 3, 3), (1, 1, 1))
         assert cmap.values.min() >= 0.0
@@ -211,14 +215,14 @@ class TestMultiscaleProfile:
         monkeypatch.setattr(coarse, "SLAB_ELEMENTS", self.SLAB_CHUNKS[chunk])
         current = 1e6 + 1e-3 * rng.random(shape)
         ref = float(current.flat[0])
-        means, o = complexity._block_step(current, ref, inc)
+        means, total = complexity._block_step(current, ref, inc)
         padded = edge_pad(current, tuple(math.ceil(dim / inc) * inc for dim in shape), ref)
         expected = block_sums(padded, inc) / inc**3
         assert means.shape == expected.shape
         assert np.array_equal(means, expected)
         x, y, z = shape
         up = expected.repeat(inc, 0).repeat(inc, 1).repeat(inc, 2)[:x, :y, :z]
-        assert o == pytest.approx(-0.5 * np.mean((padded[:x, :y, :z] - up) ** 2), rel=1e-12, abs=0)
+        assert total == pytest.approx(np.sum((padded[:x, :y, :z] - up) ** 2), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("factors", [(1, 2, 4), (1, 3, 9)], ids=str)
     @pytest.mark.parametrize("mode", ALL_MODES)

@@ -55,6 +55,15 @@ class TestMidSlice:
         arr = np.arange(27.0).reshape(3, 3, 3)
         assert np.array_equal(mid_slice(Volume3D(arr), 0), mid_slice(Volume3D(arr), "x"))
 
+    @pytest.mark.parametrize(
+        "axis, message",
+        [("w", "axis must be one of ('x', 'y', 'z'), got 'w'"), (3, "axis must be 0, 1 or 2, got 3")],
+    )
+    def test_unknown_axis_refused(self, axis, message):
+        with pytest.raises(ValueError) as excinfo:
+            mid_slice(Volume3D(np.zeros((3, 3, 3))), axis)
+        assert str(excinfo.value) == message
+
 
 class TestGeneratePhantom:
     def test_constant(self):
