@@ -6,12 +6,12 @@ them for :class:`Volume3D`, which validates its data once, at that boundary.
 
 Block means are taken over an edge-padded copy (``edge_pad``) and summed
 in the order numpy's pairwise sum adds a C-ordered block (``block_sums``),
-so each equals numpy's mean of its block to the bit.
-``window_means_in_place`` is the one sliding-mean kernel, for
-``sliding_mean`` and the sliding cascade; its docstring says how it streams
-a field through slabs of about ``SLAB_ELEMENTS`` values, the one slab size
-of the package. The test suite checks both of its side paths against loop
-oracles, one of them exact to the bit.
+so each equals numpy's mean of its block to the bit, a slab of whole block
+rows at a time. ``window_means_in_place`` is the one sliding-mean kernel,
+for ``sliding_mean`` and the sliding cascade; its docstring says how it
+streams a field through slabs of about ``SLAB_ELEMENTS`` values, the one
+slab size of the package. The test suite checks both of its side paths
+against loop oracles, one of them exact to the bit.
 
 Window placement for even sides: a window of side ``s`` centered at voxel
 ``i`` spans ``i - s//2 .. i + s - 1 - s//2`` inclusive per axis (for even
@@ -51,22 +51,42 @@ def edge_pad(
     return out
 
 
-def block_sums(arr: np.ndarray, factor: int) -> np.ndarray:
+def block_sums(arr: np.ndarray, factor: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of every ``factor**3`` block of ``arr``, whose dims are multiples of ``factor``.
 
     numpy adds 8 values as ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)),
     which for a C-ordered 2x2x2 block is a pair sum along z, then y, then x:
     three strided slice adds. Larger blocks are gathered into C-ordered runs
     and summed by numpy itself, so every factor keeps that order.
+
+    ``arr`` is walked in slabs of whole block rows along x, about
+    ``SLAB_ELEMENTS`` values each, whose partial sums or gathered blocks go
+    to slab buffers, so no temporary grows with ``arr``. The sums are
+    written to ``out`` (of the block lattice's shape), or to a new array.
     """
+    x, y, z = arr.shape
+    nx, ny, nz = x // factor, y // factor, z // factor
+    if out is None:
+        out = np.empty((nx, ny, nz))
+    rows = max(1, SLAB_ELEMENTS // (factor * y * z))
     if factor == 2:
-        s = arr[:, :, 0::2] + arr[:, :, 1::2]
-        s = s[:, 0::2] + s[:, 1::2]
-        return s[0::2] + s[1::2]
-    nx, ny, nz = (dim // factor for dim in arr.shape)
-    blocks = np.empty((nx, ny, nz, factor, factor, factor))
-    np.copyto(blocks, arr.reshape(nx, factor, ny, factor, nz, factor).transpose(0, 2, 4, 1, 3, 5))
-    return blocks.reshape(nx, ny, nz, factor**3).sum(axis=3)
+        z_sums = np.empty((min(rows, nx) * 2, y, nz))
+        y_sums = np.empty((min(rows, nx) * 2, ny, nz))
+    else:
+        blocks = np.empty((min(rows, nx), ny, nz, factor, factor, factor))
+    for r0 in range(0, nx, rows):
+        r1 = min(r0 + rows, nx)
+        slab = arr[r0 * factor : r1 * factor]
+        if factor == 2:
+            zs, ys = z_sums[: len(slab)], y_sums[: len(slab)]
+            np.add(slab[:, :, 0::2], slab[:, :, 1::2], out=zs)
+            np.add(zs[:, 0::2], zs[:, 1::2], out=ys)
+            np.add(ys[0::2], ys[1::2], out=out[r0:r1])
+        else:
+            gathered = blocks[: r1 - r0]
+            np.copyto(gathered, slab.reshape(r1 - r0, factor, ny, factor, nz, factor).transpose(0, 2, 4, 1, 3, 5))
+            gathered.reshape(r1 - r0, ny, nz, factor**3).sum(axis=3, out=out[r0:r1])
+    return out
 
 
 def block_downsample(v: Volume3D, factor: int) -> Volume3D:
@@ -83,7 +103,9 @@ def block_downsample(v: Volume3D, factor: int) -> Volume3D:
         return v
     shape = tuple(-(-dim // factor) * factor for dim in v.shape)
     arr = v.data if shape == v.shape else edge_pad(v.data, shape)
-    return Volume3D(block_sums(arr, factor) / factor**3)
+    means = block_sums(arr, factor)
+    means /= factor**3
+    return Volume3D(means)
 
 
 # Sides up to this add side-1 shifted slices per axis; larger sides take two

@@ -26,10 +26,11 @@ a JSON record of each scale. It runs one of three pipeline modes:
 Every mode takes its block and window means relative to the volume's first
 voxel, so they round at the scale of the texture, not of a DC offset.
 ``algorithm1`` builds its block means as a pyramid, each factor from the
-one before it, and ``complexity_map`` documents its sweep. How the
-cascades and ``overlap`` stream their fields through slabs of about
+one before it; ``_run_algorithm1`` says when its one full-size copy lives.
+How the kernels stream their fields through slabs of about
 ``coarse.SLAB_ELEMENTS`` values is documented where it happens:
-``_block_step``, ``coarse.window_means_in_place`` and ``overlap``.
+``complexity_map``, ``coarse.block_sums``, ``_block_step``,
+``coarse.window_means_in_place`` and ``overlap``.
 """
 
 from __future__ import annotations
@@ -153,32 +154,30 @@ def overlap(a: Volume3D, b: Volume3D) -> float:
     return -0.5 * (total / a.data.size) + 0.0
 
 
-def _squared_differences(arr: np.ndarray) -> np.ndarray:
-    """dx^2 + dy^2 + dz^2 of the forward differences, on the core lattice
-    that drops the last voxel of each axis.
+def _squared_differences(arr: np.ndarray, out: np.ndarray, buf: np.ndarray) -> None:
+    """Write dx^2 + dy^2 + dz^2 of the forward differences of ``arr`` into
+    ``out``, which has one x-plane fewer; its core, which drops the last y
+    row and z column of each plane, is the sum on the core lattice.
 
     Each difference is a subtraction of two shifted runs of the flattened
-    array, taken ``coarse.SLAB_ELEMENTS`` elements at a time; the core view
-    skips the entries that straddle a row or a plane.
+    array, taken ``len(buf)`` elements at a time, with ``buf`` holding the
+    y and z terms; the entries off the core straddle a row or a plane.
     """
     x, y, z = arr.shape
     flat = arr.ravel()
     plane = y * z
-    n = (x - 1) * plane
-    sq = np.empty(arr.shape)
-    total = sq.reshape(-1)
-    chunk = coarse.SLAB_ELEMENTS
-    d = np.empty(min(n, chunk))
+    total = out.reshape(-1)
+    n = total.size
+    chunk = len(buf)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        part, diff = total[lo:hi], d[: hi - lo]
+        part, diff = total[lo:hi], buf[: hi - lo]
         np.subtract(flat[lo + plane : hi + plane], flat[lo:hi], out=part)
         np.square(part, out=part)
         for shift in (z, 1):
             np.subtract(flat[lo + shift : hi + shift], flat[lo:hi], out=diff)
             np.square(diff, out=diff)
             part += diff
-    return sq[:-1, :-1, :-1]
 
 
 def _strided_box_sums(arr: np.ndarray, box: tuple[int, ...], stride: tuple[int, ...]) -> np.ndarray:
@@ -210,6 +209,13 @@ def complexity_map(
     lattice, and each cell sums the field over its window's core: strided
     slices added one axis at a time, so each axis costs ``window - 1`` adds
     of a field that the earlier axes have already thinned by their strides.
+
+    The sweep is streamed: the map's x-rows are taken in slabs that step
+    over about ``coarse.SLAB_ELEMENTS`` input values, at least one row each.
+    A slab's squared differences go to one reused buffer, which keeps the
+    planes the next slab's windows share with it, so each plane is
+    differenced once; its box sums, scaled, are written straight into the
+    map. Every cell is the whole-field sweep's to the bit.
     """
     if min(window) < 2:
         raise WindowTooSmallError(f"window dims must be >= 2, got {window}")
@@ -218,7 +224,24 @@ def complexity_map(
     if any(w > d for w, d in zip(window, u.shape)):
         raise WindowTooLargeError(f"window {window} does not fit in volume of shape {u.shape}")
     core = tuple(w - 1 for w in window)
-    cells = _strided_box_sums(_squared_differences(u.data), core, stride) / (6.0 * math.prod(core))
+    data = u.data
+    _, y, z = data.shape
+    cells = np.empty(tuple((d - 1 - c) // s + 1 for d, c, s in zip(data.shape, core, stride)))
+    depth, step = core[0], stride[0]
+    rows = min(max(1, coarse.SLAB_ELEMENTS // (step * y * z)), len(cells))
+    sq = np.empty(((rows - 1) * step + depth, y, z))
+    buf = np.empty(min(sq.size, coarse.SLAB_ELEMENTS))
+    scale = 6.0 * math.prod(core)
+    held = (0, 0)  # the core x-rows whose squared differences sq holds
+    for r0 in range(0, len(cells), rows):
+        r1 = min(r0 + rows, len(cells))
+        lo, hi = r0 * step, (r1 - 1) * step + depth
+        keep = max(0, held[1] - lo)
+        if keep:
+            sq[:keep] = sq[lo - held[0] : held[1] - held[0]]
+        _squared_differences(data[lo + keep : hi + 1], sq[keep : hi - lo], buf)
+        np.divide(_strided_box_sums(sq[: hi - lo, :-1, :-1], core, stride), scale, out=cells[r0:r1])
+        held = (lo, hi)
     return ComplexityMap(scale_factor=scale_factor, values=cells)
 
 
@@ -245,25 +268,30 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     # Complexity ignores a DC offset. Block means taken relative to the first
     # voxel round at the scale of the texture, not of the offset. Factor 1
     # keeps the volume as it is: its forward differences are already exact.
-    # The relative copy is edge-padded once, for the largest block; padding
+    # Each level averages blocks of the level before it. The first coarse
+    # factor, and one that is not a multiple of the level before it, average
+    # blocks of a relative copy, edge-padded for the largest block; padding
     # further leaves every earlier voxel as it is, so each factor's block
-    # means are those of the volume padded for that factor alone.
+    # means are those of the volume padded for that factor alone. The copy
+    # is made for the first factor that reads it and dropped after the last.
+    bases = (1,) + schedule.factors[:-1]
+    reads_padded = [f > 1 and (b == 1 or f % b > 0) for f, b in zip(schedule.factors, bases)]
     coarse_factors = [f for f in schedule.factors if f > 1]
-    if coarse_factors:
-        padded_shape = tuple(max(math.ceil(dim / f) * f for f in coarse_factors) for dim in v.shape)
-        padded = Volume3D(edge_pad(v.data, padded_shape, float(v.data.flat[0])))
-    level, base = v, 1
+    padded = None
+    level = v
     entries = []
     maps = []
     reports = []
-    for k, (factor, down_shape) in enumerate(zip(schedule.factors, down_shapes)):
-        # Each level averages blocks of the level before it. The first coarse
-        # factor, and one that is not a multiple of the level before it,
-        # average blocks of the padded copy.
-        if factor > 1 and (base == 1 or factor % base):
+    for k, (factor, base, down_shape) in enumerate(zip(schedule.factors, bases, down_shapes)):
+        if reads_padded[k]:
+            if padded is None:
+                padded_shape = tuple(max(math.ceil(dim / f) * f for f in coarse_factors) for dim in v.shape)
+                # Finite: an offset that overflows raises under multiscale_run.
+                padded = Volume3D._of_checked(edge_pad(v.data, padded_shape, float(v.data.flat[0])))
             level, base = padded, 1
+            if not any(reads_padded[k + 1 :]):
+                padded = None
         level = block_downsample(level, factor // base)
-        base = factor
         cx, cy, cz = down_shape
         u = level if level.shape == down_shape else Volume3D(level.data[:cx, :cy, :cz])
         # The schedule's windows are >= 2 and strides >= 1, and every level
@@ -315,7 +343,8 @@ def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, 
         slab = buf[: (r1 - r0) * inc]
         edge_pad(current[r0 * inc : r1 * inc], slab.shape, ref, out=slab)
         block = means[r0:r1]
-        np.divide(block_sums(slab, inc), inc**3, out=block)
+        block_sums(slab, inc, out=block)
+        block /= inc**3
         slab.reshape(r1 - r0, inc, ny, inc, nz, inc)[...] -= block[:, None, :, None, :, None]
         d = slab[: x - r0 * inc, :y, :z]
         np.square(d, out=d)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,14 @@ def dyadic_array(rng: np.random.Generator, shape, steps: int = 256) -> np.ndarra
 
 def random_volume(rng: np.random.Generator, shape) -> Volume3D:
     return Volume3D(rng.random(shape))
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak

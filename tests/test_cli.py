@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from msc3d import (
     write_npy,
 )
 import msc3d
+from msc3d import coarse
 from msc3d.cli import _schedule_from_args, build_parser, main
 
 from . import oracles
@@ -281,6 +283,36 @@ class TestCompute:
         assert err == (
             "ValueRangeError: volume values overflow float64 in the complexity arithmetic; rescale the volume\n"
         )
+
+    # sha256 of algorithm1's stdout and of its maps' .npy bytes, in scale
+    # order, for a white-noise phantom on a 1e4 DC offset.
+    ALGORITHM1_DIGESTS = {
+        ((35, 41, 37), "1,2,4,8,16,32"): (
+            "6d5b05894ab6e7f8367508733d329ff7e864967fbc131d199eb6a0696bee26e3",
+            "977c49705daa265ffa9f8d01737d358c2e5bfe489d3f81e01c4bf785e1a06a6e",
+        ),
+        ((20, 17, 23), "1,3,6"): (
+            "4e1080ec802da264a853fee16f7fab6ecb933fbd31fb38f94f228f210c7a4191",
+            "50966980fd1076f23c8784b51c882038aec4ff8cedb08404fe09d1c2d6f415a3",
+        ),
+    }
+
+    @pytest.mark.parametrize("one_plane_slabs", [False, True], ids=["default-slabs", "one-plane-slabs"])
+    @pytest.mark.parametrize("shape, factors", sorted(ALGORITHM1_DIGESTS), ids=str)
+    def test_algorithm1_outputs_are_pinned_to_the_bit(self, tmp_path, capsys, monkeypatch, shape, factors, one_plane_slabs):
+        """The profile and the map bytes stay those of the whole-field sweep,
+        however many slabs the streamed kernels walk."""
+        if one_plane_slabs:
+            monkeypatch.setattr(coarse, "SLAB_ELEMENTS", shape[1] * shape[2])
+        noise = generate_phantom(PhantomSpec(kind="white_noise", shape=shape, level=1.0, rng_seed=61))
+        path = tmp_path / "vol.npy"
+        write_npy(Volume3D(noise.data + 1e4), path, "<f8")
+        maps = tmp_path / "maps"
+        code, out, err = run_cli(capsys, "compute", str(path), "--factors", factors, "--emit-maps", str(maps))
+        assert (code, err) == (0, "")
+        map_bytes = b"".join((maps / f"vol_scale{k}_map.npy").read_bytes() for k in range(factors.count(",") + 1))
+        digests = (hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(map_bytes).hexdigest())
+        assert digests == self.ALGORITHM1_DIGESTS[shape, factors]
 
     @pytest.mark.parametrize("command", [["compute", "v.npy"], ["batch", "m.csv", "out.csv"]])
     def test_schedule_flags_default_to_the_default_schedule(self, command):

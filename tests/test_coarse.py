@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,7 @@ from msc3d import PhantomSpec, Volume3D, block_downsample, generate_phantom, ove
 from msc3d import coarse
 
 from . import oracles
-from .conftest import dyadic_array
+from .conftest import dyadic_array, traced_peak
 
 dyadic_volumes = st.builds(
     lambda seed, dims: Volume3D(dyadic_array(np.random.default_rng(seed), dims)),
@@ -69,6 +67,18 @@ class TestBlockDownsample:
             out = coarse.block_sums(coarse.edge_pad(arr, shape, 0.75), factor) / factor**3
             ref = oracles.block_means(oracles.pad_replicate(arr, factor), factor) - 0.75
             np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("factor", [2, 3, 4])
+    def test_streamed_block_sums_are_numpy_whole_block_sums(self, factor, rng, monkeypatch):
+        """With slabs of two block rows, seven rows take four slabs, and each
+        block still sums to numpy's sum of the whole block, to the bit."""
+        shape = (7 * factor, 5 * factor, 3 * factor)
+        monkeypatch.setattr(coarse, "SLAB_ELEMENTS", 2 * factor * shape[1] * shape[2])
+        arr = 1e3 + rng.random(shape)
+        expected = np.empty((7, 5, 3))
+        for index in np.ndindex(expected.shape):
+            expected[index] = arr[tuple(slice(i * factor, (i + 1) * factor) for i in index)].sum()
+        assert np.array_equal(coarse.block_sums(arr, factor), expected)
 
     def test_mean_preservation(self, rng):
         v = Volume3D(rng.random((10, 11, 13)))
@@ -222,12 +232,7 @@ class TestInPlaceKernel:
         side = 10**6
         arr = rng.normal(size=(2, 2, 2)) + 1e3
         field = arr.copy()
-        tracemalloc.start()
-        try:
-            coarse.window_means_in_place(field, side)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: coarse.window_means_in_place(field, side))
         assert peak < 1_000_000
         assert np.array_equal(field, oracles.separable_window_means(arr, side, True))
 

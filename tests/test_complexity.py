@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from msc3d.complexity import (
 from msc3d.errors import ShapeMismatchError
 
 from . import oracles
-from .conftest import dyadic_array
+from .conftest import dyadic_array, traced_peak
 
 ALL_MODES = ("algorithm1", "block_cascade", "sliding_cascade")
 
@@ -259,12 +258,7 @@ class TestMultiscaleProfile:
         v = Volume3D(rng.random(shape))
         schedule = ScaleSchedule(mode="block_cascade")
         multiscale_run(v, schedule)
-        tracemalloc.start()
-        try:
-            multiscale_run(v, schedule)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: multiscale_run(v, schedule))
         assert peak < v.data.nbytes
 
     @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
@@ -274,13 +268,21 @@ class TestMultiscaleProfile:
         v = Volume3D(rng.random(shape))
         schedule = ScaleSchedule(mode="sliding_cascade")
         multiscale_run(v, schedule)
-        tracemalloc.start()
-        try:
-            multiscale_run(v, schedule)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: multiscale_run(v, schedule))
         assert peak < 1.5 * v.data.nbytes
+
+    @pytest.mark.parametrize("factors", [(1, 2, 4, 8, 16, 32), (1, 3, 9)], ids=str)
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
+    def test_algorithm1_allocates_the_padded_copy_and_under_six_tenths_of_a_volume(self, shape, factors, rng):
+        """A warm algorithm1 run holds one full-size field, the relative copy
+        edge-padded for the largest block, and besides it only coarse levels,
+        maps and slab buffers."""
+        v = Volume3D(rng.random(shape))
+        schedule = ScaleSchedule(factors=factors)
+        multiscale_run(v, schedule)
+        _, peak = traced_peak(lambda: multiscale_run(v, schedule))
+        padded_bytes = 8 * math.prod(max(math.ceil(dim / f) * f for f in factors[1:]) for dim in shape)
+        assert peak < padded_bytes + 0.6 * v.data.nbytes
 
     def test_sliding_cascade_matches_direct_recompute(self):
         from msc3d import sliding_mean

@@ -5,7 +5,6 @@ import io
 import math
 import struct
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from msc3d.npy_io import (
 )
 
 from . import oracles
+from .conftest import traced_peak
 
 
 def make_npy_bytes(descr="<f8", fortran=False, shape=(2, 2, 2), payload=None, version=b"\x01\x00"):
@@ -248,12 +248,7 @@ class TestSlabbedRead:
     def test_peak_memory_is_the_volume_and_one_slab(self, tmp_path, descr):
         path = tmp_path / "v.npy"
         np.save(path, np.ones((40, 40, 41), dtype=descr))
-        tracemalloc.start()
-        try:
-            vol = read_npy(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        vol, peak = traced_peak(lambda: read_npy(path))
         assert peak <= vol.data.nbytes + coarse.SLAB_ELEMENTS * 8
 
 
