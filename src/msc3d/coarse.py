@@ -1,17 +1,20 @@
 """Coarse-graining kernels: block averaging and sliding cubic means.
 
-The kernels ``edge_pad``, ``block_sums`` and ``window_means_in_place`` work
-on plain float64 ndarrays; ``block_downsample`` and ``sliding_mean`` wrap
-them for :class:`Volume3D`, which validates its data once, at that boundary.
+The kernels ``edge_pad``, ``block_sums``, ``block_means`` and
+``window_means_in_place`` work on plain float64 ndarrays;
+``block_downsample`` and ``sliding_mean`` wrap them for :class:`Volume3D`,
+which validates its data once, at that boundary.
 
-Block means are taken over an edge-padded copy (``edge_pad``) and summed
-in the order numpy's pairwise sum adds a C-ordered block (``block_sums``),
-so each equals numpy's mean of its block to the bit, a slab of whole block
-rows at a time. ``window_means_in_place`` is the one sliding-mean kernel,
-for ``sliding_mean`` and the sliding cascade; its docstring says how it
-streams a field through slabs of about ``SLAB_ELEMENTS`` values, the one
-slab size of the package. The test suite checks both of its side paths
-against loop oracles, one of them exact to the bit.
+``block_means`` is the one block-mean kernel, for ``block_downsample`` and
+the block cascade. It fills slabs of whole block rows as ``edge_pad``
+pads and sums each block in the order numpy's pairwise sum adds a
+C-ordered block (``block_sums``), so each mean equals numpy's mean of its
+padded block to the bit. ``window_means_in_place`` is the one
+sliding-mean kernel, for ``sliding_mean`` and the sliding cascade. Their
+docstrings say how they stream a field through slabs of about
+``SLAB_ELEMENTS`` values, the one slab size of the package. The test suite
+checks both of the sliding kernel's side paths against loop oracles, one
+of them exact to the bit.
 
 Window placement for even sides: a window of side ``s`` centered at voxel
 ``i`` spans ``i - s//2 .. i + s - 1 - s//2`` inclusive per axis (for even
@@ -57,55 +60,79 @@ def block_sums(arr: np.ndarray, factor: int, out: np.ndarray | None = None) -> n
     numpy adds 8 values as ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)),
     which for a C-ordered 2x2x2 block is a pair sum along z, then y, then x:
     three strided slice adds. Larger blocks are gathered into C-ordered runs
-    and summed by numpy itself, so every factor keeps that order.
-
-    ``arr`` is walked in slabs of whole block rows along x, about
-    ``SLAB_ELEMENTS`` values each, whose partial sums or gathered blocks go
-    to slab buffers, so no temporary grows with ``arr``. The sums are
-    written to ``out`` (of the block lattice's shape), or to a new array.
+    and summed by numpy itself, so every factor keeps that order. The sums
+    are written to ``out`` (of the block lattice's shape), or to a new array.
     """
     x, y, z = arr.shape
     nx, ny, nz = x // factor, y // factor, z // factor
     if out is None:
         out = np.empty((nx, ny, nz))
-    rows = max(1, SLAB_ELEMENTS // (factor * y * z))
     if factor == 2:
-        z_sums = np.empty((min(rows, nx) * 2, y, nz))
-        y_sums = np.empty((min(rows, nx) * 2, ny, nz))
+        zs = np.add(arr[:, :, 0::2], arr[:, :, 1::2])
+        ys = np.add(zs[:, 0::2], zs[:, 1::2])
+        np.add(ys[0::2], ys[1::2], out=out)
     else:
-        blocks = np.empty((min(rows, nx), ny, nz, factor, factor, factor))
+        blocks = arr.reshape(nx, factor, ny, factor, nz, factor).transpose(0, 2, 4, 1, 3, 5)
+        np.ascontiguousarray(blocks).reshape(nx, ny, nz, factor**3).sum(axis=3, out=out)
+    return out
+
+
+def block_means(
+    arr: np.ndarray, factor: int, ref: float = 0.0, difference: bool = False
+) -> tuple[np.ndarray, float | None]:
+    """Mean of every ``factor**3`` block of ``arr - ref`` edge-padded to
+    whole blocks, ``ceil(dim / factor)`` blocks per axis, and the sum of the
+    squared differences between ``arr - ref`` and the re-upsampled means,
+    or ``None`` without ``difference``, which skips that sum.
+
+    The padded block lattice is walked in slabs of whole block rows along
+    x, about ``SLAB_ELEMENTS`` values each. Each slab is filled with its
+    part of ``arr - ref``, padded as ``edge_pad`` pads, in one slab buffer,
+    so no full-size field is made; a divisible ``arr`` at ``ref == 0``
+    without ``difference`` is read in place. The slab's :func:`block_sums`,
+    divided, are its rows of means, each numpy's mean of its padded block
+    to the bit. With ``difference``, the re-upsampled means then come off
+    the slab in place, leaving the difference field, whose squared
+    in-bounds part is summed, one numpy sum per slab.
+    """
+    x, y, z = arr.shape
+    nx, ny, nz = (-(-dim // factor) for dim in arr.shape)
+    means = np.empty((nx, ny, nz))
+    rows = max(1, SLAB_ELEMENTS // (factor**3 * ny * nz))
+    in_place = ref == 0 and not difference and (nx * factor, ny * factor, nz * factor) == arr.shape
+    if not in_place:
+        buf = np.empty((min(rows, nx) * factor, ny * factor, nz * factor))
+    total = 0.0
     for r0 in range(0, nx, rows):
         r1 = min(r0 + rows, nx)
         slab = arr[r0 * factor : r1 * factor]
-        if factor == 2:
-            zs, ys = z_sums[: len(slab)], y_sums[: len(slab)]
-            np.add(slab[:, :, 0::2], slab[:, :, 1::2], out=zs)
-            np.add(zs[:, 0::2], zs[:, 1::2], out=ys)
-            np.add(ys[0::2], ys[1::2], out=out[r0:r1])
-        else:
-            gathered = blocks[: r1 - r0]
-            np.copyto(gathered, slab.reshape(r1 - r0, factor, ny, factor, nz, factor).transpose(0, 2, 4, 1, 3, 5))
-            gathered.reshape(r1 - r0, ny, nz, factor**3).sum(axis=3, out=out[r0:r1])
-    return out
+        if not in_place:
+            padded = buf[: (r1 - r0) * factor]
+            slab = edge_pad(slab, padded.shape, ref, out=padded)
+        block = means[r0:r1]
+        block_sums(slab, factor, out=block)
+        block /= factor**3
+        if difference:
+            slab.reshape(r1 - r0, factor, ny, factor, nz, factor)[...] -= block[:, None, :, None, :, None]
+            d = slab[: x - r0 * factor, :y, :z]
+            np.square(d, out=d)
+            total += float(d.sum())
+    return means, total if difference else None
 
 
 def block_downsample(v: Volume3D, factor: int) -> Volume3D:
     """Replace each ``factor**3`` block by its mean.
 
-    The volume is edge-padded to divisibility first, so the output shape is
+    The volume is edge-padded to divisibility, so the output shape is
     ``ceil(dim / factor)`` per axis. Each mean equals numpy's mean of its
-    block to the bit (see :func:`block_sums`); a divisible volume is summed
-    straight from its data.
+    padded block to the bit; :func:`block_means` pads a slab at a time, so
+    no padded copy of the volume is made.
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     if factor == 1:
         return v
-    shape = tuple(-(-dim // factor) * factor for dim in v.shape)
-    arr = v.data if shape == v.shape else edge_pad(v.data, shape)
-    means = block_sums(arr, factor)
-    means /= factor**3
-    return Volume3D(means)
+    return Volume3D(block_means(v.data, factor)[0])
 
 
 # Sides up to this add side-1 shifted slices per axis; larger sides take two

@@ -29,7 +29,7 @@ voxel, so they round at the scale of the texture, not of a DC offset.
 one before it; ``_run_algorithm1`` says when its one full-size copy lives.
 How the kernels stream their fields through slabs of about
 ``coarse.SLAB_ELEMENTS`` values is documented where it happens:
-``complexity_map``, ``coarse.block_sums``, ``_block_step``,
+``complexity_map``, ``coarse.block_means``,
 ``coarse.window_means_in_place`` and ``overlap``.
 """
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coarse
-from .coarse import block_downsample, block_sums, edge_pad, window_means_in_place
+from .coarse import block_downsample, block_means, edge_pad, window_means_in_place
 from .errors import InputError, ScheduleError, ShapeMismatchError
 from .volume import Volume3D
 
@@ -318,40 +318,6 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     return RunResult(tuple(entries), tuple(maps), tuple(reports))
 
 
-def _block_step(current: np.ndarray, ref: float, inc: int) -> tuple[np.ndarray, float]:
-    """Block means of ``current - ref`` and the sum of squared differences
-    between ``current`` and their re-upsampled copy.
-
-    The lattice, edge-padded to whole blocks, is walked in slabs of whole
-    ``inc``-thick block rows along x, about ``coarse.SLAB_ELEMENTS``
-    elements each, in one slab buffer, so no full-size field is made. Each
-    slab is filled with its part of ``current - ref``, padded as
-    ``edge_pad`` pads, and gives its rows of block means; the re-upsampled
-    means then come off the slab in place, leaving the difference field,
-    whose squared in-bounds part is summed. Every mean is that of the whole
-    padded copy to the bit; only the order in which the squared differences
-    are summed differs.
-    """
-    x, y, z = current.shape
-    nx, ny, nz = (math.ceil(dim / inc) for dim in current.shape)
-    means = np.empty((nx, ny, nz))
-    rows = max(1, coarse.SLAB_ELEMENTS // (inc**3 * ny * nz))
-    buf = np.empty((min(rows, nx) * inc, ny * inc, nz * inc))
-    total = 0.0
-    for r0 in range(0, nx, rows):
-        r1 = min(r0 + rows, nx)
-        slab = buf[: (r1 - r0) * inc]
-        edge_pad(current[r0 * inc : r1 * inc], slab.shape, ref, out=slab)
-        block = means[r0:r1]
-        block_sums(slab, inc, out=block)
-        block /= inc**3
-        slab.reshape(r1 - r0, inc, ny, inc, nz, inc)[...] -= block[:, None, :, None, :, None]
-        d = slab[: x - r0 * inc, :y, :z]
-        np.square(d, out=d)
-        total += float(d.sum())
-    return means, total
-
-
 def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     incs = _incremental_factors(schedule.factors)
     entries = []
@@ -375,7 +341,7 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
                     f"factor {factor} pads the lattice {lattice_shape} to {padded}, "
                     "more float64 values than an array can index"
                 )
-            current, total = _block_step(current, ref, inc)
+            current, total = block_means(current, inc, ref, difference=True)
             ref = 0.0
         else:
             total = window_means_in_place(current, inc)

@@ -71,14 +71,24 @@ class TestBlockDownsample:
     @pytest.mark.parametrize("factor", [2, 3, 4])
     def test_streamed_block_sums_are_numpy_whole_block_sums(self, factor, rng, monkeypatch):
         """With slabs of two block rows, seven rows take four slabs, and each
-        block still sums to numpy's sum of the whole block, to the bit."""
+        block mean is still numpy's sum of the whole block, divided, to the bit."""
         shape = (7 * factor, 5 * factor, 3 * factor)
         monkeypatch.setattr(coarse, "SLAB_ELEMENTS", 2 * factor * shape[1] * shape[2])
         arr = 1e3 + rng.random(shape)
         expected = np.empty((7, 5, 3))
         for index in np.ndindex(expected.shape):
             expected[index] = arr[tuple(slice(i * factor, (i + 1) * factor) for i in index)].sum()
-        assert np.array_equal(coarse.block_sums(arr, factor), expected)
+        means, total = coarse.block_means(arr, factor)
+        assert total is None
+        assert np.array_equal(means, expected / factor**3)
+
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
+    def test_non_divisible_allocates_under_half_a_volume(self, shape, rng):
+        """Padding goes a slab at a time, so no padded copy of the volume is made."""
+        v = Volume3D(rng.random(shape))
+        block_downsample(v, 3)
+        _, peak = traced_peak(lambda: block_downsample(v, 3))
+        assert peak < 0.5 * v.data.nbytes
 
     def test_mean_preservation(self, rng):
         v = Volume3D(rng.random((10, 11, 13)))

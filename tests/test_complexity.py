@@ -17,7 +17,7 @@ from msc3d import (
     multiscale_run,
     overlap,
 )
-from msc3d import coarse, complexity
+from msc3d import coarse
 from msc3d.coarse import block_sums, edge_pad
 from msc3d.complexity import (
     ScheduleInfeasibleError,
@@ -210,11 +210,12 @@ class TestMultiscaleProfile:
     @pytest.mark.parametrize("inc", [2, 3, 4, 8])
     @pytest.mark.parametrize("shape", STREAM_SHAPES, ids=str)
     def test_streamed_block_step_means_are_exact(self, shape, inc, chunk, rng, monkeypatch):
-        """Each block mean is that of the whole edge-padded relative copy, to the bit."""
+        """Each block mean is that of the whole edge-padded relative copy, to
+        the bit, with or without the squared differences."""
         monkeypatch.setattr(coarse, "SLAB_ELEMENTS", self.SLAB_CHUNKS[chunk])
         current = 1e6 + 1e-3 * rng.random(shape)
         ref = float(current.flat[0])
-        means, total = complexity._block_step(current, ref, inc)
+        means, total = coarse.block_means(current, inc, ref, difference=True)
         padded = edge_pad(current, tuple(math.ceil(dim / inc) * inc for dim in shape), ref)
         expected = block_sums(padded, inc) / inc**3
         assert means.shape == expected.shape
@@ -222,6 +223,15 @@ class TestMultiscaleProfile:
         x, y, z = shape
         up = expected.repeat(inc, 0).repeat(inc, 1).repeat(inc, 2)[:x, :y, :z]
         assert total == pytest.approx(np.sum((padded[:x, :y, :z] - up) ** 2), rel=1e-12, abs=0)
+        means_only, no_total = coarse.block_means(current, inc, ref)
+        assert no_total is None
+        assert np.array_equal(means_only, expected)
+        # A divisible array at ref 0, means only, is summed where it lies:
+        # no slab of it is padded.
+        monkeypatch.setattr(coarse, "edge_pad", None)
+        in_place, no_total = coarse.block_means(padded, inc)
+        assert no_total is None
+        assert np.array_equal(in_place, expected)
 
     @pytest.mark.parametrize("factors", [(1, 2, 4), (1, 3, 9)], ids=str)
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -271,7 +281,7 @@ class TestMultiscaleProfile:
         _, peak = traced_peak(lambda: multiscale_run(v, schedule))
         assert peak < 1.5 * v.data.nbytes
 
-    @pytest.mark.parametrize("factors", [(1, 2, 4, 8, 16, 32), (1, 3, 9)], ids=str)
+    @pytest.mark.parametrize("factors", [(1, 2, 4, 8, 16, 32), (1, 3, 9), (1, 3, 4), (1, 4, 6)], ids=str)
     @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
     def test_algorithm1_allocates_the_padded_copy_and_under_six_tenths_of_a_volume(self, shape, factors, rng):
         """A warm algorithm1 run holds one full-size field, the relative copy
