@@ -126,11 +126,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
     return 0
 
 
-def _batch_task(task: tuple[str, str, ScaleSchedule]):
+def _batch_task(task: tuple[str, str, ScaleSchedule], scratch: dict[str, np.ndarray] | None):
+    """One subject's result. Its full-size buffers come from ``scratch``,
+    where the process's previous subject left them, so their pages are
+    reused; without it they are made afresh."""
     subject_id, path, schedule = task
     try:
-        vol = read_npy(path)
-        result = multiscale_run(vol, schedule)
+        vol = read_npy(path, scratch)
+        result = multiscale_run(vol, schedule, scratch)
         rows = [(subject_id, e.scale_index, e.scale_factor, repr(e.complexity)) for e in result.profile]
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError, MemoryError) as exc:
@@ -140,6 +143,20 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
 
 def _error_result(subject_id: str, exc: BaseException):
     return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
+
+
+# A pool worker's scratch, kept for the worker's life. It is made in the
+# worker, so the batch's own process never holds a subject buffer in it.
+_worker_scratch: dict[str, np.ndarray] | None = None
+
+
+def _start_worker() -> None:
+    global _worker_scratch
+    _worker_scratch = {}
+
+
+def _worker_task(task: tuple[str, str, ScaleSchedule]):
+    return _batch_task(task, _worker_scratch)
 
 
 def _pool_results(tasks: list, workers: int) -> list:
@@ -159,10 +176,10 @@ def _pool_results(tasks: list, workers: int) -> list:
     pending = list(range(len(tasks)))
     while pending:
         futures, broken = [], None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
             try:
                 for i in pending:
-                    futures.append(pool.submit(_batch_task, tasks[i]))
+                    futures.append(pool.submit(_worker_task, tasks[i]))
             except BrokenProcessPool as exc:
                 if not futures:
                     broken = exc  # the pool broke before it took a subject
@@ -201,7 +218,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # of them than there are subjects.
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        results = [_batch_task(t) for t in tasks]
+        # Dropped when the batch returns, so no subject buffer outlives it.
+        scratch: dict[str, np.ndarray] = {}
+        results = [_batch_task(t, scratch) for t in tasks]
     else:
         results = _pool_results(tasks, workers)
 

@@ -177,7 +177,7 @@ def _read_header_from(fh, path: Path) -> tuple[str, tuple[int, int, int]]:
     return _parse_header_dict(header, path)
 
 
-def read_npy(path: str | Path) -> Volume3D:
+def read_npy(path: str | Path, scratch: dict[str, np.ndarray] | None = None) -> Volume3D:
     """Read a 3-D little-endian float volume; values are widened to float64.
 
     The payload is read ``coarse.SLAB_ELEMENTS`` values at a time, and each
@@ -185,6 +185,11 @@ def read_npy(path: str | Path) -> Volume3D:
     in one slab buffer, before it is widened into the volume, a ``<f8`` slab
     in the volume itself. So the float64 volume is the only full-size array
     the read makes, and ``Volume3D`` does not check it again.
+
+    The volume is a fresh read-only array, or, given ``scratch``, a
+    read-only view of its ``"volume"`` buffer (see
+    :func:`coarse.scratch_array`), which the next read with the same
+    ``scratch`` overwrites.
     """
     path = Path(path)
     try:
@@ -199,7 +204,7 @@ def read_npy(path: str | Path) -> Volume3D:
             held = os.fstat(fh.fileno()).st_size - fh.tell()
             if held != need:
                 raise TruncatedError(f"{path}: payload holds {held} bytes, shape {shape} needs {need}")
-            data = np.empty(shape)
+            data = coarse.scratch_array(scratch, "volume", shape)
             flat = data.reshape(-1)
             chunk = min(size, coarse.SLAB_ELEMENTS)
             buf = None if dtype == data.dtype else np.empty(chunk, dtype)
@@ -404,22 +409,22 @@ def read_batch_csv(path: str | Path) -> BatchTable:
     if not sid_col:
         return BatchTable((), (), (), np.empty((0, 0)))
     try:
-        # a few distinct index and factor strings repeat on every subject
-        int_of = {t: int(t) for t in {*k_col, *factor_col}}
+        # A few distinct (index, factor) texts repeat on every subject, so
+        # each is parsed, and the index-to-factor rule checked, once.
+        pairs = {texts: (int(texts[0]), int(texts[1])) for texts in set(zip(k_col, factor_col))}
         cs = np.fromiter(map(float, c_col), np.float64, len(c_col))
     except ValueError:
         _raise_first_bad_row(path, text)
-    ks = list(map(int_of.__getitem__, k_col))
-    factors = list(map(int_of.__getitem__, factor_col))
-    sids = list(map(str.strip, sid_col))
-    row_of = {sid: i for i, sid in enumerate(dict.fromkeys(sids))}
-    factor_of = dict(zip(ks, factors))
+    factor_of = dict(pairs.values())
     indices = sorted(factor_of)
     col_of = {k: j for j, k in enumerate(indices)}
+    col_of_text = {k_text: col_of[k] for (k_text, _), (k, _) in pairs.items()}
+    sids = list(map(str.strip, sid_col))
+    row_of = {sid: i for i, sid in enumerate(dict.fromkeys(sids))}
     cells = np.fromiter(map(row_of.__getitem__, sids), np.intp, len(sids)) * len(indices)
-    cells += np.fromiter(map(col_of.__getitem__, ks), np.intp, len(ks))
+    cells += np.fromiter(map(col_of_text.__getitem__, k_col), np.intp, len(k_col))
     if (
-        len(set(zip(ks, factors))) != len(factor_of)
+        len(set(pairs.values())) != len(factor_of)
         or np.bincount(cells).max() > 1
         or not np.isfinite(cs).all()
         or (cs < 0.0).any()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -31,9 +33,11 @@ from msc3d import (
 )
 import msc3d
 from msc3d import coarse
-from msc3d.cli import _schedule_from_args, build_parser, main
+from msc3d.cli import MODE_FLAGS, _schedule_from_args, build_parser, main
+from msc3d.complexity import MODES
 
 from . import oracles
+from .conftest import traced_peak
 from .test_npy_io import MALFORMED_HEADERS, make_npy_bytes
 
 
@@ -495,10 +499,10 @@ class TestBatch:
         """Reading subject s1's volume (``s1.npy``) raises ``MemoryError``."""
         read = msc3d.cli.read_npy
 
-        def fake_read(path):
+        def fake_read(path, scratch=None):
             if Path(path).name == "s1.npy":
                 raise MemoryError("cannot allocate the padded volume")
-            return read(path)
+            return read(path, scratch)
 
         monkeypatch.setattr(msc3d.cli, "read_npy", fake_read)
 
@@ -543,10 +547,10 @@ class TestBatch:
         with ``os._exit``; the test process reads it as usual."""
         read, parent = msc3d.cli.read_npy, os.getpid()
 
-        def killing_read(path):
+        def killing_read(path, scratch=None):
             if Path(path).name == "s3.npy" and os.getpid() != parent:
                 os._exit(1)
-            return read(path)
+            return read(path, scratch)
 
         monkeypatch.setattr(msc3d.cli, "read_npy", killing_read)
 
@@ -620,7 +624,7 @@ class TestBatch:
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -676,7 +680,7 @@ class TestBatch:
         submits, sizes = [], []
 
         class RefusingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -719,7 +723,7 @@ class TestBatch:
                 raise AssertionError("waited on a future of a broken pool")
 
         class BreakingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -744,7 +748,7 @@ class TestBatch:
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")
         assert code == 0
         task = msc3d.cli._batch_task
-        monkeypatch.setattr(msc3d.cli, "_batch_task", lambda t: ran.append(t[0]) or task(t))
+        monkeypatch.setattr(msc3d.cli, "_batch_task", lambda t, scratch: ran.append(t[0]) or task(t, scratch))
         monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", BreakingPool)
         out_csv = tmp_path / "cohort.csv"
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")
@@ -785,6 +789,104 @@ class TestBatch:
         prof = multiscale_run(vol, ScaleSchedule(factors=(1, 2, 4), mode="sliding_cascade")).profile
         lines = out_csv.read_text().strip().splitlines()[1:]
         assert float(lines[1].split(",")[3]) == prof[1].complexity
+
+
+class TestBatchScratch:
+    """A batch process passes one scratch dict from subject to subject, so
+    each full-size buffer reuses the one the subject before it made."""
+
+    # The volumes a second subject still allocates: algorithm1's maps, the
+    # block cascade's coarse fields, and the sliding cascade's running
+    # field, which is made afresh.
+    ALLOCATED = {"algorithm1": 0.5, "block_cascade": 0.5, "sliding_cascade": 1.25}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_next_subject_reuses_the_buffers_of_the_one_before(self, tmp_path, monkeypatch, mode):
+        schedule = ScaleSchedule(mode=mode)
+        tasks = []
+        for i in range(2):
+            write_phantom(tmp_path / f"s{i}.npy", shape=(96, 96, 96), seed=200 + i)
+            tasks.append((f"s{i}", str(tmp_path / f"s{i}.npy"), schedule))
+        read, volumes = msc3d.cli.read_npy, []
+
+        def keeping_read(path, scratch=None):
+            volumes.append(read(path, scratch))
+            return volumes[-1]
+
+        monkeypatch.setattr(msc3d.cli, "read_npy", keeping_read)
+        scratch = {}
+        msc3d.cli._batch_task(tasks[0], scratch)
+        buffers = dict(scratch)
+        result, peak = traced_peak(lambda: msc3d.cli._batch_task(tasks[1], scratch))
+        assert np.shares_memory(volumes[1].data, buffers["volume"])
+        assert scratch.keys() == buffers.keys() == ({"volume", "padded"} if mode == "algorithm1" else {"volume"})
+        assert all(scratch[role] is buf for role, buf in buffers.items())
+        nbytes = volumes[1].data.nbytes
+        assert peak < self.ALLOCATED[mode] * nbytes
+        # Without scratch the subject makes its own volume and working field:
+        # 1.2 volumes in the block cascade, about 2.1-2.3 in the other modes.
+        fresh, fresh_peak = traced_peak(lambda: msc3d.cli._batch_task(tasks[1], None))
+        assert fresh_peak > nbytes
+        assert result == fresh
+        # At the second subject's peak the process holds its scratch as well.
+        # Algorithm1 keeps the subject before's padded copy through the read
+        # and the factor-1 map, about 0.1 volumes over a fresh subject's peak
+        # here; the cascades hold nothing a fresh subject would not.
+        held = sum(buf.nbytes for buf in scratch.values())
+        assert held + peak <= fresh_peak + (0.25 if mode == "algorithm1" else 0.01) * nbytes
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    def test_mixed_shapes_and_bad_files_match_fresh_computes(self, tmp_path, capsys, mode):
+        # The buffers go from a large subject to a small one and back, past
+        # a file cut short and one whose read fails on its last value.
+        shapes = [(35, 41, 37), (12, 12, 12), (35, 41, 37), (35, 41, 37), (35, 41, 37), (12, 12, 12)]
+        lines = ["subject_id,volume_path,age_years"]
+        for i, shape in enumerate(shapes):
+            write_phantom(tmp_path / f"s{i}.npy", shape=shape, seed=300 + i, level=1e3)
+            lines.append(f"s{i},s{i}.npy,{50 + i}")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        cut = tmp_path / "s2.npy"
+        cut.write_bytes(cut.read_bytes()[:-8])
+        spoiled = tmp_path / "s4.npy"
+        spoiled.write_bytes(spoiled.read_bytes()[:-8] + np.array([np.nan]).tobytes())
+        flags = ["--mode", mode, "--factors", "1,2,4"]
+        written = []
+        for jobs in ("1", "2"):
+            out_csv = tmp_path / f"j{jobs}.csv"
+            code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), *flags, "--jobs", jobs)
+            assert code == 0
+            written.append((out_csv.read_bytes(), out_csv.with_suffix(".errors.csv").read_bytes()))
+        assert written[0] == written[1]
+        errors = [row.split(",")[:2] for row in written[0][1].decode().splitlines()[1:]]
+        assert errors == [["s2", "TruncatedError"], ["s4", "NonFiniteDataError"]]
+        rows = [row.split(",") for row in written[0][0].decode().splitlines()[1:]]
+        for sid in ("s0", "s1", "s3", "s5"):
+            code, out, _ = run_cli(capsys, "compute", str(tmp_path / f"{sid}.npy"), *flags)
+            assert code == 0
+            assert [row[1:] for row in rows if row[0] == sid] == [line.split(",")[:3] for line in out.splitlines()]
+
+    @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
+    def test_no_subject_buffer_outlives_the_batch(self, tmp_path, capsys, monkeypatch, mode):
+        task, buffers = msc3d.cli._batch_task, []
+
+        def tracking_task(t, scratch):
+            result = task(t, scratch)
+            buffers.extend(weakref.ref(buf) for buf in scratch.values())
+            return result
+
+        monkeypatch.setattr(msc3d.cli, "_batch_task", tracking_task)
+        manifest = write_cohort(tmp_path, n=2, shape=(12, 12, 12))
+        for jobs in ("1", "2"):
+            out_csv = tmp_path / f"j{jobs}.csv"
+            code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--mode", mode, "--factors", "1,2", "--jobs", jobs)
+            assert code == 0
+        gc.collect()
+        # Only the --jobs 1 batch ran subjects in this process; the pool's
+        # workers made their scratch in their own processes.
+        assert len(buffers) >= 2
+        assert all(ref() is None for ref in buffers)
+        assert msc3d.cli._worker_scratch is None
 
 
 class TestCorrelate:

@@ -245,6 +245,31 @@ class TestSlabbedRead:
             data[0, 0, 0] = 2.0
 
     @pytest.mark.parametrize("descr", ["<f4", "<f8"])
+    def test_without_scratch_each_read_is_a_fresh_array(self, tmp_path, descr):
+        path = tmp_path / "v.npy"
+        np.save(path, np.ones(self.SHAPE, dtype=descr))
+        first, second = read_npy(path).data, read_npy(path).data
+        assert first.flags.owndata and second.flags.owndata
+        assert not np.shares_memory(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+
+    @pytest.mark.parametrize("descr", ["<f4", "<f8"])
+    def test_with_scratch_reads_share_one_buffer_that_grows(self, tmp_path, rng, descr):
+        small, large = tmp_path / "small.npy", tmp_path / "large.npy"
+        np.save(small, rng.random((3, 4, 5)).astype(descr))
+        np.save(large, rng.random(self.SHAPE).astype(descr))
+        scratch = {}
+        read_npy(small, scratch)
+        got = read_npy(large, scratch).data
+        buf = scratch["volume"]
+        assert buf.size == math.prod(self.SHAPE) and np.shares_memory(got, buf)
+        assert np.array_equal(got, np.load(large))
+        got = read_npy(small, scratch).data
+        assert scratch["volume"] is buf and np.shares_memory(got, buf)
+        assert np.array_equal(got, np.load(small))
+        assert not got.flags.writeable and buf.flags.writeable
+
+    @pytest.mark.parametrize("descr", ["<f4", "<f8"])
     def test_peak_memory_is_the_volume_and_one_slab(self, tmp_path, descr):
         path = tmp_path / "v.npy"
         np.save(path, np.ones((40, 40, 41), dtype=descr))
