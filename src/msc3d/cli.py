@@ -127,13 +127,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _batch_task(task: tuple[str, str, ScaleSchedule], scratch: dict[str, np.ndarray] | None):
-    """One subject's result. Its full-size buffers come from ``scratch``,
-    where the process's previous subject left them, so their pages are
-    reused; without it they are made afresh."""
+    """One subject's result. Its volume is read into ``scratch``, where the
+    process's previous subject left its buffer, so the pages are reused;
+    without it the volume is made afresh."""
     subject_id, path, schedule = task
     try:
-        vol = read_npy(path, scratch)
-        result = multiscale_run(vol, schedule, scratch)
+        result = multiscale_run(read_npy(path, scratch), schedule)
         rows = [(subject_id, e.scale_index, e.scale_factor, repr(e.complexity)) for e in result.profile]
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError, MemoryError) as exc:

@@ -24,32 +24,12 @@ the window is clipped and the mean renormalized by the in-bounds count.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from functools import partial
 
 import numpy as np
 
 from .volume import Volume3D
-
-
-def scratch_array(scratch: dict[str, np.ndarray] | None, role: str, shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 array of ``shape``: a new one without
-    ``scratch``, else a view of the flat buffer ``scratch[role]``, which is
-    replaced by a larger one first when it holds too few values.
-
-    A batch passes one ``scratch`` dict from subject to subject, so each
-    full-size buffer a subject needs reuses the pages of the one before it.
-    The view is valid until the next call for the same role.
-    """
-    if scratch is None:
-        return np.empty(shape)
-    size = math.prod(shape)
-    buf = scratch.get(role)
-    if buf is None or buf.size < size:
-        scratch.pop(role, None)  # the old buffer is not held while the new one is made
-        buf = scratch[role] = np.empty(size)
-    return buf[:size].reshape(shape)
 
 
 def edge_pad(

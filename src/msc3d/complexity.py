@@ -258,7 +258,7 @@ def _incremental_factors(factors: tuple[int, ...]) -> list[int]:
     return incs
 
 
-def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, scratch: dict[str, np.ndarray] | None) -> RunResult:
+def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     down_shapes = [tuple(math.ceil(dim / f) for dim in v.shape) for f in schedule.factors]
     for factor, down_shape in zip(schedule.factors, down_shapes):
         if min(down_shape) < 2:
@@ -286,12 +286,8 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule, scratch: dict[str, np.
         if reads_padded[k]:
             if padded is None:
                 padded_shape = tuple(max(math.ceil(dim / f) * f for f in coarse_factors) for dim in v.shape)
-                out = coarse.scratch_array(scratch, "padded", padded_shape)
                 # Finite: an offset that overflows raises under multiscale_run.
-                padded = Volume3D._of_checked(edge_pad(v.data, padded_shape, float(v.data.flat[0]), out))
-                # Without scratch, ``padded`` alone then holds the copy, so it
-                # is freed after its last read; with scratch, the dict keeps it.
-                del out
+                padded = Volume3D._of_checked(edge_pad(v.data, padded_shape, float(v.data.flat[0])))
             level, base = padded, 1
             if not any(reads_padded[k + 1 :]):
                 padded = None
@@ -362,24 +358,15 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     return RunResult(tuple(entries), (), tuple(reports))
 
 
-def multiscale_run(
-    v: Volume3D, schedule: ScaleSchedule, scratch: dict[str, np.ndarray] | None = None
-) -> RunResult:
+def multiscale_run(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     """Run the full multiscale pipeline, keeping per-scale run metadata.
 
     A volume whose values overflow float64 in the kernels' sums and squares,
     or give a non-finite value at any scale, raises :class:`ValueRangeError`.
-
-    Given ``scratch`` (see :func:`coarse.scratch_array`), algorithm1's
-    edge-padded copy is its ``"padded"`` buffer instead of a fresh array;
-    the result holds no view of it. The cascades do not use ``scratch``.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
-            if schedule.mode == "algorithm1":
-                result = _run_algorithm1(v, schedule, scratch)
-            else:
-                result = _run_cascade(v, schedule)
+            result = (_run_algorithm1 if schedule.mode == "algorithm1" else _run_cascade)(v, schedule)
         finite = all(math.isfinite(e.complexity) for e in result.profile)
     except FloatingPointError:
         finite = False

@@ -187,9 +187,11 @@ def read_npy(path: str | Path, scratch: dict[str, np.ndarray] | None = None) -> 
     the read makes, and ``Volume3D`` does not check it again.
 
     The volume is a fresh read-only array, or, given ``scratch``, a
-    read-only view of its ``"volume"`` buffer (see
-    :func:`coarse.scratch_array`), which the next read with the same
-    ``scratch`` overwrites.
+    read-only view of the flat buffer ``scratch["volume"]``, which the next
+    read with the same ``scratch`` overwrites. A batch passes one
+    ``scratch`` from subject to subject, so each subject's volume reuses the
+    pages of the one before it; the buffer is replaced by a larger one only
+    when a subject needs more values than it holds.
     """
     path = Path(path)
     try:
@@ -204,7 +206,13 @@ def read_npy(path: str | Path, scratch: dict[str, np.ndarray] | None = None) -> 
             held = os.fstat(fh.fileno()).st_size - fh.tell()
             if held != need:
                 raise TruncatedError(f"{path}: payload holds {held} bytes, shape {shape} needs {need}")
-            data = coarse.scratch_array(scratch, "volume", shape)
+            if scratch is None:
+                data = np.empty(shape)
+            else:
+                if "volume" not in scratch or scratch["volume"].size < size:
+                    scratch.pop("volume", None)  # the old buffer is not held while the new one is made
+                    scratch["volume"] = np.empty(size)
+                data = scratch["volume"][:size].reshape(shape)
             flat = data.reshape(-1)
             chunk = min(size, coarse.SLAB_ELEMENTS)
             buf = None if dtype == data.dtype else np.empty(chunk, dtype)

@@ -7,6 +7,7 @@ import struct
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +125,18 @@ class TestReadNpy:
         path.write_bytes(full[:-8])
         with pytest.raises(TruncatedError):
             read_npy(path)
+
+    @pytest.mark.parametrize("scratch", [None, {}], ids=["fresh", "scratch"])
+    def test_file_cut_after_the_size_check(self, tmp_path, monkeypatch, scratch):
+        # The size check sees the declared payload, but the file is 8 bytes
+        # short by the time the payload is read.
+        path = tmp_path / "shrunk.npy"
+        full = make_npy_bytes(descr="<f8", shape=(3, 3, 3))
+        path.write_bytes(full[:-8])
+        monkeypatch.setattr(npy_io.os, "fstat", lambda fd: SimpleNamespace(st_size=len(full)))
+        message = r"shrunk.npy: payload ends before the 216 bytes shape \(3, 3, 3\) needs$"
+        with pytest.raises(TruncatedError, match=message):
+            read_npy(path, scratch)
 
     def test_huge_declared_shape_is_truncated_before_reading(self, tmp_path):
         # the header declares 8e15 bytes and the file holds 64: comparing the
