@@ -78,25 +78,28 @@ def block_sums(arr: np.ndarray, factor: int, out: np.ndarray | None = None) -> n
 
 
 def block_means(
-    arr: np.ndarray, factor: int, ref: float = 0.0, difference: bool = False
+    arr: np.ndarray, factor: int, ref: float = 0.0, difference: bool = False, shape: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, float | None]:
     """Mean of every ``factor**3`` block of ``arr - ref`` edge-padded to
-    whole blocks, ``ceil(dim / factor)`` blocks per axis, and the sum of the
-    squared differences between ``arr - ref`` and the re-upsampled means,
-    or ``None`` without ``difference``, which skips that sum.
+    whole blocks, ``ceil(dim / factor)`` blocks per axis of ``shape`` (by
+    default ``arr.shape``), and the sum of the squared differences between
+    ``arr - ref`` and the re-upsampled means, or ``None`` without
+    ``difference``, which skips that sum.
 
     The padded block lattice is walked in slabs of whole block rows along
-    x, about ``SLAB_ELEMENTS`` values each. Each slab is filled with its
-    part of ``arr - ref``, padded as ``edge_pad`` pads, in one slab buffer,
-    so no full-size field is made; a divisible ``arr`` at ``ref == 0``
-    without ``difference`` is read in place. The slab's :func:`block_sums`,
-    divided, are its rows of means, each numpy's mean of its padded block
-    to the bit. With ``difference``, the re-upsampled means then come off
-    the slab in place, leaving the difference field, whose squared
-    in-bounds part is summed, one numpy sum per slab.
+    x, about ``SLAB_ELEMENTS`` values each. Each slab is filled with the
+    part of ``arr - ref`` it covers, padded as ``edge_pad`` pads, in one
+    slab buffer, so no full-size field is made; a slab past the last
+    x-plane of ``arr`` repeats that plane. A divisible ``arr`` at
+    ``ref == 0`` without ``difference`` is read in place. The slab's
+    :func:`block_sums`, divided, are its rows of means, each numpy's mean
+    of its padded block to the bit. With ``difference``, the re-upsampled
+    means then come off the slab in place, leaving the difference field,
+    whose part inside ``arr`` is squared and summed, one numpy sum per
+    slab.
     """
     x, y, z = arr.shape
-    nx, ny, nz = (-(-dim // factor) for dim in arr.shape)
+    nx, ny, nz = (-(-dim // factor) for dim in (shape or arr.shape))
     means = np.empty((nx, ny, nz))
     rows = max(1, SLAB_ELEMENTS // (factor**3 * ny * nz))
     in_place = ref == 0 and not difference and (nx * factor, ny * factor, nz * factor) == arr.shape
@@ -105,7 +108,7 @@ def block_means(
     total = 0.0
     for r0 in range(0, nx, rows):
         r1 = min(r0 + rows, nx)
-        slab = arr[r0 * factor : r1 * factor]
+        slab = arr[min(r0 * factor, x - 1) : r1 * factor]
         if not in_place:
             padded = buf[: (r1 - r0) * factor]
             slab = edge_pad(slab, padded.shape, ref, out=padded)
@@ -114,25 +117,27 @@ def block_means(
         block /= factor**3
         if difference:
             slab.reshape(r1 - r0, factor, ny, factor, nz, factor)[...] -= block[:, None, :, None, :, None]
-            d = slab[: x - r0 * factor, :y, :z]
+            d = slab[: max(0, x - r0 * factor), :y, :z]
             np.square(d, out=d)
             total += float(d.sum())
     return means, total if difference else None
 
 
-def block_downsample(v: Volume3D, factor: int) -> Volume3D:
-    """Replace each ``factor**3`` block by its mean.
+def block_downsample(v: Volume3D, factor: int, ref: float = 0.0, shape: tuple[int, ...] | None = None) -> Volume3D:
+    """Replace each ``factor**3`` block of ``v - ref`` by its mean.
 
-    The volume is edge-padded to divisibility, so the output shape is
-    ``ceil(dim / factor)`` per axis. Each mean equals numpy's mean of its
-    padded block to the bit; :func:`block_means` pads a slab at a time, so
-    no padded copy of the volume is made.
+    The volume is edge-padded to whole blocks of ``shape``, by default its
+    own, so the output shape is ``ceil(dim / factor)`` per axis of
+    ``shape``. Each mean equals numpy's mean of its padded block to the
+    bit; :func:`block_means` pads a slab at a time, so no padded copy of the
+    volume is made. At factor 1, ``v`` itself is returned unless ``ref`` or
+    ``shape`` is given.
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
+    if factor == 1 and ref == 0 and shape is None:
         return v
-    return Volume3D(block_means(v.data, factor)[0])
+    return Volume3D(block_means(v.data, factor, ref, shape=shape)[0])
 
 
 # Sides up to this add side-1 shifted slices per axis; larger sides take two

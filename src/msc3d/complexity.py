@@ -26,7 +26,8 @@ a JSON record of each scale. It runs one of three pipeline modes:
 Every mode takes its block and window means relative to the volume's first
 voxel, so they round at the scale of the texture, not of a DC offset.
 ``algorithm1`` builds its block means as a pyramid, each factor from the
-one before it; ``_run_algorithm1`` says when its one full-size copy lives.
+one before it, and makes no full-size copy of the volume:
+``_run_algorithm1`` says which levels read the volume itself.
 How the kernels stream their fields through slabs of about
 ``coarse.SLAB_ELEMENTS`` values is documented where it happens:
 ``complexity_map``, ``coarse.block_means``,
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coarse
-from .coarse import block_downsample, block_means, edge_pad, window_means_in_place
+from .coarse import block_downsample, block_means, window_means_in_place
 from .errors import InputError, ScheduleError, ShapeMismatchError
 from .volume import Volume3D
 
@@ -270,28 +271,22 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     # keeps the volume as it is: its forward differences are already exact.
     # Each level averages blocks of the level before it. The first coarse
     # factor, and one that is not a multiple of the level before it, average
-    # blocks of a relative copy, edge-padded for the largest block; padding
-    # further leaves every earlier voxel as it is, so each factor's block
-    # means are those of the volume padded for that factor alone. The copy
-    # is made for the first factor that reads it and dropped after the last.
+    # blocks of the volume itself, edge-padded for the largest block a slab
+    # at a time; padding further leaves every earlier voxel as it is, so
+    # each factor's block means are those of the volume padded for that
+    # factor alone. No full-size copy of the volume is made.
     bases = (1,) + schedule.factors[:-1]
-    reads_padded = [f > 1 and (b == 1 or f % b > 0) for f, b in zip(schedule.factors, bases)]
-    coarse_factors = [f for f in schedule.factors if f > 1]
-    padded = None
+    ref = float(v.data.flat[0])
+    padded_shape = tuple(max(math.ceil(dim / f) * f for f in schedule.factors) for dim in v.shape)
     level = v
     entries = []
     maps = []
     reports = []
     for k, (factor, base, down_shape) in enumerate(zip(schedule.factors, bases, down_shapes)):
-        if reads_padded[k]:
-            if padded is None:
-                padded_shape = tuple(max(math.ceil(dim / f) * f for f in coarse_factors) for dim in v.shape)
-                # Finite: an offset that overflows raises under multiscale_run.
-                padded = Volume3D._of_checked(edge_pad(v.data, padded_shape, float(v.data.flat[0])))
-            level, base = padded, 1
-            if not any(reads_padded[k + 1 :]):
-                padded = None
-        level = block_downsample(level, factor // base)
+        if factor > 1 and (base == 1 or factor % base):
+            level = block_downsample(v, factor, ref, padded_shape)
+        else:
+            level = block_downsample(level, factor // base)
         cx, cy, cz = down_shape
         u = level if level.shape == down_shape else Volume3D(level.data[:cx, :cy, :cz])
         # The schedule's windows are >= 2 and strides >= 1, and every level

@@ -288,6 +288,21 @@ class TestCompute:
             "ValueRangeError: volume values overflow float64 in the complexity arithmetic; rescale the volume\n"
         )
 
+    @pytest.mark.parametrize("factors", ["1,2", "2,4", "1,3,4"])
+    def test_algorithm1_offset_overflowing_float64_exit_2(self, tmp_path, capsys, factors):
+        """algorithm1 takes its coarse levels relative to the first voxel,
+        subtracting it a slab at a time; here ``v - ref`` itself overflows,
+        and on ``2,4`` that subtraction is the first arithmetic to do so."""
+        arr = np.full((16, 16, 16), 1.7e308)
+        arr[0, 0, 0] = -1.7e308
+        path = tmp_path / "big.npy"
+        write_npy(Volume3D(arr), path, "<f8")
+        code, out, err = run_cli(capsys, "compute", str(path), "--mode", "algorithm1", "--factors", factors)
+        assert (code, out) == (2, "")
+        assert err == (
+            "ValueRangeError: volume values overflow float64 in the complexity arithmetic; rescale the volume\n"
+        )
+
     # sha256 of algorithm1's stdout and of its maps' .npy bytes, in scale
     # order, for a white-noise phantom on a 1e4 DC offset.
     ALGORITHM1_DIGESTS = {

@@ -90,6 +90,45 @@ class TestBlockDownsample:
         _, peak = traced_peak(lambda: block_downsample(v, 3))
         assert peak < 0.5 * v.data.nbytes
 
+    # (shape, factor, ref) on a 5x7x6 array: each shape pads x, y and z
+    # past the array, some by more than a whole block.
+    PADDED_SHAPES = [
+        ((12, 8, 9), 2, 0.0),
+        ((16, 16, 16), 4, 1e3),
+        ((15, 9, 12), 3, 1000.5),
+        ((18, 12, 12), 6, 999.25),
+        ((7, 8, 9), 1, 1e3),
+    ]
+
+    @pytest.mark.parametrize("slab_elements", [None, 1], ids=["default_slabs", "one_row_slabs"])
+    @pytest.mark.parametrize(("shape", "factor", "ref"), PADDED_SHAPES, ids=str)
+    def test_means_to_a_padded_shape_are_those_of_the_edge_padded_array(
+        self, shape, factor, ref, slab_elements, rng, monkeypatch
+    ):
+        """``block_means(arr, f, ref, shape=s)`` is ``block_means`` of ``arr``
+        edge-padded to ``s`` less ``ref``, to the bit. With slabs of one
+        block row, whole slabs start past the array's last x-plane."""
+        if slab_elements is not None:
+            monkeypatch.setattr(coarse, "SLAB_ELEMENTS", slab_elements)
+        arr = 1e3 + rng.random((5, 7, 6))
+        means, total = coarse.block_means(arr, factor, ref, shape=shape)
+        assert total is None
+        assert np.array_equal(means, coarse.block_means(coarse.edge_pad(arr, shape, ref), factor)[0])
+        # The difference is taken over the array's own voxels.
+        _, total = coarse.block_means(arr, factor, ref, difference=True, shape=shape)
+        up = np.repeat(np.repeat(np.repeat(means, factor, 0), factor, 1), factor, 2)[:5, :7, :6]
+        assert total == pytest.approx(float(((arr - ref - up) ** 2).sum()), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize(("shape", "factor", "ref"), PADDED_SHAPES, ids=str)
+    def test_downsample_to_a_padded_shape_is_that_of_the_edge_padded_volume(self, shape, factor, ref, rng):
+        v = Volume3D(1e3 + rng.random((5, 7, 6)))
+        out = block_downsample(v, factor, ref, shape)
+        assert np.array_equal(out.data, block_downsample(Volume3D(coarse.edge_pad(v.data, shape, ref)), factor).data)
+        # The defaults pad to the volume's own blocks, and factor 1 is the volume.
+        assert block_downsample(v, 1) is v
+        default = block_downsample(v, factor)
+        assert np.array_equal(default.data, oracles.block_means(oracles.pad_replicate(v.data, factor), factor))
+
     def test_mean_preservation(self, rng):
         v = Volume3D(rng.random((10, 11, 13)))
         down = block_downsample(v, 3)

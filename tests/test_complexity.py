@@ -294,6 +294,21 @@ class TestMultiscaleProfile:
         padded_bytes = 8 * math.prod(max(math.ceil(dim / f) * f for f in factors[1:]) for dim in shape)
         assert peak < padded_bytes + 0.6 * v.data.nbytes
 
+    @pytest.mark.parametrize(
+        ("shape", "factors", "volumes"),
+        [((128, 128, 128), ScaleSchedule().factors, 0.5), ((61, 73, 61), (1, 3, 4), 1.0), ((61, 73, 61), (1, 4, 6), 1.0)],
+        ids=str,
+    )
+    def test_algorithm1_makes_no_full_size_copy(self, shape, factors, volumes, rng):
+        """A warm algorithm1 run pads the volume a slab at a time for the
+        levels that read it, so besides its input it holds only coarse
+        levels, maps and slab buffers."""
+        v = Volume3D(rng.random(shape))
+        schedule = ScaleSchedule(factors=factors)
+        multiscale_run(v, schedule)
+        _, peak = traced_peak(lambda: multiscale_run(v, schedule))
+        assert peak < volumes * v.data.nbytes
+
     def test_sliding_cascade_matches_direct_recompute(self):
         from msc3d import sliding_mean
 
