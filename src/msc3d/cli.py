@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import math
@@ -100,8 +101,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     vol = read_npy(volume_path)
     subject = volume_path.stem
     result = multiscale_run(vol, schedule)
-    for e in result.profile:
-        print(f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}")
+    # The files go first, so a write that fails leaves stdout empty.
     if args.emit_maps:
         map_dir = Path(args.emit_maps)
         map_dir.mkdir(parents=True, exist_ok=True)
@@ -123,16 +123,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
         with open(args.report, "w", newline="") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    for e in result.profile:
+        print(f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}")
     return 0
 
 
-def _batch_task(task: tuple[str, str, ScaleSchedule], scratch: dict[str, np.ndarray] | None):
-    """One subject's result. Its volume is read into ``scratch``, where the
-    process's previous subject left its buffer, so the pages are reused;
-    without it the volume is made afresh."""
+def _batch_task(task: tuple[str, str, ScaleSchedule]):
+    """One subject's result; its arrays are made afresh and freed when it returns."""
     subject_id, path, schedule = task
     try:
-        result = multiscale_run(read_npy(path, scratch), schedule)
+        result = multiscale_run(read_npy(path), schedule)
         rows = [(subject_id, e.scale_index, e.scale_factor, repr(e.complexity)) for e in result.profile]
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError, MemoryError) as exc:
@@ -142,20 +142,6 @@ def _batch_task(task: tuple[str, str, ScaleSchedule], scratch: dict[str, np.ndar
 
 def _error_result(subject_id: str, exc: BaseException):
     return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
-
-
-# A pool worker's scratch, kept for the worker's life. It is made in the
-# worker, so the batch's own process never holds a subject buffer in it.
-_worker_scratch: dict[str, np.ndarray] | None = None
-
-
-def _start_worker() -> None:
-    global _worker_scratch
-    _worker_scratch = {}
-
-
-def _worker_task(task: tuple[str, str, ScaleSchedule]):
-    return _batch_task(task, _worker_scratch)
 
 
 def _pool_results(tasks: list, workers: int) -> list:
@@ -175,10 +161,10 @@ def _pool_results(tasks: list, workers: int) -> list:
     pending = list(range(len(tasks)))
     while pending:
         futures, broken = [], None
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 for i in pending:
-                    futures.append(pool.submit(_worker_task, tasks[i]))
+                    futures.append(pool.submit(_batch_task, tasks[i]))
             except BrokenProcessPool as exc:
                 if not futures:
                     broken = exc  # the pool broke before it took a subject
@@ -210,6 +196,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
     schedule = _schedule_from_args(args)
     manifest_path = Path(args.manifest)
     manifest = read_manifest(manifest_path)
+    out_path = Path(args.output)
+    # Checked before the first subject, so a mistyped output directory does
+    # not throw away a finished run.
+    if not out_path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
     jobs = args.jobs or _usable_cpus()
     # A relative volume path resolves against the manifest's directory.
     tasks = [(e.subject_id, str(manifest_path.parent / e.volume_path), schedule) for e in manifest]
@@ -217,9 +208,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # of them than there are subjects.
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        # Dropped when the batch returns, so no subject buffer outlives it.
-        scratch: dict[str, np.ndarray] = {}
-        results = [_batch_task(t, scratch) for t in tasks]
+        results = [_batch_task(t) for t in tasks]
     else:
         results = _pool_results(tasks, workers)
 
@@ -229,7 +218,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(f"{name}: {message}", file=sys.stderr)
         return code
 
-    out_path = Path(args.output)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BATCH_COLUMNS)

@@ -177,21 +177,15 @@ def _read_header_from(fh, path: Path) -> tuple[str, tuple[int, int, int]]:
     return _parse_header_dict(header, path)
 
 
-def read_npy(path: str | Path, scratch: dict[str, np.ndarray] | None = None) -> Volume3D:
+def read_npy(path: str | Path) -> Volume3D:
     """Read a 3-D little-endian float volume; values are widened to float64.
 
     The payload is read ``coarse.SLAB_ELEMENTS`` values at a time, and each
     slab is checked for NaN and Inf in the file's own dtype: a ``<f4`` slab
     in one slab buffer, before it is widened into the volume, a ``<f8`` slab
-    in the volume itself. So the float64 volume is the only full-size array
-    the read makes, and ``Volume3D`` does not check it again.
-
-    The volume is a fresh read-only array, or, given ``scratch``, a
-    read-only view of the flat buffer ``scratch["volume"]``, which the next
-    read with the same ``scratch`` overwrites. A batch passes one
-    ``scratch`` from subject to subject, so each subject's volume reuses the
-    pages of the one before it; the buffer is replaced by a larger one only
-    when a subject needs more values than it holds.
+    in the volume itself. So the float64 volume, a fresh read-only array, is
+    the only full-size array the read makes, and ``Volume3D`` does not check
+    it again.
     """
     path = Path(path)
     try:
@@ -206,13 +200,7 @@ def read_npy(path: str | Path, scratch: dict[str, np.ndarray] | None = None) -> 
             held = os.fstat(fh.fileno()).st_size - fh.tell()
             if held != need:
                 raise TruncatedError(f"{path}: payload holds {held} bytes, shape {shape} needs {need}")
-            if scratch is None:
-                data = np.empty(shape)
-            else:
-                if "volume" not in scratch or scratch["volume"].size < size:
-                    scratch.pop("volume", None)  # the old buffer is not held while the new one is made
-                    scratch["volume"] = np.empty(size)
-                data = scratch["volume"][:size].reshape(shape)
+            data = np.empty(shape)
             flat = data.reshape(-1)
             chunk = min(size, coarse.SLAB_ELEMENTS)
             buf = None if dtype == data.dtype else np.empty(chunk, dtype)

@@ -34,10 +34,8 @@ from msc3d import (
 import msc3d
 from msc3d import coarse
 from msc3d.cli import MODE_FLAGS, _schedule_from_args, build_parser, main
-from msc3d.complexity import MODES
 
 from . import oracles
-from .conftest import traced_peak
 from .test_npy_io import MALFORMED_HEADERS, make_npy_bytes
 
 
@@ -376,6 +374,30 @@ class TestParser:
         assert (done.returncode, done.stdout, done.stderr) == (0, "0 False\n", "")
 
 
+class TestEntryPoint:
+    """``python -m msc3d.cli`` runs ``main`` through ``run`` and exits with its code."""
+
+    @staticmethod
+    def run_module(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "msc3d.cli", *argv], env=src_env(), capture_output=True, text=True, timeout=60
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    def test_good_volume_prints_what_main_prints(self, tmp_path, capsys):
+        path = tmp_path / "v.npy"
+        write_phantom(path, shape=(8, 8, 8))
+        argv = ["compute", str(path), "--factors", "1,2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out.count("\n"), err) == (0, 2, "")
+        assert self.run_module(*argv) == (0, out, "")
+
+    def test_missing_file_exit_2(self, tmp_path):
+        path = tmp_path / "missing.npy"
+        line = f"IoFailureError: {path}: [Errno 2] No such file or directory: '{path}'\n"
+        assert self.run_module("compute", str(path)) == (2, "", line)
+
+
 class TestFlagErrors:
     """A bad flag value, or an output in a missing directory, gives one
     stderr line and its exit code, and writes nothing."""
@@ -426,6 +448,35 @@ class TestFlagErrors:
         monkeypatch.chdir(tmp_path)
         assert run_cli(capsys, *argv) == (code, "", line + "\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, target, line",
+        [
+            ("--report", "missing/r.json", "FileNotFoundError: [Errno 2] No such file or directory: 'missing/r.json'"),
+            ("--emit-maps", "v.npy/maps", "NotADirectoryError: [Errno 20] Not a directory: 'v.npy/maps'"),
+        ],
+        ids=["report_missing_directory", "maps_under_a_file"],
+    )
+    def test_compute_output_that_cannot_be_written_prints_no_profile(self, tmp_path, capsys, monkeypatch, flag, target, line):
+        monkeypatch.chdir(tmp_path)
+        write_phantom(tmp_path / "v.npy", shape=(8, 8, 8))
+        assert run_cli(capsys, "compute", "v.npy", "--factors", "1,2", flag, target) == (2, "", line + "\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "v.npy"]
+
+    def test_batch_output_in_missing_directory_runs_no_subject(self, tmp_path, capsys, monkeypatch):
+        read, ran = msc3d.cli.read_npy, []
+        monkeypatch.setattr(msc3d.cli, "read_npy", lambda path: ran.append(Path(path).name) or read(path))
+        monkeypatch.chdir(tmp_path)
+        write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        held = sorted(tmp_path.iterdir())
+        line = "FileNotFoundError: [Errno 2] No such file or directory: 'missing/out.csv'\n"
+        argv = ["batch", "manifest.csv", "missing/out.csv", "--factors", "1,2", "--jobs", "1"]
+        assert run_cli(capsys, *argv) == (2, "", line)
+        assert ran == []
+        assert sorted(tmp_path.iterdir()) == held
+        # The same batch into an existing directory runs both subjects.
+        assert run_cli(capsys, "batch", "manifest.csv", "out.csv", *argv[3:])[0] == 0
+        assert ran == ["s0.npy", "s1.npy"]
 
 
 class TestBatch:
@@ -514,10 +565,10 @@ class TestBatch:
         """Reading subject s1's volume (``s1.npy``) raises ``MemoryError``."""
         read = msc3d.cli.read_npy
 
-        def fake_read(path, scratch=None):
+        def fake_read(path):
             if Path(path).name == "s1.npy":
                 raise MemoryError("cannot allocate the padded volume")
-            return read(path, scratch)
+            return read(path)
 
         monkeypatch.setattr(msc3d.cli, "read_npy", fake_read)
 
@@ -562,10 +613,10 @@ class TestBatch:
         with ``os._exit``; the test process reads it as usual."""
         read, parent = msc3d.cli.read_npy, os.getpid()
 
-        def killing_read(path, scratch=None):
+        def killing_read(path):
             if Path(path).name == "s3.npy" and os.getpid() != parent:
                 os._exit(1)
-            return read(path, scratch)
+            return read(path)
 
         monkeypatch.setattr(msc3d.cli, "read_npy", killing_read)
 
@@ -639,7 +690,7 @@ class TestBatch:
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers, initializer=None):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -695,7 +746,7 @@ class TestBatch:
         submits, sizes = [], []
 
         class RefusingPool:
-            def __init__(self, max_workers, initializer=None):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -738,7 +789,7 @@ class TestBatch:
                 raise AssertionError("waited on a future of a broken pool")
 
         class BreakingPool:
-            def __init__(self, max_workers, initializer=None):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -763,7 +814,7 @@ class TestBatch:
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")
         assert code == 0
         task = msc3d.cli._batch_task
-        monkeypatch.setattr(msc3d.cli, "_batch_task", lambda t, scratch: ran.append(t[0]) or task(t, scratch))
+        monkeypatch.setattr(msc3d.cli, "_batch_task", lambda t: ran.append(t[0]) or task(t))
         monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", BreakingPool)
         out_csv = tmp_path / "cohort.csv"
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")
@@ -805,49 +856,6 @@ class TestBatch:
         lines = out_csv.read_text().strip().splitlines()[1:]
         assert float(lines[1].split(",")[3]) == prof[1].complexity
 
-
-class TestBatchScratch:
-    """A batch process passes one scratch dict from subject to subject, so
-    each volume is read into the buffer the subject before it made."""
-
-    # The volumes a second subject still allocates: algorithm1's padded
-    # copy and maps, the block cascade's coarse fields, and the sliding
-    # cascade's running field, each made afresh.
-    ALLOCATED = {"algorithm1": 1.3, "block_cascade": 0.5, "sliding_cascade": 1.25}
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_next_subject_reuses_the_buffers_of_the_one_before(self, tmp_path, monkeypatch, mode):
-        schedule = ScaleSchedule(mode=mode)
-        tasks = []
-        for i in range(2):
-            write_phantom(tmp_path / f"s{i}.npy", shape=(96, 96, 96), seed=200 + i)
-            tasks.append((f"s{i}", str(tmp_path / f"s{i}.npy"), schedule))
-        read, volumes = msc3d.cli.read_npy, []
-
-        def keeping_read(path, scratch=None):
-            volumes.append(read(path, scratch))
-            return volumes[-1]
-
-        monkeypatch.setattr(msc3d.cli, "read_npy", keeping_read)
-        scratch = {}
-        msc3d.cli._batch_task(tasks[0], scratch)
-        buffers = dict(scratch)
-        result, peak = traced_peak(lambda: msc3d.cli._batch_task(tasks[1], scratch))
-        assert np.shares_memory(volumes[1].data, buffers["volume"])
-        assert scratch.keys() == buffers.keys() == {"volume"}
-        assert all(scratch[role] is buf for role, buf in buffers.items())
-        nbytes = volumes[1].data.nbytes
-        assert peak < self.ALLOCATED[mode] * nbytes
-        # Without scratch the subject makes its own volume and working field:
-        # 1.2 volumes in the block cascade, about 2.1-2.3 in the other modes.
-        fresh, fresh_peak = traced_peak(lambda: msc3d.cli._batch_task(tasks[1], None))
-        assert fresh_peak > nbytes
-        assert result == fresh
-        # At the second subject's peak the process holds its scratch as well,
-        # which is the volume a fresh subject makes: no mode holds more.
-        held = sum(buf.nbytes for buf in scratch.values())
-        assert held + peak <= fresh_peak + 0.01 * nbytes
-
     @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
     def test_mixed_shapes_and_bad_files_match_fresh_computes(self, tmp_path, capsys, mode):
         # The buffers go from a large subject to a small one and back, past
@@ -881,25 +889,24 @@ class TestBatchScratch:
 
     @pytest.mark.parametrize("mode", sorted(MODE_FLAGS))
     def test_no_subject_buffer_outlives_the_batch(self, tmp_path, capsys, monkeypatch, mode):
-        task, buffers = msc3d.cli._batch_task, []
+        # Each subject's volume, and the array that owns its memory, belong
+        # to the call that runs it: nothing keeps them for the next subject.
+        read, refs = msc3d.cli.read_npy, []
 
-        def tracking_task(t, scratch):
-            result = task(t, scratch)
-            buffers.extend(weakref.ref(buf) for buf in scratch.values())
-            return result
+        def tracking_read(path):
+            vol = read(path)
+            owner = vol.data if vol.data.base is None else vol.data.base
+            refs.extend([weakref.ref(vol), weakref.ref(owner)])
+            return vol
 
-        monkeypatch.setattr(msc3d.cli, "_batch_task", tracking_task)
+        monkeypatch.setattr(msc3d.cli, "read_npy", tracking_read)
         manifest = write_cohort(tmp_path, n=2, shape=(12, 12, 12))
-        for jobs in ("1", "2"):
-            out_csv = tmp_path / f"j{jobs}.csv"
-            code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--mode", mode, "--factors", "1,2", "--jobs", jobs)
-            assert code == 0
+        out_csv = tmp_path / "cohort.csv"
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--mode", mode, "--factors", "1,2", "--jobs", "1")
+        assert code == 0
         gc.collect()
-        # Only the --jobs 1 batch ran subjects in this process; the pool's
-        # workers made their scratch in their own processes.
-        assert len(buffers) >= 2
-        assert all(ref() is None for ref in buffers)
-        assert msc3d.cli._worker_scratch is None
+        assert len(refs) == 4
+        assert all(ref() is None for ref in refs)
 
 
 class TestCorrelate:

@@ -126,8 +126,7 @@ class TestReadNpy:
         with pytest.raises(TruncatedError):
             read_npy(path)
 
-    @pytest.mark.parametrize("scratch", [None, {}], ids=["fresh", "scratch"])
-    def test_file_cut_after_the_size_check(self, tmp_path, monkeypatch, scratch):
+    def test_file_cut_after_the_size_check(self, tmp_path, monkeypatch):
         # The size check sees the declared payload, but the file is 8 bytes
         # short by the time the payload is read.
         path = tmp_path / "shrunk.npy"
@@ -136,7 +135,7 @@ class TestReadNpy:
         monkeypatch.setattr(npy_io.os, "fstat", lambda fd: SimpleNamespace(st_size=len(full)))
         message = r"shrunk.npy: payload ends before the 216 bytes shape \(3, 3, 3\) needs$"
         with pytest.raises(TruncatedError, match=message):
-            read_npy(path, scratch)
+            read_npy(path)
 
     def test_huge_declared_shape_is_truncated_before_reading(self, tmp_path):
         # the header declares 8e15 bytes and the file holds 64: comparing the
@@ -258,29 +257,13 @@ class TestSlabbedRead:
             data[0, 0, 0] = 2.0
 
     @pytest.mark.parametrize("descr", ["<f4", "<f8"])
-    def test_without_scratch_each_read_is_a_fresh_array(self, tmp_path, descr):
+    def test_each_read_is_a_fresh_array(self, tmp_path, descr):
         path = tmp_path / "v.npy"
         np.save(path, np.ones(self.SHAPE, dtype=descr))
         first, second = read_npy(path).data, read_npy(path).data
         assert first.flags.owndata and second.flags.owndata
         assert not np.shares_memory(first, second)
         assert not first.flags.writeable and not second.flags.writeable
-
-    @pytest.mark.parametrize("descr", ["<f4", "<f8"])
-    def test_with_scratch_reads_share_one_buffer_that_grows(self, tmp_path, rng, descr):
-        small, large = tmp_path / "small.npy", tmp_path / "large.npy"
-        np.save(small, rng.random((3, 4, 5)).astype(descr))
-        np.save(large, rng.random(self.SHAPE).astype(descr))
-        scratch = {}
-        read_npy(small, scratch)
-        got = read_npy(large, scratch).data
-        buf = scratch["volume"]
-        assert buf.size == math.prod(self.SHAPE) and np.shares_memory(got, buf)
-        assert np.array_equal(got, np.load(large))
-        got = read_npy(small, scratch).data
-        assert scratch["volume"] is buf and np.shares_memory(got, buf)
-        assert np.array_equal(got, np.load(small))
-        assert not got.flags.writeable and buf.flags.writeable
 
     @pytest.mark.parametrize("descr", ["<f4", "<f8"])
     def test_peak_memory_is_the_volume_and_one_slab(self, tmp_path, descr):
