@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -198,9 +199,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
     manifest = read_manifest(manifest_path)
     out_path = Path(args.output)
     # Checked before the first subject, so a mistyped output directory does
-    # not throw away a finished run.
-    if not out_path.parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.output)
+    # not throw away a finished run; the error is the one open() would raise.
+    try:
+        parent_is_dir = stat.S_ISDIR(os.stat(out_path.parent).st_mode)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, args.output) from None
+    if not parent_is_dir:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.output)
     jobs = args.jobs or _usable_cpus()
     # A relative volume path resolves against the manifest's directory.
     tasks = [(e.subject_id, str(manifest_path.parent / e.volume_path), schedule) for e in manifest]

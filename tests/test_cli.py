@@ -478,6 +478,25 @@ class TestFlagErrors:
         assert run_cli(capsys, "batch", "manifest.csv", "out.csv", *argv[3:])[0] == 0
         assert ran == ["s0.npy", "s1.npy"]
 
+    @pytest.mark.parametrize("target", ["s0.npy/out.csv", "s0.npy/sub/out.csv"], ids=["under_a_file", "below_a_file"])
+    def test_batch_output_under_a_file_starts_no_pool(self, tmp_path, capsys, monkeypatch, target):
+        # The error is the one open() gives for the same path, and it comes
+        # before the pool: --jobs 2 would otherwise fork workers.
+        class UnusedPool:
+            def __init__(self, max_workers):
+                raise AssertionError("started a pool")
+
+        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", UnusedPool)
+        monkeypatch.chdir(tmp_path)
+        write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        held = sorted(tmp_path.iterdir())
+        with pytest.raises(NotADirectoryError) as opened:
+            open(target, "w")
+        argv = ["batch", "manifest.csv", target, "--factors", "1,2", "--jobs", "2"]
+        assert run_cli(capsys, *argv) == (2, "", f"NotADirectoryError: {opened.value}\n")
+        assert str(opened.value) == f"[Errno 20] Not a directory: '{target}'"
+        assert sorted(tmp_path.iterdir()) == held
+
 
 class TestBatch:
     def test_three_subjects_18_rows(self, tmp_path, capsys):
