@@ -4,14 +4,14 @@ correlation reports, phantom synthesis, and mid-slice PGM rendering.
 Exit codes: 0 success, 2 I/O, malformed input or values that overflow
 float64, 3 infeasible schedule, 4 invalid phantom spec, 5 statistics
 failure, 1 out of memory (in every command) or, for a batch subject under
-``--strict``, out of memory or a killed worker. Every failure prints a
-single ``ErrorName: message`` line on stderr; in ``batch`` a failing
-subject goes to the errors sidecar instead, ``BrokenProcessPool`` if its
-worker was killed, and the other subjects are still written: those a
-killed worker's pool had not finished run again in a fresh pool.
+``--strict``, out of memory or a killed child process. Every failure
+prints a single ``ErrorName: message`` line on stderr; in ``batch`` a
+failing subject goes to the errors sidecar instead, ``BrokenProcessPool``
+if the child running it was killed, and the other subjects are still
+written: those a killed child had not reported run in a fresh child.
 
 All outputs are deterministic functions of the inputs and flags; batch
-results are buffered and written in manifest order regardless of worker
+results are buffered and written in manifest order regardless of process
 count, so reruns and different ``--jobs`` values produce byte-identical
 files.
 """
@@ -25,11 +25,13 @@ import functools
 import json
 import math
 import os
+import signal
 import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from itertools import compress
+from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +80,7 @@ def _schedule_from_args(args: argparse.Namespace) -> ScaleSchedule:
 
 
 def _job_count(text: str) -> int:
-    """A ``--jobs`` value: an integer >= 0, where 0 means one worker per core."""
+    """A ``--jobs`` value: an integer >= 0, where 0 means one process per core."""
     try:
         jobs = int(text)
     except ValueError:
@@ -96,8 +98,23 @@ def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stride", default=",".join(map(str, default.stride)), metavar="X,Y,Z")
 
 
+def _check_parent_dir(path: str) -> None:
+    """Raise the error ``open(path, "w")`` would give for a missing parent
+    directory, or one under a file, before anything is written."""
+    try:
+        parent_is_dir = stat.S_ISDIR(os.stat(Path(path).parent).st_mode)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    if not parent_is_dir:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     schedule = _schedule_from_args(args)
+    if args.report:
+        # Checked before the first map, so a report that cannot be written
+        # leaves no maps behind.
+        _check_parent_dir(args.report)
     volume_path = Path(args.volume)
     vol = read_npy(volume_path)
     subject = volume_path.stem
@@ -145,44 +162,87 @@ def _error_result(subject_id: str, exc: BaseException):
     return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
 
 
-def _pool_results(tasks: list, workers: int) -> list:
-    """The results of ``tasks``, in order, from a pool of ``workers`` processes.
+def _start_child(tasks: list, share: list[int]) -> tuple[int, Connection]:
+    """Fork a child that runs ``tasks[i]`` for each ``i`` of ``share``, in
+    order, and sends each result down its own pipe as soon as it has it.
 
-    A killed worker breaks its pool, and every subject the pool had not
-    finished is lost with it. Those are run again, in manifest order, in a
-    fresh one-worker pool. One worker runs its subjects in order, so when
-    the future of a subject in such a pool raises ``BrokenProcessPool``,
-    that subject is the one whose worker died: it gets a
-    ``BrokenProcessPool`` error result, and the ones after it go to the next
-    fresh pool. Subjects a pool broke before taking go there too; only if
-    it took none does the subject it refused get the error. So each
-    one-worker pool finishes or fails at least one subject.
+    Returns the child's pid and the pipe's read end. Nothing is pickled on
+    the way in: the child starts with this process's memory, tasks included.
+    """
+    reader, writer = Pipe(duplex=False)
+    try:
+        pid = os.fork()
+    except OSError:
+        reader.close()
+        writer.close()
+        raise
+    if pid == 0:
+        try:
+            reader.close()
+            for i in share:
+                writer.send(_batch_task(tasks[i]))
+        finally:
+            os._exit(0)
+    writer.close()
+    return pid, reader
+
+
+def _forked_results(tasks: list, procs: int) -> list:
+    """The results of ``tasks``, in order, from this process and ``procs - 1``
+    forked children.
+
+    Subject ``i`` runs in process ``i % procs``, where process 0 is this one.
+    After each of its own subjects this process takes whatever results have
+    arrived, so no child waits long on a full pipe; then it waits for the
+    rest. A child whose pipe closes before it has reported its whole share
+    was killed on its first unreported subject: that subject gets a
+    ``BrokenProcessPool`` error result, and the rest of the share goes to a
+    fresh child. A share that cannot be forked runs in this process, and no
+    subject is blamed for it. No child outlives the call.
     """
     results = [None] * len(tasks)
-    pending = list(range(len(tasks)))
-    while pending:
-        futures, broken = [], None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                for i in pending:
-                    futures.append(pool.submit(_batch_task, tasks[i]))
-            except BrokenProcessPool as exc:
-                if not futures:
-                    broken = exc  # the pool broke before it took a subject
-            for i, future in zip(pending, futures):
-                # Once the pool is known broken, wait on no future: one
-                # submitted as the pool broke may never complete.
-                if broken is None or future.done():
-                    try:
-                        results[i] = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = broken or exc
-        lost = [i for i in pending if results[i] is None]
-        if broken is not None and workers == 1:
-            results[lost[0]] = _error_result(tasks[lost[0]][0], broken)
-            lost = lost[1:]
-        pending = lost
-        workers = 1
+    mine = deque(range(0, len(tasks), procs))
+    children = {}  # pipe read end -> (pid, indices the child has yet to report)
+
+    def start(share: list[int]) -> None:
+        try:
+            pid, reader = _start_child(tasks, share)
+        except OSError:
+            mine.extend(share)
+        else:
+            children[reader] = (pid, deque(share))
+
+    try:
+        for k in range(1, procs):
+            start(list(range(k, len(tasks), procs)))
+        while mine or children:
+            if mine:
+                i = mine.popleft()
+                results[i] = _batch_task(tasks[i])
+                ready = wait(list(children), 0)
+            else:
+                ready = wait(list(children))
+            for reader in ready:
+                pid, share = children[reader]
+                try:
+                    while reader.poll():
+                        result = reader.recv()
+                        results[share.popleft()] = result
+                except (EOFError, OSError):  # the child has exited
+                    del children[reader]
+                    reader.close()
+                    os.waitpid(pid, 0)
+                    if share:
+                        i = share.popleft()
+                        killed = BrokenProcessPool("the child process running this subject ended before reporting it")
+                        results[i] = _error_result(tasks[i][0], killed)
+                        if share:
+                            start(list(share))
+    finally:
+        for reader, (pid, _) in children.items():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return results
 
 
@@ -199,23 +259,18 @@ def cmd_batch(args: argparse.Namespace) -> int:
     manifest = read_manifest(manifest_path)
     out_path = Path(args.output)
     # Checked before the first subject, so a mistyped output directory does
-    # not throw away a finished run; the error is the one open() would raise.
-    try:
-        parent_is_dir = stat.S_ISDIR(os.stat(out_path.parent).st_mode)
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, args.output) from None
-    if not parent_is_dir:
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), args.output)
+    # not throw away a finished run.
+    _check_parent_dir(args.output)
     jobs = args.jobs or _usable_cpus()
     # A relative volume path resolves against the manifest's directory.
     tasks = [(e.subject_id, str(manifest_path.parent / e.volume_path), schedule) for e in manifest]
-    # A pool starts all its workers at the first submit, so it gets no more
-    # of them than there are subjects.
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
+    # No more processes than subjects, this one included; without os.fork
+    # every subject runs here.
+    procs = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
+    if procs <= 1:
         results = [_batch_task(t) for t in tasks]
     else:
-        results = _pool_results(tasks, workers)
+        results = _forked_results(tasks, procs)
 
     failures = [(sid, info) for sid, status, info in results if status == "err"]
     if args.strict and failures:
@@ -356,7 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("output", help="cohort CSV to write")
     _add_schedule_flags(p)
-    p.add_argument("--jobs", type=_job_count, default=0, help="worker processes (default 0: one per CPU this process may use)")
+    p.add_argument(
+        "--jobs",
+        type=_job_count,
+        default=0,
+        metavar="N",
+        help="processes that run subjects: with P = min(N, subjects), this one runs subjects 0, P, 2P, ... and "
+        "P-1 forked children the rest; all run here where os.fork is missing (default 0: one per CPU this process may use)",
+    )
     p.add_argument("--strict", action="store_true", help="abort on the first failing subject")
 
     p = sub.add_parser("correlate", help="log-log age correlation table from a batch CSV")

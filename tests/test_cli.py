@@ -6,12 +6,12 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 import weakref
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,12 @@ def write_cohort(tmp_path, n=3, shape=(12, 12, 12), ages=None):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
+
+
+def forbidden_start_child(tasks, share):
+    """A stand-in for ``msc3d.cli._start_child`` in a batch that must fork
+    no child."""
+    raise AssertionError("forked a child")
 
 
 # Bytes that end a CSV's text: one that is not UTF-8, and a field over
@@ -450,17 +456,21 @@ class TestFlagErrors:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "flag, target, line",
+        "flags, line",
         [
-            ("--report", "missing/r.json", "FileNotFoundError: [Errno 2] No such file or directory: 'missing/r.json'"),
-            ("--emit-maps", "v.npy/maps", "NotADirectoryError: [Errno 20] Not a directory: 'v.npy/maps'"),
+            (["--report", "missing/r.json"], "FileNotFoundError: [Errno 2] No such file or directory: 'missing/r.json'"),
+            (["--emit-maps", "v.npy/maps"], "NotADirectoryError: [Errno 20] Not a directory: 'v.npy/maps'"),
+            (
+                ["--emit-maps", "maps", "--report", "missing/r.json"],
+                "FileNotFoundError: [Errno 2] No such file or directory: 'missing/r.json'",
+            ),
         ],
-        ids=["report_missing_directory", "maps_under_a_file"],
+        ids=["report_missing_directory", "maps_under_a_file", "report_missing_directory_with_maps"],
     )
-    def test_compute_output_that_cannot_be_written_prints_no_profile(self, tmp_path, capsys, monkeypatch, flag, target, line):
+    def test_compute_output_that_cannot_be_written_prints_no_profile(self, tmp_path, capsys, monkeypatch, flags, line):
         monkeypatch.chdir(tmp_path)
         write_phantom(tmp_path / "v.npy", shape=(8, 8, 8))
-        assert run_cli(capsys, "compute", "v.npy", "--factors", "1,2", flag, target) == (2, "", line + "\n")
+        assert run_cli(capsys, "compute", "v.npy", "--factors", "1,2", *flags) == (2, "", line + "\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "v.npy"]
 
     def test_batch_output_in_missing_directory_runs_no_subject(self, tmp_path, capsys, monkeypatch):
@@ -479,14 +489,10 @@ class TestFlagErrors:
         assert ran == ["s0.npy", "s1.npy"]
 
     @pytest.mark.parametrize("target", ["s0.npy/out.csv", "s0.npy/sub/out.csv"], ids=["under_a_file", "below_a_file"])
-    def test_batch_output_under_a_file_starts_no_pool(self, tmp_path, capsys, monkeypatch, target):
+    def test_batch_output_under_a_file_forks_no_child(self, tmp_path, capsys, monkeypatch, target):
         # The error is the one open() gives for the same path, and it comes
-        # before the pool: --jobs 2 would otherwise fork workers.
-        class UnusedPool:
-            def __init__(self, max_workers):
-                raise AssertionError("started a pool")
-
-        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", UnusedPool)
+        # before any subject: --jobs 2 would otherwise fork a child.
+        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
         monkeypatch.chdir(tmp_path)
         write_cohort(tmp_path, n=2, shape=(8, 8, 8))
         held = sorted(tmp_path.iterdir())
@@ -703,145 +709,216 @@ class TestBatch:
         assert outs[0] == outs[1]
 
     @pytest.fixture
-    def inline_pool(self, monkeypatch):
-        """A stand-in pool that records its size and runs each task at once,
-        so no worker process starts whatever --jobs asks for."""
-        sizes = []
+    def time_limit(self):
+        """A batch that hangs fails its test after 60 s instead of stalling
+        the suite; forked children do not inherit the alarm."""
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def expire(signum, frame):
+            raise TimeoutError("the batch ran for over 60 s")
 
-            def __enter__(self):
-                return self
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
-            def __exit__(self, *exc_info):
-                return False
+    @pytest.fixture
+    def started_children(self, monkeypatch):
+        """The subjects of each child the batch forks, in fork order; the
+        children are real."""
+        start, shares = msc3d.cli._start_child, []
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+        def recording_start(tasks, share):
+            shares.append([tasks[i][0] for i in share])
+            return start(tasks, share)
 
-        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", InlinePool)
-        return sizes
+        monkeypatch.setattr(msc3d.cli, "_start_child", recording_start)
+        return shares
 
-    @pytest.mark.parametrize("jobs, workers", [("2", 2), ("8", 3), ("0", 3)])
-    def test_pool_gets_no_more_workers_than_subjects(self, tmp_path, capsys, monkeypatch, inline_pool, jobs, workers):
+    @pytest.fixture
+    def reads_by_process(self, monkeypatch, tmp_path):
+        """Every volume read appends ``pid name`` to a log; calling the
+        returned function reads the log into the names each process read,
+        in order, and empties it."""
+        read, log = msc3d.cli.read_npy, tmp_path / "reads.log"
+
+        def logging_read(path):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {Path(path).stem}\n")
+            return read(path)
+
+        def by_process():
+            names = {}
+            for line in log.read_text().splitlines():
+                pid, name = line.split()
+                names.setdefault(int(pid), []).append(name)
+            log.unlink()
+            return names
+
+        monkeypatch.setattr(msc3d.cli, "read_npy", logging_read)
+        return by_process
+
+    @pytest.fixture
+    def child_sigkilled_on_s3(self, monkeypatch, reads_by_process):
+        """A child process that starts reading ``s3.npy`` sends itself
+        SIGKILL; the test process reads it as usual. Reads are logged by
+        process, as ``reads_by_process`` gives them."""
+        read, parent = msc3d.cli.read_npy, os.getpid()
+
+        def killing_read(path):
+            volume = read(path)
+            if Path(path).name == "s3.npy" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return volume
+
+        monkeypatch.setattr(msc3d.cli, "read_npy", killing_read)
+        return reads_by_process
+
+    @pytest.mark.parametrize("jobs, shares", [("2", [["s1"]]), ("8", [["s1"], ["s2"]]), ("0", [["s1"], ["s2"]])])
+    def test_child_count_is_one_less_than_the_processes(self, tmp_path, capsys, monkeypatch, started_children, jobs, shares):
         manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
         serial_csv = tmp_path / "serial.csv"
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")
         assert code == 0
-        assert inline_pool == []
+        assert started_children == []
         monkeypatch.setattr(msc3d.cli.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         monkeypatch.setattr(msc3d.cli.os, "cpu_count", lambda: 64)
         out_csv = tmp_path / "cohort.csv"
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", jobs)
         assert code == 0
-        assert inline_pool == [workers]
+        assert started_children == shares
         assert out_csv.read_bytes() == serial_csv.read_bytes()
 
-    @pytest.mark.parametrize("cpus, workers", [({0}, None), ({2, 5}, 2), ({0, 1, 2, 3}, 3)])
-    def test_jobs_0_counts_the_cpus_this_process_may_use(self, tmp_path, capsys, monkeypatch, inline_pool, cpus, workers):
+    @pytest.mark.parametrize("cpus, shares", [({0}, []), ({2, 5}, [["s1"]]), ({0, 1, 2, 3}, [["s1"], ["s2"]])])
+    def test_jobs_0_counts_the_cpus_this_process_may_use(self, tmp_path, capsys, monkeypatch, started_children, cpus, shares):
         # --jobs 0 follows the affinity set, not the machine's CPU count;
-        # one usable CPU runs the subjects in this process, with no pool.
+        # one usable CPU runs the subjects in this process, with no child.
         monkeypatch.setattr(msc3d.cli.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
         monkeypatch.setattr(msc3d.cli.os, "cpu_count", lambda: 64)
         manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
         code, _, _ = run_cli(capsys, "batch", str(manifest), str(tmp_path / "cohort.csv"), "--factors", "1,2", "--jobs", "0")
         assert code == 0
-        assert inline_pool == ([] if workers is None else [workers])
+        assert started_children == shares
 
-    @pytest.mark.parametrize(
-        "refused, lost",
-        [({3, 5}, []), ({3, 4}, ["s2"])],
-        ids=["after_successes", "before_any"],
-    )
-    def test_refused_submit_blames_no_subject_that_ran(self, tmp_path, capsys, monkeypatch, refused, lost):
-        # The 2-worker pool takes s0 and s1 and refuses s2. The fresh
-        # one-worker pool either takes s2 and refuses s3, which no run broke,
-        # so s3 goes on to the next pool; or refuses s2 before taking any
-        # subject, so s2 gets the error and the next pool runs the rest.
-        submits, sizes = [], []
-
-        class RefusingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                submits.append(args[0][0])
-                if len(submits) in refused:
-                    raise BrokenProcessPool("refused")
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        manifest = write_cohort(tmp_path, n=5, shape=(12, 12, 12))
-        serial_csv = tmp_path / "serial.csv"
-        code, _, _ = run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")
-        assert code == 0
-        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", RefusingPool)
+    @pytest.mark.usefixtures("time_limit")
+    def test_child_killed_by_sigkill_loses_only_its_subject(self, tmp_path, capfd, child_sigkilled_on_s3):
+        # The child running s1, s3, s5, s7 reports s1 and dies on s3; s3
+        # goes to the sidecar and a fresh child runs s5 and s7.
+        manifest = write_cohort(tmp_path, n=8, shape=(12, 12, 12))
+        ref_csv = tmp_path / "ref.csv"
+        assert main(["batch", str(manifest), str(ref_csv), "--factors", "1,2", "--jobs", "1"]) == 0
+        child_sigkilled_on_s3()
         out_csv = tmp_path / "cohort.csv"
-        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")
-        assert code == 0
-        assert sizes == [2, 1, 1]
+        capfd.readouterr()
+        assert main(["batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2"]) == 0
         sidecar = tmp_path / "cohort.errors.csv"
-        got = [row.split(",")[0] for row in sidecar.read_text().splitlines()[1:]] if sidecar.exists() else []
-        assert got == lost
+        assert capfd.readouterr().err == f"warning: 1 subject(s) failed, see {sidecar}\n"
+        lost = [row.split(",")[:2] for row in sidecar.read_text().splitlines()[1:]]
+        assert lost == [["s3", "BrokenProcessPool"]]
+        rows = out_csv.read_text().splitlines()[1:]
+        assert rows == [row for row in ref_csv.read_text().splitlines()[1:] if row.split(",")[0] != "s3"]
+        reads = child_sigkilled_on_s3()
+        assert reads.pop(os.getpid()) == ["s0", "s2", "s4", "s6"]
+        assert sorted(reads.values()) == [["s1", "s3"], ["s5", "s7"]]
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize("refused", ["at_start", "after_a_kill"])
+    def test_refused_fork_runs_the_share_here_and_blames_no_subject(self, tmp_path, capsys, monkeypatch, child_sigkilled_on_s3, refused):
+        # A fork that fails with OSError leaves its share to this process:
+        # all of it at the start, or the rest of a killed child's share.
+        start = msc3d.cli._start_child
+        starts = []
+
+        def refusing_start(tasks, share):
+            starts.append([tasks[i][0] for i in share])
+            if refused == "at_start" or len(starts) > 1:
+                raise OSError(11, "Resource temporarily unavailable")
+            return start(tasks, share)
+
+        manifest = write_cohort(tmp_path, n=8, shape=(12, 12, 12))
+        serial_csv = tmp_path / "serial.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")[0] == 0
+        child_sigkilled_on_s3()
+        monkeypatch.setattr(msc3d.cli, "_start_child", refusing_start)
+        out_csv = tmp_path / "cohort.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")[0] == 0
+        reads = child_sigkilled_on_s3()
+        sidecar = tmp_path / "cohort.errors.csv"
         rows = serial_csv.read_text().splitlines()
-        assert out_csv.read_text().splitlines() == [r for r in rows if r.split(",")[0] not in lost]
+        if refused == "at_start":
+            assert starts == [["s1", "s3", "s5", "s7"]]
+            assert reads == {os.getpid(): ["s0", "s2", "s4", "s6", "s1", "s3", "s5", "s7"]}
+            assert not sidecar.exists()
+            assert out_csv.read_text().splitlines() == rows
+        else:
+            assert starts == [["s1", "s3", "s5", "s7"], ["s5", "s7"]]
+            assert reads.pop(os.getpid()) == ["s0", "s2", "s4", "s6", "s5", "s7"]
+            assert list(reads.values()) == [["s1", "s3"]]
+            assert [row.split(",")[:2] for row in sidecar.read_text().splitlines()[1:]] == [["s3", "BrokenProcessPool"]]
+            assert out_csv.read_text().splitlines() == [r for r in rows if r.split(",")[0] != "s3"]
 
-    def test_broken_pool_keeps_what_it_finished(self, tmp_path, capsys, monkeypatch):
-        # The 2-worker pool breaks on s1 after s2 has finished and before s3
-        # has. s2's result is kept, nothing waits on s3's future, and the
-        # fresh one-worker pool runs s1 and s3; no subject is blamed.
-        ran, sizes = [], []
+    @pytest.mark.usefixtures("time_limit")
+    def test_results_larger_than_a_pipe_holds(self, tmp_path, capsys):
+        # Each subject id is 70,000 characters, so each result a child
+        # sends is larger than a 64 KiB pipe, and the child blocks on it
+        # until this process, busy with its own subjects, drains the pipe.
+        ids = [f"s{i}" + "x" * 70_000 for i in range(6)]
+        lines = ["subject_id,volume_path,age_years"]
+        for i, sid in enumerate(ids):
+            write_phantom(tmp_path / f"s{i}.npy", shape=(12, 12, 12), seed=100 + i)
+            lines.append(f"{sid},s{i}.npy,{50 + i}")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        written = []
+        for jobs in ("1", "2", "3"):
+            out_csv = tmp_path / f"j{jobs}.csv"
+            assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", jobs) == (0, "", "")
+            written.append(out_csv.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert [row.split(b",")[0] for row in written[0].splitlines()[1::2]] == [sid.encode() for sid in ids]
 
-        class NeverDone(Future):
-            def result(self, timeout=None):
-                raise AssertionError("waited on a future of a broken pool")
+    def test_without_fork_every_subject_runs_here(self, tmp_path, capsys, monkeypatch, reads_by_process):
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        serial_csv = tmp_path / "serial.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")[0] == 0
+        reads_by_process()
+        monkeypatch.delattr(msc3d.cli.os, "fork")
+        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        out_csv = tmp_path / "cohort.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")[0] == 0
+        assert reads_by_process() == {os.getpid(): ["s0", "s1", "s2"]}
+        assert out_csv.read_bytes() == serial_csv.read_bytes()
 
-        class BreakingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                sid = args[0][0]
-                if len(sizes) == 1 and sid == "s3":
-                    return NeverDone()
-                future = Future()
-                if len(sizes) == 1 and sid == "s1":
-                    future.set_exception(BrokenProcessPool("worker died"))
-                else:
-                    future.set_result(fn(*args))
-                return future
+    @pytest.mark.usefixtures("time_limit")
+    def test_no_child_outlives_the_batch(self, tmp_path, capsys, monkeypatch):
+        # After a batch that succeeds, one that fails under --strict, and
+        # one whose own subject raises while a child is still busy, this
+        # process has no child left, running or unreaped.
+        def no_child_left():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
 
         manifest = write_cohort(tmp_path, n=4, shape=(12, 12, 12))
-        serial_csv = tmp_path / "serial.csv"
-        code, _, _ = run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")
-        assert code == 0
-        task = msc3d.cli._batch_task
-        monkeypatch.setattr(msc3d.cli, "_batch_task", lambda t: ran.append(t[0]) or task(t))
-        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", BreakingPool)
         out_csv = tmp_path / "cohort.csv"
-        code, _, _ = run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")
-        assert code == 0
-        assert sizes == [2, 1]
-        assert ran == ["s0", "s2", "s1", "s3"]
-        assert out_csv.read_bytes() == serial_csv.read_bytes()
-        assert not (tmp_path / "cohort.errors.csv").exists()
+        flags = ["--factors", "1,2", "--jobs", "2"]
+        assert run_cli(capsys, "batch", str(manifest), str(out_csv), *flags)[0] == 0
+        no_child_left()
+        (tmp_path / "s1.npy").write_bytes(b"garbage")
+        assert run_cli(capsys, "batch", str(manifest), str(tmp_path / "strict.csv"), *flags, "--strict")[0] == 2
+        no_child_left()
+        read, parent = msc3d.cli.read_npy, os.getpid()
+
+        def stalling_read(path):
+            if Path(path).name == "s2.npy" and os.getpid() == parent:
+                raise RuntimeError("the caller fails on s2")
+            if Path(path).name == "s3.npy" and os.getpid() != parent:
+                time.sleep(30)
+            return read(path)
+
+        monkeypatch.setattr(msc3d.cli, "read_npy", stalling_read)
+        with pytest.raises(RuntimeError, match="the caller fails on s2"):
+            main(["batch", str(manifest), str(tmp_path / "raised.csv"), *flags])
+        no_child_left()
 
     @pytest.mark.parametrize("count, cpus", [(6, 6), (None, 1)])
     def test_usable_cpus_without_affinity_is_the_cpu_count(self, monkeypatch, count, cpus):
@@ -851,10 +928,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("jobs", ["-3", "-1", "abc"])
     def test_jobs_below_zero_or_not_an_integer_exit_2(self, tmp_path, capsys, monkeypatch, jobs):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(msc3d.cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
         manifest = write_cohort(tmp_path, n=2, shape=(8, 8, 8))
         out_csv = tmp_path / "cohort.csv"
         with pytest.raises(SystemExit) as excinfo:
