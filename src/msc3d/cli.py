@@ -10,10 +10,12 @@ failing subject goes to the errors sidecar instead, ``BrokenProcessPool``
 if the child running it was killed, and the other subjects are still
 written: those a killed child had not reported run in a fresh child.
 
-All outputs are deterministic functions of the inputs and flags; batch
-results are buffered and written in manifest order regardless of process
-count, so reruns and different ``--jobs`` values produce byte-identical
-files.
+Every ``--jobs`` value runs through one runner: this process runs its
+share of the subjects and forked children, none at ``--jobs 1``, run the
+rest. All outputs are deterministic functions of the inputs and flags;
+batch results are buffered and written in manifest order regardless of
+process count, so reruns and different ``--jobs`` values produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import signal
 import stat
 import sys
 from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from itertools import compress
 from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
@@ -98,9 +99,12 @@ def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stride", default=",".join(map(str, default.stride)), metavar="X,Y,Z")
 
 
-def _check_parent_dir(path: str) -> None:
-    """Raise the error ``open(path, "w")`` would give for a missing parent
-    directory, or one under a file, before anything is written."""
+def _check_output_path(path: str) -> None:
+    """Raise the error ``open(path, "w")`` would give for a path that is a
+    directory, or whose parent directory is missing or under a file, before
+    anything is written."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         parent_is_dir = stat.S_ISDIR(os.stat(Path(path).parent).st_mode)
     except OSError as exc:
@@ -114,7 +118,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.report:
         # Checked before the first map, so a report that cannot be written
         # leaves no maps behind.
-        _check_parent_dir(args.report)
+        _check_output_path(args.report)
     volume_path = Path(args.volume)
     vol = read_npy(volume_path)
     subject = volume_path.stem
@@ -155,11 +159,7 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError, MemoryError) as exc:
         # A subject too large for memory fails alone, like a malformed one.
-        return _error_result(subject_id, exc)
-
-
-def _error_result(subject_id: str, exc: BaseException):
-    return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
+        return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
 
 
 def _start_child(tasks: list, share: list[int]) -> tuple[int, Connection]:
@@ -191,7 +191,8 @@ def _forked_results(tasks: list, procs: int) -> list:
     """The results of ``tasks``, in order, from this process and ``procs - 1``
     forked children.
 
-    Subject ``i`` runs in process ``i % procs``, where process 0 is this one.
+    Subject ``i`` runs in process ``i % procs``, where process 0 is this one,
+    so ``procs == 1`` forks nothing and runs every subject here.
     After each of its own subjects this process takes whatever results have
     arrived, so no child waits long on a full pipe; then it waits for the
     rest. A child whose pipe closes before it has reported its whole share
@@ -234,8 +235,8 @@ def _forked_results(tasks: list, procs: int) -> list:
                     os.waitpid(pid, 0)
                     if share:
                         i = share.popleft()
-                        killed = BrokenProcessPool("the child process running this subject ended before reporting it")
-                        results[i] = _error_result(tasks[i][0], killed)
+                        message = "the child process running this subject ended before reporting it"
+                        results[i] = (tasks[i][0], "err", (1, "BrokenProcessPool", message))
                         if share:
                             start(list(share))
     finally:
@@ -258,19 +259,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
     manifest_path = Path(args.manifest)
     manifest = read_manifest(manifest_path)
     out_path = Path(args.output)
-    # Checked before the first subject, so a mistyped output directory does
-    # not throw away a finished run.
-    _check_parent_dir(args.output)
+    # Checked before the first subject, so a mistyped output path does not
+    # throw away a finished run.
+    _check_output_path(args.output)
     jobs = args.jobs or _usable_cpus()
     # A relative volume path resolves against the manifest's directory.
     tasks = [(e.subject_id, str(manifest_path.parent / e.volume_path), schedule) for e in manifest]
-    # No more processes than subjects, this one included; without os.fork
-    # every subject runs here.
-    procs = min(jobs, len(tasks)) if hasattr(os, "fork") else 1
-    if procs <= 1:
-        results = [_batch_task(t) for t in tasks]
-    else:
-        results = _forked_results(tasks, procs)
+    # No more processes than subjects, this one included, and at least this
+    # one; without os.fork every subject runs here.
+    procs = max(1, min(jobs, len(tasks))) if hasattr(os, "fork") else 1
+    results = _forked_results(tasks, procs)
 
     failures = [(sid, info) for sid, status, info in results if status == "err"]
     if args.strict and failures:

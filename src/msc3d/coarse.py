@@ -90,28 +90,22 @@ def block_means(
     x, about ``SLAB_ELEMENTS`` values each. Each slab is filled with the
     part of ``arr - ref`` it covers, padded as ``edge_pad`` pads, in one
     slab buffer, so no full-size field is made; a slab past the last
-    x-plane of ``arr`` repeats that plane. A divisible ``arr`` at
-    ``ref == 0`` without ``difference`` is read in place. The slab's
-    :func:`block_sums`, divided, are its rows of means, each numpy's mean
-    of its padded block to the bit. With ``difference``, the re-upsampled
-    means then come off the slab in place, leaving the difference field,
-    whose part inside ``arr`` is squared and summed, one numpy sum per
-    slab.
+    x-plane of ``arr`` repeats that plane. The slab's :func:`block_sums`,
+    divided, are its rows of means, each numpy's mean of its padded block
+    to the bit. With ``difference``, the re-upsampled means then come off
+    the slab in place, leaving the difference field, whose part inside
+    ``arr`` is squared and summed, one numpy sum per slab.
     """
     x, y, z = arr.shape
     nx, ny, nz = (-(-dim // factor) for dim in (shape or arr.shape))
     means = np.empty((nx, ny, nz))
     rows = max(1, SLAB_ELEMENTS // (factor**3 * ny * nz))
-    in_place = ref == 0 and not difference and (nx * factor, ny * factor, nz * factor) == arr.shape
-    if not in_place:
-        buf = np.empty((min(rows, nx) * factor, ny * factor, nz * factor))
+    buf = np.empty((min(rows, nx) * factor, ny * factor, nz * factor))
     total = 0.0
     for r0 in range(0, nx, rows):
         r1 = min(r0 + rows, nx)
-        slab = arr[min(r0 * factor, x - 1) : r1 * factor]
-        if not in_place:
-            padded = buf[: (r1 - r0) * factor]
-            slab = edge_pad(slab, padded.shape, ref, out=padded)
+        padded = buf[: (r1 - r0) * factor]
+        slab = edge_pad(arr[min(r0 * factor, x - 1) : r1 * factor], padded.shape, ref, out=padded)
         block = means[r0:r1]
         block_sums(slab, factor, out=block)
         block /= factor**3

@@ -261,21 +261,7 @@ def _format_p(p: float) -> str:
 
 def table_to_csv(rows: Iterable[CorrelationRow]) -> str:
     lines = [",".join(TABLE_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.scale_index),
-                    str(row.scale_factor),
-                    str(row.n),
-                    repr(row.r),
-                    repr(row.p),
-                    repr(row.q_fdr),
-                    repr(row.slope),
-                    repr(row.intercept),
-                ]
-            )
-        )
+    lines.extend(",".join(repr(getattr(row, c)) for c in TABLE_COLUMNS) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -373,11 +373,14 @@ class TestParser:
         assert seen == [str(path)]
 
     def test_import_builds_no_parser_and_loads_no_scipy(self):
-        probe = "import sys, msc3d.cli; print(msc3d.cli.build_parser.cache_info().currsize, 'scipy' in sys.modules)"
+        probe = (
+            "import sys, msc3d.cli; print(msc3d.cli.build_parser.cache_info().currsize, 'scipy' in sys.modules, "
+            "'concurrent.futures' in sys.modules)"
+        )
         done = subprocess.run(
             [sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=60
         )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "0 False\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0 False False\n", "")
 
 
 class TestEntryPoint:
@@ -464,14 +467,17 @@ class TestFlagErrors:
                 ["--emit-maps", "maps", "--report", "missing/r.json"],
                 "FileNotFoundError: [Errno 2] No such file or directory: 'missing/r.json'",
             ),
+            (["--emit-maps", "maps", "--report", "rdir"], "IsADirectoryError: [Errno 21] Is a directory: 'rdir'"),
         ],
-        ids=["report_missing_directory", "maps_under_a_file", "report_missing_directory_with_maps"],
+        ids=["report_missing_directory", "maps_under_a_file", "report_missing_directory_with_maps",
+             "report_is_a_directory_with_maps"],
     )
     def test_compute_output_that_cannot_be_written_prints_no_profile(self, tmp_path, capsys, monkeypatch, flags, line):
         monkeypatch.chdir(tmp_path)
         write_phantom(tmp_path / "v.npy", shape=(8, 8, 8))
+        (tmp_path / "rdir").mkdir()
         assert run_cli(capsys, "compute", "v.npy", "--factors", "1,2", *flags) == (2, "", line + "\n")
-        assert list(tmp_path.iterdir()) == [tmp_path / "v.npy"]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "rdir", tmp_path / "v.npy"]
 
     def test_batch_output_in_missing_directory_runs_no_subject(self, tmp_path, capsys, monkeypatch):
         read, ran = msc3d.cli.read_npy, []
@@ -501,6 +507,22 @@ class TestFlagErrors:
         argv = ["batch", "manifest.csv", target, "--factors", "1,2", "--jobs", "2"]
         assert run_cli(capsys, *argv) == (2, "", f"NotADirectoryError: {opened.value}\n")
         assert str(opened.value) == f"[Errno 20] Not a directory: '{target}'"
+        assert sorted(tmp_path.iterdir()) == held
+
+    def test_batch_output_that_is_a_directory_reads_no_subject(self, tmp_path, capsys, monkeypatch):
+        read, ran = msc3d.cli.read_npy, []
+        monkeypatch.setattr(msc3d.cli, "read_npy", lambda path: ran.append(Path(path).name) or read(path))
+        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.chdir(tmp_path)
+        write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        (tmp_path / "rdir").mkdir()
+        held = sorted(tmp_path.iterdir())
+        with pytest.raises(IsADirectoryError) as opened:
+            open("rdir", "w")
+        argv = ["batch", "manifest.csv", "rdir", "--factors", "1,2", "--jobs", "2"]
+        assert run_cli(capsys, *argv) == (2, "", f"IsADirectoryError: {opened.value}\n")
+        assert str(opened.value) == "[Errno 21] Is a directory: 'rdir'"
+        assert ran == []
         assert sorted(tmp_path.iterdir()) == held
 
 
@@ -876,6 +898,16 @@ class TestBatch:
             written.append(out_csv.read_bytes())
         assert written[0] == written[1] == written[2]
         assert [row.split(b",")[0] for row in written[0].splitlines()[1::2]] == [sid.encode() for sid in ids]
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "0"])
+    def test_header_only_manifest_writes_only_the_header(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("subject_id,volume_path,age_years\n")
+        out_csv = tmp_path / "cohort.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--jobs", jobs) == (0, "", "")
+        assert out_csv.read_text() == "subject_id,scale_index,scale_factor,complexity\n"
+        assert sorted(tmp_path.iterdir()) == [out_csv, manifest]
 
     def test_without_fork_every_subject_runs_here(self, tmp_path, capsys, monkeypatch, reads_by_process):
         manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
