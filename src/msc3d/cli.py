@@ -12,7 +12,11 @@ written: those a killed child had not reported run in a fresh child.
 
 Every ``--jobs`` value runs through one runner: this process runs its
 share of the subjects and forked children, none at ``--jobs 1``, run the
-rest. All outputs are deterministic functions of the inputs and flags;
+rest. Before each fork this process hands its free heap back to the OS
+(glibc's ``malloc_trim``; nothing where the C library lacks it), so
+neither side pays copy-on-write faults for memory that an earlier call in
+a long-lived caller freed. A clean batch removes an earlier run's errors
+sidecar. All outputs are deterministic functions of the inputs and flags;
 batch results are buffered and written in manifest order regardless of
 process count, so reruns and different ``--jobs`` values produce
 byte-identical files.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import errno
 import functools
 import json
@@ -162,14 +167,27 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
         return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
 
 
+def _release_free_heap() -> None:
+    """Hand this process's free heap pages back to the OS with glibc's
+    ``malloc_trim(0)``; a no-op where the C library has no such symbol
+    (musl, macOS)."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
+
+
 def _start_child(tasks: list, share: list[int]) -> tuple[int, Connection]:
     """Fork a child that runs ``tasks[i]`` for each ``i`` of ``share``, in
     order, and sends each result down its own pipe as soon as it has it.
 
     Returns the child's pid and the pipe's read end. Nothing is pickled on
     the way in: the child starts with this process's memory, tasks included.
+    That memory is trimmed first, so free heap pages are not shared, and
+    later reuse of them costs neither side a copy-on-write fault.
     """
     reader, writer = Pipe(duplex=False)
+    _release_free_heap()
     try:
         pid = os.fork()
     except OSError:
@@ -220,7 +238,7 @@ def _forked_results(tasks: list, procs: int) -> list:
             if mine:
                 i = mine.popleft()
                 results[i] = _batch_task(tasks[i])
-                ready = wait(list(children), 0)
+                ready = wait(list(children), 0) if children else ()
             else:
                 ready = wait(list(children))
             for reader in ready:
@@ -260,8 +278,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
     manifest = read_manifest(manifest_path)
     out_path = Path(args.output)
     # Checked before the first subject, so a mistyped output path does not
-    # throw away a finished run.
+    # throw away a finished run. The errors sidecar is written or removed
+    # after the run, so a directory in its place is reported here too.
     _check_output_path(args.output)
+    sidecar = out_path.with_suffix(".errors.csv")
+    _check_output_path(str(sidecar))
     jobs = args.jobs or _usable_cpus()
     # A relative volume path resolves against the manifest's directory.
     tasks = [(e.subject_id, str(manifest_path.parent / e.volume_path), schedule) for e in manifest]
@@ -283,13 +304,15 @@ def cmd_batch(args: argparse.Namespace) -> int:
             if status == "ok":
                 writer.writerows(info)
     if failures:
-        sidecar = out_path.with_suffix(".errors.csv")
         with open(sidecar, "w", newline="") as fh:
             fh.write("subject_id,error,message\n")
             writer = csv.writer(fh, lineterminator="\n")
             for sid, (code, name, message) in failures:
                 writer.writerow([sid, name, message])
         print(f"warning: {len(failures)} subject(s) failed, see {sidecar}", file=sys.stderr)
+    else:
+        # A sidecar left by an earlier run would name subjects that now pass.
+        sidecar.unlink(missing_ok=True)
     return 0
 
 

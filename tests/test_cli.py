@@ -526,6 +526,24 @@ class TestFlagErrors:
         assert sorted(tmp_path.iterdir()) == held
 
 
+    def test_batch_sidecar_that_is_a_directory_reads_no_subject(self, tmp_path, capsys, monkeypatch):
+        # A batch writes or removes OUT.errors.csv after its last subject,
+        # so a directory there is reported before the first one.
+        read, ran = msc3d.cli.read_npy, []
+        monkeypatch.setattr(msc3d.cli, "read_npy", lambda path: ran.append(Path(path).name) or read(path))
+        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.chdir(tmp_path)
+        write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        (tmp_path / "out.errors.csv").mkdir()
+        held = sorted(tmp_path.iterdir())
+        with pytest.raises(IsADirectoryError) as opened:
+            open("out.errors.csv", "w")
+        argv = ["batch", "manifest.csv", "out.csv", "--factors", "1,2", "--jobs", "2"]
+        assert run_cli(capsys, *argv) == (2, "", f"IsADirectoryError: {opened.value}\n")
+        assert ran == []
+        assert sorted(tmp_path.iterdir()) == held
+
+
 class TestBatch:
     def test_three_subjects_18_rows(self, tmp_path, capsys):
         manifest = write_cohort(tmp_path, n=3, shape=(36, 36, 36))
@@ -606,6 +624,21 @@ class TestBatch:
         assert [row.split(",")[0] for row in rows[1:]] == ["s0", "s0", "s2", "s2"]
         errors = (tmp_path / "cohort.errors.csv").read_text().splitlines()
         assert errors == ["subject_id,error,message", f"s1,HeaderMalformedError,{s1}: {message}"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_clean_rerun_removes_the_stale_sidecar(self, tmp_path, capsys, jobs):
+        manifest = write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        good = (tmp_path / "s1.npy").read_bytes()
+        (tmp_path / "s1.npy").write_bytes(b"garbage")
+        out_csv = tmp_path / "cohort.csv"
+        sidecar = tmp_path / "cohort.errors.csv"
+        argv = ["batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", jobs]
+        assert run_cli(capsys, *argv) == (0, "", f"warning: 1 subject(s) failed, see {sidecar}\n")
+        assert sidecar.read_text().splitlines()[1].startswith("s1,MagicMismatchError")
+        (tmp_path / "s1.npy").write_bytes(good)
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert not sidecar.exists()
+        assert [row.split(",")[0] for row in out_csv.read_text().splitlines()[1:]] == ["s0", "s0", "s1", "s1"]
 
     @pytest.fixture
     def out_of_memory_for_s1(self, monkeypatch):
@@ -795,6 +828,69 @@ class TestBatch:
 
         monkeypatch.setattr(msc3d.cli, "read_npy", killing_read)
         return reads_by_process
+
+    @pytest.fixture
+    def heap_releases_and_forks(self, monkeypatch):
+        """Every free-heap release and every fork of this process, in order,
+        as ``"release"`` and ``"fork"``; both still happen."""
+        release, fork, events = msc3d.cli._release_free_heap, os.fork, []
+
+        def recording_release():
+            events.append("release")
+            release()
+
+        def recording_fork():
+            events.append("fork")
+            return fork()
+
+        monkeypatch.setattr(msc3d.cli, "_release_free_heap", recording_release)
+        monkeypatch.setattr(msc3d.cli.os, "fork", recording_fork)
+        return events
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_heap_is_released_before_every_fork(self, tmp_path, capfd, child_sigkilled_on_s3, heap_releases_and_forks):
+        # The fresh child that takes over the rest of a killed child's
+        # share is forked from a released heap too.
+        manifest = write_cohort(tmp_path, n=8, shape=(12, 12, 12))
+        assert main(["batch", str(manifest), str(tmp_path / "j2.csv"), "--factors", "1,2", "--jobs", "2"]) == 0
+        assert heap_releases_and_forks == ["release", "fork", "release", "fork"]
+        assert sorted(child_sigkilled_on_s3().values()) == [["s0", "s2", "s4", "s6"], ["s1", "s3"], ["s5", "s7"]]
+        heap_releases_and_forks.clear()
+        assert main(["batch", str(manifest), str(tmp_path / "j3.csv"), "--factors", "1,2", "--jobs", "3"]) == 0
+        assert heap_releases_and_forks == ["release", "fork", "release", "fork"]
+
+    @pytest.mark.parametrize("fork_less", [False, True], ids=["jobs_1", "without_fork"])
+    def test_a_batch_that_forks_nothing_releases_nothing(self, tmp_path, capsys, monkeypatch, heap_releases_and_forks, fork_less):
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        jobs = "1"
+        if fork_less:
+            monkeypatch.delattr(msc3d.cli.os, "fork")
+            jobs = "2"
+        out_csv = tmp_path / "cohort.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", jobs) == (0, "", "")
+        assert heap_releases_and_forks == []
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_missing_malloc_trim_is_a_no_op(self, tmp_path, capsys, monkeypatch):
+        # A C library without malloc_trim (musl, macOS) forks the same
+        # children from an untrimmed heap, and the rows do not change.
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        serial_csv = tmp_path / "serial.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")[0] == 0
+        opened = []
+
+        class LibraryWithoutTrim:
+            def __init__(self, name):
+                opened.append(name)
+
+        monkeypatch.setattr(msc3d.cli.ctypes, "CDLL", LibraryWithoutTrim)
+        assert msc3d.cli._release_free_heap() is None
+        assert opened == [None]
+        for jobs in ("2", "3"):
+            out_csv = tmp_path / f"j{jobs}.csv"
+            assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", jobs) == (0, "", "")
+            assert out_csv.read_bytes() == serial_csv.read_bytes()
+        assert opened == [None] * 4
 
     @pytest.mark.parametrize("jobs, shares", [("2", [["s1"]]), ("8", [["s1"], ["s2"]]), ("0", [["s1"], ["s2"]])])
     def test_child_count_is_one_less_than_the_processes(self, tmp_path, capsys, monkeypatch, started_children, jobs, shares):
