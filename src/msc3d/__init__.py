@@ -11,11 +11,10 @@ from .complexity import (
     ProfileEntry,
     RunResult,
     ScaleSchedule,
-    complexity_map,
     multiscale_run,
     overlap,
 )
-from .coarse import block_downsample, sliding_mean
+from .coarse import sliding_mean
 from .npy_io import ManifestEntry, read_manifest, read_npy, write_npy
 from .stats import (
     CorrelationRow,
@@ -38,8 +37,6 @@ __all__ = [
     "ScaleSchedule",
     "Volume3D",
     "benjamini_hochberg",
-    "block_downsample",
-    "complexity_map",
     "generate_phantom",
     "mid_slice",
     "multiscale_run",

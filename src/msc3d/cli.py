@@ -440,7 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes that run subjects: with P = min(N, subjects), this one runs subjects 0, P, 2P, ... and "
         "P-1 forked children the rest; all run here where os.fork is missing (default 0: one per CPU this process may use)",
     )
-    p.add_argument("--strict", action="store_true", help="abort on the first failing subject")
+    p.add_argument(
+        "--strict",
+        action="store_true",
+        help="run every subject; if any failed, write no CSV and exit with the first failure in manifest order",
+    )
 
     p = sub.add_parser("correlate", help="log-log age correlation table from a batch CSV")
     p.add_argument("batch_csv")

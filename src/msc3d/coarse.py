@@ -297,8 +297,13 @@ def window_means_in_place(field: np.ndarray, side: int, difference: bool = True)
     slab's means are written over it only once no later window reaches back
     into it, ``ceil((side // 2) / planes)`` slabs on. Large sides read them
     from a ring of running sums of the original planes, so their cost does
-    not grow with the side.
+    not grow with the side. A side whose cube overflows float64 raises
+    ``ValueError`` before ``field`` is touched.
     """
+    try:
+        scale = 1.0 / side**3
+    except OverflowError:
+        raise ValueError(f"window side {side} cubed overflows float64") from None
     nx, ny, nz = field.shape
     before = side // 2
     after = side - 1 - before
@@ -315,7 +320,6 @@ def window_means_in_place(field: np.ndarray, side: int, difference: bool = True)
     lag = 0 if large else -(-before // planes)
     means = [np.empty(slab_shape) for _ in range(lag + 1)]
     part = np.empty(slab_shape)
-    scale = 1.0 / side**3
     x_rescales, y_rescales, z_rescales = (_clip_rescales(n, side) for n in field.shape)
     # Per slab buffer and slab length: the y and z sums and the multiply by
     # 1/side**3, then the y and z rescaling of clipped windows. They are
@@ -366,7 +370,8 @@ def sliding_mean(v: Volume3D, side: int) -> Volume3D:
 
     Output shape equals input shape; boundary windows are clipped and
     renormalized by the in-bounds count. The window is separable, so the
-    mean is taken one axis at a time.
+    mean is taken one axis at a time. A side below 1, or one whose cube
+    overflows float64, raises ``ValueError``.
     """
     if side < 1:
         raise ValueError(f"side must be >= 1, got {side}")

@@ -53,14 +53,6 @@ class ScheduleInfeasibleError(ScheduleError):
     """The scale schedule cannot run on the given volume."""
 
 
-class WindowTooLargeError(ScheduleError):
-    """Sweep window exceeds the (downsampled) volume extent."""
-
-
-class WindowTooSmallError(ScheduleError):
-    """Sweep window must be at least 2 per axis to admit shifted sub-blocks."""
-
-
 class ValueRangeError(InputError):
     """The volume's values overflow float64 in the complexity arithmetic."""
 
@@ -195,13 +187,14 @@ def _strided_box_sums(arr: np.ndarray, box: tuple[int, ...], stride: tuple[int, 
 
 
 def complexity_map(
-    u: Volume3D,
+    data: np.ndarray,
     window: tuple[int, int, int],
     stride: tuple[int, int, int],
     scale_factor: int = 1,
 ) -> ComplexityMap:
-    """Sweep ``window`` at ``stride`` over ``u``; each cell is the mean shift
-    overlap magnitude -(ox + oy + oz)/3 of its window, hence >= 0.
+    """Sweep ``window`` (>= 2, fitting ``data``) at ``stride`` (>= 1) over
+    the float64 array ``data``; each cell is the mean shift overlap
+    magnitude -(ox + oy + oz)/3 of its window, hence >= 0.
 
     A window's shift overlap along an axis is the overlap of its core, which
     drops the last voxel of each axis, with the core moved one voxel along
@@ -216,16 +209,10 @@ def complexity_map(
     A slab's squared differences go to one reused buffer, which keeps the
     planes the next slab's windows share with it, so each plane is
     differenced once; its box sums, scaled, are written straight into the
-    map. Every cell is the whole-field sweep's to the bit.
+    map. Every cell is the whole-field sweep's to the bit. A cropped view is
+    read in place: only its slabs are copied, as they are differenced.
     """
-    if min(window) < 2:
-        raise WindowTooSmallError(f"window dims must be >= 2, got {window}")
-    if min(stride) < 1:
-        raise ValueError(f"stride dims must be >= 1, got {stride}")
-    if any(w > d for w, d in zip(window, u.shape)):
-        raise WindowTooLargeError(f"window {window} does not fit in volume of shape {u.shape}")
     core = tuple(w - 1 for w in window)
-    data = u.data
     _, y, z = data.shape
     cells = np.empty(tuple((d - 1 - c) // s + 1 for d, c, s in zip(data.shape, core, stride)))
     depth, step = core[0], stride[0]
@@ -288,11 +275,11 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
         else:
             level = block_downsample(level, factor // base)
         cx, cy, cz = down_shape
-        u = level if level.shape == down_shape else Volume3D(level.data[:cx, :cy, :cz])
+        u = level.data[:cx, :cy, :cz]
         # The schedule's windows are >= 2 and strides >= 1, and every level
         # is >= 2 voxels per axis, so clipping to the level keeps them so.
-        w_used = tuple(min(w, d) for w, d in zip(schedule.window, u.shape))
-        s_used = tuple(min(s, d) for s, d in zip(schedule.stride, u.shape))
+        w_used = tuple(min(w, d) for w, d in zip(schedule.window, down_shape))
+        s_used = tuple(min(s, d) for s, d in zip(schedule.stride, down_shape))
         cmap = complexity_map(u, w_used, s_used, scale_factor=factor)
         c = float(np.mean(cmap.values))
         entries.append(ProfileEntry(k, factor, c))
@@ -307,7 +294,7 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
                 "window_used": w_used,
                 "stride_used": s_used,
                 "grid_shape": cmap.grid_shape,
-                "degenerate_sweep": any(w == d for w, d in zip(w_used, u.shape)),
+                "degenerate_sweep": any(w == d for w, d in zip(w_used, down_shape)),
             }
         )
     return RunResult(tuple(entries), tuple(maps), tuple(reports))
@@ -339,7 +326,10 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
             current, total = block_means(current, inc, ref, difference=True)
             ref = 0.0
         else:
-            total = window_means_in_place(current, inc)
+            try:
+                total = window_means_in_place(current, inc)
+            except ValueError as exc:  # the kernel's one refusal: a side whose cube overflows
+                raise ScheduleInfeasibleError(f"factor {factor}: {exc}") from None
         entries.append(ProfileEntry(k, factor, 0.5 * (total / math.prod(lattice_shape))))
         reports.append(
             {

@@ -77,6 +77,16 @@ def forbidden_start_child(tasks, share):
     raise AssertionError("forked a child")
 
 
+def least_side_cubed_above_float64_max():
+    """The least integer whose cube exceeds the largest float64, by integer
+    Newton steps down from a power of two above the cube root."""
+    top = int(sys.float_info.max)
+    side = 1 << -(-top.bit_length() // 3)
+    while side**3 > top:
+        side = (2 * side + top // side**2) // 3
+    return side + 1
+
+
 # Bytes that end a CSV's text: one that is not UTF-8, and a field over
 # csv.reader's limit.
 BAD_CSV_TAILS = {
@@ -268,6 +278,27 @@ class TestCompute:
             "(1000000000000, 1000000000000, 1000000000000), more float64 values than an array can index\n"
         )
 
+    def test_sliding_step_whose_cube_overflows_float64_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "v9.npy"
+        write_phantom(path, shape=(9, 9, 9))
+        side = 10**103
+        argv = ["compute", str(path), "--mode", "sliding-cascade", "--factors", f"1,{side}"]
+        assert run_cli(capsys, *argv) == (
+            3, "", f"ScheduleInfeasibleError: factor {side}: window side {side} cubed overflows float64\n"
+        )
+
+    @pytest.mark.parametrize("side", [10**102, least_side_cubed_above_float64_max()], ids=["1e102", "cube_above_max"])
+    def test_sliding_step_whose_cube_rounds_to_a_float64_runs(self, tmp_path, capsys, side):
+        # A cube above the largest float64 that still rounds down to it is
+        # not an overflow, so such a step runs as it always has.
+        assert float(side**3) <= sys.float_info.max
+        path = tmp_path / "v9.npy"
+        vol = write_phantom(path, shape=(9, 9, 9))
+        code, out, err = run_cli(capsys, "compute", str(path), "--mode", "sliding-cascade", "--factors", f"1,{side}")
+        profile = multiscale_run(vol, ScaleSchedule(factors=(1, side), mode="sliding_cascade")).profile
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}\n" for e in profile)
+
     def test_out_of_memory_exit_1(self, tmp_path, capsys):
         # The one padded block is 65536^3 float64, 2 PiB: above any user
         # address space, so the allocation fails before a page is touched.
@@ -430,6 +461,11 @@ class TestFlagErrors:
                 3,
             ),
             (
+                ["compute", "v.npy", "--window", "1,4,4"],
+                "ScheduleInfeasibleError: window dims must be >= 2, got (1, 4, 4)",
+                3,
+            ),
+            (
                 ["batch", "m.csv", "out.csv", "--stride", "0,1,1"],
                 "ScheduleInfeasibleError: stride dims must be >= 1, got (0, 1, 1)",
                 3,
@@ -450,7 +486,7 @@ class TestFlagErrors:
                 2,
             ),
         ],
-        ids=["factors_not_ints", "window_of_two", "factors_decreasing", "stride_zero", "shape_of_two",
+        ids=["factors_not_ints", "window_of_two", "factors_decreasing", "window_one", "stride_zero", "shape_of_two",
              "negative_seed", "synth_missing_directory"],
     )
     def test_one_line_and_exit_code(self, tmp_path, capsys, monkeypatch, argv, line, code):
@@ -686,6 +722,21 @@ class TestBatch:
             "s1,ValueRangeError,volume values overflow float64 in the complexity arithmetic; rescale the volume"
         ]
         assert "warning: 1 subject(s) failed" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sliding_step_whose_cube_overflows_sends_every_subject_to_sidecar(self, tmp_path, capsys, jobs):
+        manifest = write_cohort(tmp_path, n=4, shape=(9, 9, 9))
+        out_csv = tmp_path / "cohort.csv"
+        side = 10**103
+        argv = ["batch", str(manifest), str(out_csv), "--mode", "sliding-cascade", "--factors", f"1,{side}"]
+        code, _, err = run_cli(capsys, *argv, "--jobs", jobs)
+        sidecar = tmp_path / "cohort.errors.csv"
+        assert (code, err) == (0, f"warning: 4 subject(s) failed, see {sidecar}\n")
+        assert out_csv.read_text() == "subject_id,scale_index,scale_factor,complexity\n"
+        message = f"factor {side}: window side {side} cubed overflows float64"
+        assert sidecar.read_text().splitlines() == ["subject_id,error,message"] + [
+            f"s{i},ScheduleInfeasibleError,{message}" for i in range(4)
+        ]
 
     @pytest.fixture
     def worker_killed_on_s3(self, monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msc3d import PhantomSpec, Volume3D, block_downsample, generate_phantom, overlap, sliding_mean
+from msc3d import PhantomSpec, Volume3D, generate_phantom, overlap, sliding_mean
 from msc3d import coarse
+from msc3d.coarse import block_downsample
 
 from . import oracles
 from .conftest import dyadic_array, traced_peak
@@ -152,6 +153,11 @@ class TestSlidingMeans:
     def test_side_0_refused(self, func, rng):
         with pytest.raises(ValueError, match=r"^side must be >= 1, got 0$"):
             func(Volume3D(rng.random((4, 4, 4))), 0)
+
+    def test_side_whose_cube_overflows_float64_refused(self, func, rng):
+        side = 10**103
+        with pytest.raises(ValueError, match=rf"^window side {side} cubed overflows float64$"):
+            func(Volume3D(rng.random((4, 4, 4))), side)
 
     def test_constant_exact(self, func):
         v = Volume3D(np.full((5, 6, 7), 0.1))

@@ -13,8 +13,6 @@ PUBLIC_NAMES = [
     "ScaleSchedule",
     "Volume3D",
     "benjamini_hochberg",
-    "block_downsample",
-    "complexity_map",
     "generate_phantom",
     "mid_slice",
     "multiscale_run",
