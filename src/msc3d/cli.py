@@ -350,16 +350,18 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     text = table_to_text(rows)
     with open(f"{prefix}.txt", "w", newline="") as fh:
         fh.write(text)
-    age_text = list(map(repr, columns.ln_age.tolist()))
+    # Each subject's line is its "\nlog_age," cell, made once for every
+    # scale, then its log C text; the file is those cells joined.
+    age_cells = list(map("\n%r,".__mod__, columns.ln_age.tolist()))
     column_of = {k: j for j, k in enumerate(table.scale_indices)}
     for row in rows:
         j = column_of[row.scale_index]
         usable = columns.usable(j)
-        ages = compress(age_text, usable.tolist())
-        log_cs = columns.ln_c[usable, j].tolist()
+        cells = [None] * (2 * row.n)
+        cells[0::2] = compress(age_cells, usable.tolist())
+        cells[1::2] = map(repr, columns.ln_c[usable, j].tolist())
         with open(f"{prefix}_scale{row.scale_index}_scatter.csv", "w", newline="") as fh:
-            fh.write("log_age,log_C\n")
-            fh.writelines(f"{log_age},{log_c!r}\n" for log_age, log_c in zip(ages, log_cs))
+            fh.write("log_age,log_C" + "".join(cells) + "\n")
     print(text, end="")
     return 0
 

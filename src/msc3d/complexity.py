@@ -37,6 +37,7 @@ How the kernels stream their fields through slabs of about
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,6 +301,17 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     return RunResult(tuple(entries), tuple(maps), tuple(reports))
 
 
+def _memory_bytes() -> int:
+    """The most bytes one array can take: the host's physical memory where
+    the OS reports it, and never more than an intp can index."""
+    limit = int(np.iinfo(np.intp).max)
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name on this OS
+        return limit
+    return min(limit, pages * page_size) if pages > 0 and page_size > 0 else limit
+
+
 def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     incs = _incremental_factors(schedule.factors)
     entries = []
@@ -318,10 +330,12 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
             total = 0.0  # the coarse field is the field itself
         elif schedule.mode == "block_cascade":
             padded = tuple(math.ceil(dim / inc) * inc for dim in lattice_shape)
-            if math.prod(padded) * 8 > np.iinfo(np.intp).max:
+            # block_means fills its slab buffer one or more rows of blocks at a time.
+            row_bytes = inc * padded[1] * padded[2] * 8
+            if row_bytes > _memory_bytes():
                 raise ScheduleInfeasibleError(
                     f"factor {factor} pads the lattice {lattice_shape} to {padded}, "
-                    "more float64 values than an array can index"
+                    f"one row of whose blocks takes {row_bytes} bytes, more than memory holds"
                 )
             current, total = block_means(current, inc, ref, difference=True)
             ref = 0.0

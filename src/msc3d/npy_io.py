@@ -39,6 +39,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from itertools import count, repeat
 from pathlib import Path
 from typing import Iterator, NamedTuple, NoReturn, Sequence
 
@@ -255,6 +256,34 @@ def write_npy(volume: Volume3D, path: str | Path, dtype_code: str = "<f8") -> No
         raise IoFailureError(f"{path}: {exc}") from exc
 
 
+def _lines_within(text: str, limit: int) -> bool:
+    """Whether no line of ``text`` is longer than ``limit`` characters.
+
+    The last newline within ``limit + 1`` characters of a line's start ends
+    every line that starts before it, so each search steps about ``limit``
+    characters, not one line.
+    """
+    start = 0
+    while len(text) - start > limit:
+        end = text.rfind("\n", start, start + limit + 1)
+        if end < 0:
+            return False
+        start = end + 1
+    return True
+
+
+def _split_columns(body: str, n: int) -> list[list[str]] | None:
+    """The ``n`` columns of the rows of ``body``, lines split on commas, or
+    ``None`` when some row does not have ``n`` fields."""
+    # A "\n" cell parts each row from the next, so every row has n fields
+    # exactly when those cells fall every n + 1 places.
+    flat = body.replace("\n", ",\n,").split(",")
+    breaks = body.count("\n")
+    if len(flat) != (n + 1) * (breaks + 1) - 1 or flat[n :: n + 1].count("\n") != breaks:
+        return None
+    return [flat[i :: n + 1] for i in range(n)]
+
+
 def _read_csv_columns(path: Path, columns: tuple[str, ...]) -> tuple[str, list[Sequence[str]] | None]:
     """The text of the UTF-8 CSV at ``path``, whose first row must be the
     header ``columns``, and the columns of its non-blank rows after the
@@ -268,24 +297,24 @@ def _read_csv_columns(path: Path, columns: tuple[str, ...]) -> tuple[str, list[S
     except UnicodeDecodeError as exc:
         raise NotUtf8Error(f"{path}: byte {exc.start} is not UTF-8 text") from None
     n = len(columns)
-    lines = text.split("\n")
-    # Without a quote or a carriage return, csv.reader's rows are these lines
+    head, _, body = text.partition("\n")
+    # Without a quote or a carriage return, csv.reader's rows are the lines
     # split on commas; a line over the field limit is left to csv.reader,
     # which refuses it.
-    plain = '"' not in text and "\r" not in text and max(map(len, lines)) <= csv.field_size_limit()
-    rows = [lines[0].split(",")] if plain else _csv_rows(path, text)
+    plain = '"' not in text and "\r" not in text and _lines_within(text, csv.field_size_limit())
+    rows = [head.split(",")] if plain else _csv_rows(path, text)
     if not rows or tuple(cell.strip() for cell in rows[0]) != columns:
         raise MissingColumnError(f"{path}: first row must be the header {','.join(columns)}")
     if plain:
-        body = [line for line in lines[1:] if line]
+        body = body.strip("\n")
         if not body:
             return text, [()] * n
-        # A "\n" cell parts each row from the next, so every row has n fields
-        # exactly when those cells fall every n + 1 places.
-        flat = ",\n,".join(body).split(",")
-        if len(flat) != (n + 1) * len(body) - 1 or flat[n :: n + 1].count("\n") != len(body) - 1:
-            return text, None
-        return text, [flat[i :: n + 1] for i in range(n)]
+        cols = _split_columns(body, n)
+        # A blank line is one empty field, never n of them, so only a body
+        # with blank lines between its rows is split again without them.
+        if cols is None and "\n\n" in body:
+            cols = _split_columns("\n".join(filter(None, body.split("\n"))), n)
+        return text, cols
     records = [row for row in rows[1:] if row]
     if set(map(len, records)) - {n}:
         return text, None
@@ -345,7 +374,7 @@ def read_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
         or math.inf in ages
     ):
         _raise_first_bad_manifest_row(path, text)
-    return tuple(map(ManifestEntry._make, zip(sids, volume_paths, ages)))
+    return tuple(map(tuple.__new__, repeat(ManifestEntry), zip(sids, volume_paths, ages)))
 
 
 def _raise_first_bad_manifest_row(path: Path, text: str) -> NoReturn:
@@ -416,7 +445,7 @@ def read_batch_csv(path: str | Path) -> BatchTable:
     col_of = {k: j for j, k in enumerate(indices)}
     col_of_text = {k_text: col_of[k] for (k_text, _), (k, _) in pairs.items()}
     sids = list(map(str.strip, sid_col))
-    row_of = {sid: i for i, sid in enumerate(dict.fromkeys(sids))}
+    row_of = dict(zip(dict.fromkeys(sids), count()))
     cells = np.fromiter(map(row_of.__getitem__, sids), np.intp, len(sids)) * len(indices)
     cells += np.fromiter(map(col_of_text.__getitem__, k_col), np.intp, len(k_col))
     if (

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -92,22 +93,22 @@ def log_log_columns(
     Zero (or missing) complexities are excluded, since their log is
     undefined. Logs go through ``math.log`` one value at a time.
     """
-    row_of = {sid: i for i, sid in enumerate(subject_ids)}
-    rows: list[int] = []
-    ln_age: list[float] = []
-    missing: list[str] = []
-    for entry in manifest:
-        i = row_of.pop(entry.subject_id, None)
-        if i is None:
-            missing.append(entry.subject_id)
-        else:
-            rows.append(i)
-            ln_age.append(math.log(entry.age_years))
-    c = complexity[rows]
+    sids, _, ages = zip(*manifest) if manifest else ((), (), ())
+    row_of = dict(zip(subject_ids, count()))
+    # -1 marks a manifest subject without a row; popping leaves row_of with
+    # the table's subjects that the manifest does not name.
+    rows = np.fromiter(map(row_of.pop, sids, repeat(-1)), np.intp, len(sids))
+    found = rows >= 0
+    c = complexity[rows[found]]
     positive = c > 0.0
     ln_c = np.full(c.shape, np.nan)
-    ln_c[positive] = list(map(math.log, c[positive].tolist()))
-    return LogLogColumns(np.array(ln_age, dtype=np.float64), ln_c, tuple(missing), tuple(row_of))
+    ln_c[positive] = np.fromiter(map(math.log, c[positive].tolist()), np.float64, np.count_nonzero(positive))
+    return LogLogColumns(
+        np.fromiter(map(math.log, compress(ages, found.tolist())), np.float64, np.count_nonzero(found)),
+        ln_c,
+        tuple(compress(sids, (~found).tolist())),
+        tuple(row_of),
+    )
 
 
 def _regress(xs: np.ndarray, ys: np.ndarray) -> RegressionResult:

@@ -275,8 +275,35 @@ class TestCompute:
         assert (code, out) == (3, "")
         assert err == (
             "ScheduleInfeasibleError: factor 1000000000000 pads the lattice (8, 8, 8) to "
-            "(1000000000000, 1000000000000, 1000000000000), more float64 values than an array can index\n"
+            "(1000000000000, 1000000000000, 1000000000000), one row of whose blocks takes "
+            f"{8 * 10**36} bytes, more than memory holds\n"
         )
+
+    def test_block_row_beyond_memory_exit_3(self, tmp_path, capsys):
+        # One block of side 10**6 pads 9^3 to a lattice that an intp still
+        # indexes, but one row of its blocks is 8e18 bytes, more than any host
+        # holds: the step is refused, not allocated.
+        path = tmp_path / "v.npy"
+        assert run_cli(capsys, "synth", str(path), "--kind", "white_noise", "--shape", "9,9,9")[0] == 0
+        message = (
+            "factor 1000000 pads the lattice (9, 9, 9) to (1000000, 1000000, 1000000), "
+            "one row of whose blocks takes 8000000000000000000 bytes, more than memory holds"
+        )
+        argv = ["--mode", "block-cascade", "--factors", "1,1000000"]
+        assert run_cli(capsys, "compute", str(path), *argv) == (3, "", f"ScheduleInfeasibleError: {message}\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("subject_id,volume_path,age_years\nv,v.npy,50\n")
+        code, _, _ = run_cli(capsys, "batch", str(manifest), str(tmp_path / "out.csv"), *argv)
+        assert code == 0
+        with open(tmp_path / "out.errors.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["subject_id", "error", "message"], ["v", "ScheduleInfeasibleError", message]]
+        # a factor whose blocks fit runs as it always has
+        vol = read_npy(path)
+        profile = multiscale_run(vol, ScaleSchedule(factors=(1, 16), mode="block_cascade")).profile
+        code, out, err = run_cli(capsys, "compute", str(path), "--mode", "block-cascade", "--factors", "1,16")
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}\n" for e in profile)
+        assert profile[1].complexity == pytest.approx(oracles.block_cascade(vol.data, (1, 16))[1], rel=1e-12)
 
     def test_sliding_step_whose_cube_overflows_float64_exit_3(self, tmp_path, capsys):
         path = tmp_path / "v9.npy"
@@ -299,9 +326,16 @@ class TestCompute:
         assert (code, err) == (0, "")
         assert out == "".join(f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}\n" for e in profile)
 
-    def test_out_of_memory_exit_1(self, tmp_path, capsys):
+    def test_out_of_memory_exit_1(self, tmp_path, capsys, monkeypatch):
         # The one padded block is 65536^3 float64, 2 PiB: above any user
         # address space, so the allocation fails before a page is touched.
+        # Where the OS reports its memory, such a step is refused before it
+        # allocates; here the OS reports none, so only the intp bound guards
+        # the block, and 2 PiB passes it.
+        def no_sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "sysconf", no_sysconf)
         path = tmp_path / "small.npy"
         write_phantom(path, shape=(16, 16, 16))
         argv = ["compute", str(path), "--mode", "block-cascade", "--factors", "1,65536"]
@@ -1308,15 +1342,22 @@ class TestCorrelate:
         factors = (1, 2, 4, 8)
         ages = [(f"sub{i:03d}", round(float(a), 2)) for i, a in enumerate(rng.uniform(45.0, 80.0, 300))]
         batch_rows = []
-        for sid, age in ages[20:]:  # the first 20 manifest subjects have no rows
+        for i, (sid, age) in enumerate(ages[20:]):  # the first 20 manifest subjects have no rows
             for k, factor in enumerate(factors):
+                if i < 40 and k == i % len(factors):
+                    continue  # 40 subjects each miss a row at one scale, 10 at each
                 c = 0.0 if rng.random() < 0.05 else age ** (-0.3 * k) * math.exp(rng.normal(0.0, 0.1))
                 batch_rows.append((sid, k, factor, c))
+        # 15 subjects that the manifest does not name
+        batch_rows += [(f"ghost{i:02d}", k, factor, 0.5) for i in range(15) for k, factor in enumerate(factors)]
         batch_rows = [batch_rows[i] for i in rng.permutation(len(batch_rows))]
         batch, manifest = self.write_tables(tmp_path, batch_rows, ages)
         code, out, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "corr"))
         assert code == 0
         assert err.count("has no rows in the batch CSV") == 20
+        assert sorted(line for line in err.splitlines() if "not in the manifest" in line) == [
+            f"warning: subject 'ghost{i:02d}' is not in the manifest; ignored" for i in range(15)
+        ]
         assert "excluded (zero complexity)" in err
 
         pairs = [oracles.log_log_pairs_by_subject(batch_rows, ages, k) for k in range(len(factors))]
@@ -1327,6 +1368,8 @@ class TestCorrelate:
             for k, (factor, p, fit, q) in enumerate(zip(factors, pairs, fits, qs))
         ]
         assert any(row.n < 280 for row in rows)
+        # every scale keeps its own set of subjects
+        assert len({tuple(log_age for _, log_age in p) for p in pairs}) == len(factors)
         assert (tmp_path / "corr.csv").read_bytes() == table_to_csv(rows).encode()
         assert (tmp_path / "corr.txt").read_bytes() == table_to_text(rows).encode()
         assert out == table_to_text(rows)

@@ -356,7 +356,7 @@ class TestMultiscaleProfile:
             multiscale_run(v, ScaleSchedule(factors=(2, 2 * 10**12), mode="block_cascade"))
         assert str(excinfo.value) == (
             "factor 2000000000000 pads the lattice (4, 4, 4) to (1000000000000, 1000000000000, 1000000000000), "
-            "more float64 values than an array can index"
+            f"one row of whose blocks takes {8 * 10**36} bytes, more than memory holds"
         )
 
     def test_non_integer_cascade_ratio(self, rng):
