@@ -27,13 +27,11 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
-import errno
 import functools
 import json
 import math
 import os
 import signal
-import stat
 import sys
 from collections import deque
 from itertools import compress
@@ -105,17 +103,15 @@ def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _check_output_path(path: str) -> None:
-    """Raise the error ``open(path, "w")`` would give for a path that is a
-    directory, or whose parent directory is missing or under a file, before
-    anything is written."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    try:
-        parent_is_dir = stat.S_ISDIR(os.stat(Path(path).parent).st_mode)
-    except OSError as exc:
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    if not parent_is_dir:
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    """Raise the error writing ``path`` would give, whatever its cause,
+    before anything is written: open it for writing without truncating it,
+    and remove it again if nothing was there before."""
+    existed = os.path.lexists(path)
+    # 0o666 is open()'s mode, for the target of a dangling symlink that this
+    # creates and the write then fills.
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    if not existed:
+        os.unlink(path)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -279,7 +275,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     out_path = Path(args.output)
     # Checked before the first subject, so a mistyped output path does not
     # throw away a finished run. The errors sidecar is written or removed
-    # after the run, so a directory in its place is reported here too.
+    # after the run, so a sidecar path that cannot be written is reported
+    # here too.
     _check_output_path(args.output)
     sidecar = out_path.with_suffix(".errors.csv")
     _check_output_path(str(sidecar))

@@ -299,9 +299,9 @@ def _read_csv_columns(path: Path, columns: tuple[str, ...]) -> tuple[str, list[S
     n = len(columns)
     head, _, body = text.partition("\n")
     # Without a quote or a carriage return, csv.reader's rows are the lines
-    # split on commas; a line over the field limit is left to csv.reader,
-    # which refuses it.
-    plain = '"' not in text and "\r" not in text and _lines_within(text, csv.field_size_limit())
+    # split on commas; a line over the field limit, or a NUL that
+    # csv.reader refuses before Python 3.11, is left to csv.reader.
+    plain = '"' not in text and "\r" not in text and "\0" not in text and _lines_within(text, csv.field_size_limit())
     rows = [head.split(",")] if plain else _csv_rows(path, text)
     if not rows or tuple(cell.strip() for cell in rows[0]) != columns:
         raise MissingColumnError(f"{path}: first row must be the header {','.join(columns)}")

@@ -137,7 +137,7 @@ def generate_phantom(spec: PhantomSpec) -> Volume3D:
     if spec.kind == "constant":
         return Volume3D(np.full(spec.shape, float(spec.level)))
     if spec.kind == "axis_stripes":
-        stripe = (np.arange(x) // spec.period) % 2
+        stripe = (np.arange(x) // min(spec.period, x)) % 2
         vals = spec.level * stripe.astype(np.float64)
         return Volume3D(np.broadcast_to(vals[:, None, None], spec.shape).copy())
     rng = np.random.Generator(np.random.PCG64(spec.rng_seed))

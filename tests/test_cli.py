@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import gc
 import hashlib
 import json
@@ -75,6 +76,13 @@ def forbidden_start_child(tasks, share):
     """A stand-in for ``msc3d.cli._start_child`` in a batch that must fork
     no child."""
     raise AssertionError("forked a child")
+
+
+def open_error(path):
+    """The ``ErrorName: message`` line of the error ``open(path, "w")`` gives."""
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    return f"{type(opened.value).__name__}: {opened.value}"
 
 
 def least_side_cubed_above_float64_max():
@@ -538,12 +546,15 @@ class TestFlagErrors:
                 "FileNotFoundError: [Errno 2] No such file or directory: 'missing/r.json'",
             ),
             (["--emit-maps", "maps", "--report", "rdir"], "IsADirectoryError: [Errno 21] Is a directory: 'rdir'"),
+            # None: the line open() gives for the --report path
+            (["--emit-maps", "maps", "--report", "x" * 300 + ".json"], None),
         ],
         ids=["report_missing_directory", "maps_under_a_file", "report_missing_directory_with_maps",
-             "report_is_a_directory_with_maps"],
+             "report_is_a_directory_with_maps", "report_name_too_long_with_maps"],
     )
     def test_compute_output_that_cannot_be_written_prints_no_profile(self, tmp_path, capsys, monkeypatch, flags, line):
         monkeypatch.chdir(tmp_path)
+        line = line or open_error(flags[-1])
         write_phantom(tmp_path / "v.npy", shape=(8, 8, 8))
         (tmp_path / "rdir").mkdir()
         assert run_cli(capsys, "compute", "v.npy", "--factors", "1,2", *flags) == (2, "", line + "\n")
@@ -610,6 +621,27 @@ class TestFlagErrors:
             open("out.errors.csv", "w")
         argv = ["batch", "manifest.csv", "out.csv", "--factors", "1,2", "--jobs", "2"]
         assert run_cli(capsys, *argv) == (2, "", f"IsADirectoryError: {opened.value}\n")
+        assert ran == []
+        assert sorted(tmp_path.iterdir()) == held
+
+    @pytest.mark.parametrize(
+        "output, refused",
+        [("x" * 300 + ".csv", "x" * 300 + ".csv"), ("x" * 246 + ".csv", "x" * 246 + ".errors.csv")],
+        ids=["output_name_too_long", "sidecar_name_too_long"],
+    )
+    def test_batch_output_name_too_long_reads_no_subject(self, tmp_path, capsys, monkeypatch, output, refused):
+        # A name longer than the file system takes lies in a directory that
+        # exists, so only opening it finds the refusal. OUT.csv and
+        # OUT.errors.csv are both opened before the first subject.
+        read, ran = msc3d.cli.read_npy, []
+        monkeypatch.setattr(msc3d.cli, "read_npy", lambda path: ran.append(Path(path).name) or read(path))
+        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.chdir(tmp_path)
+        write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        held = sorted(tmp_path.iterdir())
+        line = open_error(refused)
+        argv = ["batch", "manifest.csv", output, "--factors", "1,2", "--jobs", "2"]
+        assert run_cli(capsys, *argv) == (2, "", line + "\n")
         assert ran == []
         assert sorted(tmp_path.iterdir()) == held
 
@@ -822,6 +854,18 @@ class TestBatch:
         assert code == 2
         assert "IoFailureError" in err
         assert not out_csv.exists()
+
+    def test_failed_strict_run_leaves_an_earlier_run_as_it_was(self, tmp_path, capsys):
+        # Opening OUT.csv and OUT.errors.csv before the first subject
+        # truncates neither, and a strict run that fails writes neither.
+        manifest = write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        (tmp_path / "s1.npy").write_bytes(b"garbage")
+        argv = ["batch", str(manifest), str(tmp_path / "cohort.csv"), "--factors", "1,2", "--jobs", "1"]
+        assert run_cli(capsys, *argv)[0] == 0
+        held = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert "cohort.errors.csv" in held
+        assert run_cli(capsys, *argv, "--strict")[0] == 2
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == held
 
     def test_rows_match_compute(self, tmp_path, capsys):
         manifest = write_cohort(tmp_path, n=2, shape=(16, 16, 16))
@@ -1059,6 +1103,25 @@ class TestBatch:
             assert list(reads.values()) == [["s1", "s3"]]
             assert [row.split(",")[:2] for row in sidecar.read_text().splitlines()[1:]] == [["s3", "BrokenProcessPool"]]
             assert out_csv.read_text().splitlines() == [r for r in rows if r.split(",")[0] != "s3"]
+
+    def test_fork_the_os_refuses_runs_the_share_here(self, tmp_path, capsys, monkeypatch):
+        # A full process table makes os.fork raise EAGAIN. The pipe made for
+        # the child is closed, and its share runs in this process.
+        def full_process_table():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        serial_csv = tmp_path / "serial.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")[0] == 0
+        monkeypatch.setattr(msc3d.cli.os, "fork", full_process_table)
+        fds = Path("/proc/self/fd")
+        held = len(os.listdir(fds)) if fds.is_dir() else None
+        out_csv = tmp_path / "cohort.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2") == (0, "", "")
+        if held is not None:
+            assert len(os.listdir(fds)) == held
+        assert not (tmp_path / "cohort.errors.csv").exists()
+        assert out_csv.read_bytes() == serial_csv.read_bytes()
 
     @pytest.mark.usefixtures("time_limit")
     def test_results_larger_than_a_pipe_holds(self, tmp_path, capsys):
@@ -1554,6 +1617,17 @@ class TestSynth:
             return float(np.mean((vol.data - sliding_mean(vol, 5).data) ** 2))
 
         assert fixed_point_distance(smooth_path) < fixed_point_distance(raw_path)
+
+    def test_stripe_period_beyond_int64_is_one_stripe(self, tmp_path, capsys):
+        # A period at least the x extent puts every plane in the first
+        # stripe, which is zero, however large the period is.
+        written = []
+        for period in ("3", "99999999999999999999"):
+            out = tmp_path / f"p{len(written)}.npy"
+            argv = ["synth", str(out), "--kind", "axis_stripes", "--shape", "3,3,3", "--period", period]
+            assert run_cli(capsys, *argv)[0] == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_invalid_spec_exit_4(self, tmp_path, capsys):
         code, _, err = run_cli(

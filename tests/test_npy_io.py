@@ -710,6 +710,9 @@ class TestReaderParity:
 
     @settings(max_examples=200, deadline=None)
     @given(text=csv_texts(MANIFEST_HEADER.strip(), MANIFEST_CELLS, good_manifests()))
+    # csv.reader refuses a NUL before Python 3.11 and reads it as text after
+    @example(text=MANIFEST_HEADER + "a\0b,p.npy,60\n")
+    @example(text=MANIFEST_HEADER + "a\0b,p.npy,60\nc,q.npy,old\n")
     def test_manifest(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "manifest.csv"
@@ -721,6 +724,9 @@ class TestReaderParity:
     # 5 fields then 3 make the flat cell count of two 4-field rows, with the
     # row break in the subject column, where an empty id is allowed
     @example(text=BATCH_HEADER + "a,0,1,2.5,9\n1,2,3.0\n")
+    # csv.reader refuses a NUL before Python 3.11 and reads it as text after
+    @example(text=BATCH_HEADER + "a\0b,0,1,2.5\n")
+    @example(text=BATCH_HEADER + "a\0b,0,1,2.5\nc,0,1,much\n")
     def test_batch(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cohort.csv"
