@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import dataclasses
 import functools
 import json
 import math
@@ -105,13 +106,11 @@ def _add_schedule_flags(parser: argparse.ArgumentParser) -> None:
 def _check_output_path(path: str) -> None:
     """Raise the error writing ``path`` would give, whatever its cause,
     before anything is written: open it for writing without truncating it,
-    and remove it again if nothing was there before."""
-    existed = os.path.lexists(path)
-    # 0o666 is open()'s mode, for the target of a dangling symlink that this
-    # creates and the write then fills.
-    os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    and remove the file that creates, a dangling symlink's target, if none was there."""
+    existed = os.path.exists(path)
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
     if not existed:
-        os.unlink(path)
+        os.unlink(os.path.realpath(path))
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -136,10 +135,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "volume": str(volume_path),
             "subject_id": subject,
             "shape": list(vol.shape),
-            "mode": schedule.mode,
-            "factors": list(schedule.factors),
-            "window": list(schedule.window),
-            "stride": list(schedule.stride),
+            **dataclasses.asdict(schedule),
             "scales": list(result.scale_reports),
             "exclusions": [],
         }
@@ -342,6 +338,10 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
     prefix = Path(args.output_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
+    scatter = {row.scale_index: f"{prefix}_scale{row.scale_index}_scatter.csv" for row in rows}
+    # Checked before the first write, so a name that cannot be written leaves no outputs.
+    for path in (f"{prefix}.csv", f"{prefix}.txt", *scatter.values()):
+        _check_output_path(path)
     with open(f"{prefix}.csv", "w", newline="") as fh:
         fh.write(table_to_csv(rows))
     text = table_to_text(rows)
@@ -357,7 +357,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         cells = [None] * (2 * row.n)
         cells[0::2] = compress(age_cells, usable.tolist())
         cells[1::2] = map(repr, columns.ln_c[usable, j].tolist())
-        with open(f"{prefix}_scale{row.scale_index}_scatter.csv", "w", newline="") as fh:
+        with open(scatter[row.scale_index], "w", newline="") as fh:
             fh.write("log_age,log_C" + "".join(cells) + "\n")
     print(text, end="")
     return 0

@@ -24,6 +24,7 @@ the window is clipped and the mean renormalized by the in-bounds count.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from functools import partial
 
@@ -94,12 +95,20 @@ def block_means(
     divided, are its rows of means, each numpy's mean of its padded block
     to the bit. With ``difference``, the re-upsampled means then come off
     the slab in place, leaving the difference field, whose part inside
-    ``arr`` is squared and summed, one numpy sum per slab.
+    ``arr`` is squared and summed, one numpy sum per slab. A row of blocks
+    beyond :func:`_memory_bytes` raises ``ValueError`` before any allocation.
     """
     x, y, z = arr.shape
-    nx, ny, nz = (-(-dim // factor) for dim in (shape or arr.shape))
+    shape = shape or arr.shape
+    nx, ny, nz = (-(-dim // factor) for dim in shape)
+    row = factor**3 * ny * nz  # values in one row of blocks, the least the slab buffer holds
+    if 8 * row > _memory_bytes():
+        raise ValueError(
+            f"pads the lattice {shape} to {(nx * factor, ny * factor, nz * factor)}, "
+            f"one row of whose blocks takes {8 * row} bytes, more than memory holds"
+        )
     means = np.empty((nx, ny, nz))
-    rows = max(1, SLAB_ELEMENTS // (factor**3 * ny * nz))
+    rows = max(1, SLAB_ELEMENTS // row)
     buf = np.empty((min(rows, nx) * factor, ny * factor, nz * factor))
     total = 0.0
     for r0 in range(0, nx, rows):
@@ -127,8 +136,6 @@ def block_downsample(v: Volume3D, factor: int, ref: float = 0.0, shape: tuple[in
     volume is made. At factor 1, ``v`` itself is returned unless ``ref`` or
     ``shape`` is given.
     """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
     if factor == 1 and ref == 0 and shape is None:
         return v
     return Volume3D(block_means(v.data, factor, ref, shape=shape)[0])
@@ -147,6 +154,17 @@ _SHIFT_ADD_MAX_SIDE = 10
 # Every streamed kernel, here and in ``complexity``, works on slabs of about
 # this many float64 elements (256 KB), which stay in cache through its passes.
 SLAB_ELEMENTS = 1 << 15
+
+
+def _memory_bytes() -> int:
+    """The most bytes one array can take: the host's physical memory where
+    the OS reports it, and never more than an intp can index."""
+    limit = int(np.iinfo(np.intp).max)
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name on this OS
+        return limit
+    return min(limit, pages * page_size) if pages > 0 and page_size > 0 else limit
 
 
 def _cut(axis: int, start: int | None, stop: int | None) -> tuple[slice, ...]:

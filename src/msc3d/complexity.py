@@ -37,7 +37,6 @@ How the kernels stream their fields through slabs of about
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,17 +300,6 @@ def _run_algorithm1(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     return RunResult(tuple(entries), tuple(maps), tuple(reports))
 
 
-def _memory_bytes() -> int:
-    """The most bytes one array can take: the host's physical memory where
-    the OS reports it, and never more than an intp can index."""
-    limit = int(np.iinfo(np.intp).max)
-    try:
-        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name on this OS
-        return limit
-    return min(limit, pages * page_size) if pages > 0 and page_size > 0 else limit
-
-
 def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     incs = _incremental_factors(schedule.factors)
     entries = []
@@ -326,24 +314,16 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
         current = current - ref
     for k, (factor, inc) in enumerate(zip(schedule.factors, incs)):
         lattice_shape = current.shape
-        if inc == 1:
-            total = 0.0  # the coarse field is the field itself
-        elif schedule.mode == "block_cascade":
-            padded = tuple(math.ceil(dim / inc) * inc for dim in lattice_shape)
-            # block_means fills its slab buffer one or more rows of blocks at a time.
-            row_bytes = inc * padded[1] * padded[2] * 8
-            if row_bytes > _memory_bytes():
-                raise ScheduleInfeasibleError(
-                    f"factor {factor} pads the lattice {lattice_shape} to {padded}, "
-                    f"one row of whose blocks takes {row_bytes} bytes, more than memory holds"
-                )
-            current, total = block_means(current, inc, ref, difference=True)
-            ref = 0.0
-        else:
-            try:
+        try:
+            if inc == 1:
+                total = 0.0  # the coarse field is the field itself
+            elif schedule.mode == "block_cascade":
+                current, total = block_means(current, inc, ref, difference=True)
+                ref = 0.0
+            else:
                 total = window_means_in_place(current, inc)
-            except ValueError as exc:  # the kernel's one refusal: a side whose cube overflows
-                raise ScheduleInfeasibleError(f"factor {factor}: {exc}") from None
+        except ValueError as exc:  # a block row beyond memory, or a window side whose cube overflows
+            raise ScheduleInfeasibleError(f"factor {factor}: {exc}") from None
         entries.append(ProfileEntry(k, factor, 0.5 * (total / math.prod(lattice_shape))))
         reports.append(
             {

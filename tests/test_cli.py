@@ -282,7 +282,7 @@ class TestCompute:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == (
-            "ScheduleInfeasibleError: factor 1000000000000 pads the lattice (8, 8, 8) to "
+            "ScheduleInfeasibleError: factor 1000000000000: pads the lattice (8, 8, 8) to "
             "(1000000000000, 1000000000000, 1000000000000), one row of whose blocks takes "
             f"{8 * 10**36} bytes, more than memory holds\n"
         )
@@ -294,7 +294,7 @@ class TestCompute:
         path = tmp_path / "v.npy"
         assert run_cli(capsys, "synth", str(path), "--kind", "white_noise", "--shape", "9,9,9")[0] == 0
         message = (
-            "factor 1000000 pads the lattice (9, 9, 9) to (1000000, 1000000, 1000000), "
+            "factor 1000000: pads the lattice (9, 9, 9) to (1000000, 1000000, 1000000), "
             "one row of whose blocks takes 8000000000000000000 bytes, more than memory holds"
         )
         argv = ["--mode", "block-cascade", "--factors", "1,1000000"]
@@ -867,6 +867,28 @@ class TestBatch:
         assert run_cli(capsys, *argv, "--strict")[0] == 2
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == held
 
+    def test_failed_strict_run_into_a_dangling_link_leaves_no_target(self, tmp_path, capsys, monkeypatch):
+        # Checking out.csv before the first subject creates the link's
+        # missing target; a strict run that then fails must not leave it.
+        monkeypatch.chdir(tmp_path)
+        write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        (tmp_path / "s1.npy").write_bytes(b"garbage")
+        os.symlink("target.csv", "out.csv")
+        held = sorted(tmp_path.iterdir())
+        argv = ["batch", "manifest.csv", "out.csv", "--factors", "1,2", "--jobs", "1", "--strict"]
+        assert run_cli(capsys, *argv)[0] == 2
+        assert sorted(tmp_path.iterdir()) == held
+        assert not (tmp_path / "target.csv").exists()
+
+    def test_clean_run_removes_a_dangling_sidecar_link_and_leaves_no_target(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_cohort(tmp_path, n=2, shape=(8, 8, 8))
+        os.symlink("target.csv", "out.errors.csv")
+        argv = ["batch", "manifest.csv", "out.csv", "--factors", "1,2", "--jobs", "1"]
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert not os.path.lexists("out.errors.csv")
+        assert not (tmp_path / "target.csv").exists()
+
     def test_rows_match_compute(self, tmp_path, capsys):
         manifest = write_cohort(tmp_path, n=2, shape=(16, 16, 16))
         out_csv = tmp_path / "cohort.csv"
@@ -1320,6 +1342,18 @@ class TestCorrelate:
             assert len(scatter) == 1 + 8
             first = scatter[1].split(",")
             assert float(first[0]) == pytest.approx(np.log(44.0))
+
+    def test_scatter_name_too_long_writes_no_output(self, tmp_path, capsys):
+        # PREFIX.csv and PREFIX.txt fit the file system's name limit and the
+        # scatter names do not: every name is opened before the first write.
+        manifest = write_cohort(tmp_path, n=4, shape=(8, 8, 8))
+        batch_csv = tmp_path / "cohort.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(batch_csv), "--factors", "1,2", "--jobs", "1")[0] == 0
+        held = sorted(tmp_path.iterdir())
+        prefix = tmp_path / ("x" * 240)
+        line = open_error(f"{prefix}_scale0_scatter.csv")
+        assert run_cli(capsys, "correlate", str(batch_csv), str(manifest), str(prefix)) == (2, "", line + "\n")
+        assert sorted(tmp_path.iterdir()) == held
 
     def test_subject_ids_with_commas(self, tmp_path, capsys):
         # csv.writer quotes these ids in the manifest and the batch CSV, so

@@ -31,10 +31,6 @@ class TestBlockDownsample:
         v = Volume3D(rng.random((5, 5, 5)))
         assert block_downsample(v, 1) is v
 
-    def test_factor_0_refused(self, rng):
-        with pytest.raises(ValueError, match=r"^factor must be >= 1, got 0$"):
-            block_downsample(Volume3D(rng.random((4, 4, 4))), 0)
-
     def test_2_cubed_mean(self):
         v = Volume3D(np.arange(8.0).reshape(2, 2, 2))
         out = block_downsample(v, 2)
@@ -90,6 +86,21 @@ class TestBlockDownsample:
         block_downsample(v, 3)
         _, peak = traced_peak(lambda: block_downsample(v, 3))
         assert peak < 0.5 * v.data.nbytes
+
+    def test_block_row_beyond_memory_refused_before_any_allocation(self):
+        # One block of side 10**12 takes 8e36 bytes, beyond any intp: the
+        # kernel refuses before it allocates its means or its slab buffer.
+        def refusal():
+            with pytest.raises(ValueError) as excinfo:
+                coarse.block_means(np.zeros((4, 4, 4)), 10**12)
+            return str(excinfo.value)
+
+        message, peak = traced_peak(refusal)
+        assert message == (
+            "pads the lattice (4, 4, 4) to (1000000000000, 1000000000000, 1000000000000), "
+            f"one row of whose blocks takes {8 * 10**36} bytes, more than memory holds"
+        )
+        assert peak < 1_000_000
 
     # (shape, factor, ref) on a 5x7x6 array: each shape pads x, y and z
     # past the array, some by more than a whole block.

@@ -355,7 +355,7 @@ class TestMultiscaleProfile:
         with pytest.raises(ScheduleInfeasibleError) as excinfo:
             multiscale_run(v, ScaleSchedule(factors=(2, 2 * 10**12), mode="block_cascade"))
         assert str(excinfo.value) == (
-            "factor 2000000000000 pads the lattice (4, 4, 4) to (1000000000000, 1000000000000, 1000000000000), "
+            "factor 2000000000000: pads the lattice (4, 4, 4) to (1000000000000, 1000000000000, 1000000000000), "
             f"one row of whose blocks takes {8 * 10**36} bytes, more than memory holds"
         )
 
