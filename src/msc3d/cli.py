@@ -15,11 +15,14 @@ share of the subjects and forked children, none at ``--jobs 1``, run the
 rest. Before each fork this process hands its free heap back to the OS
 (glibc's ``malloc_trim``; nothing where the C library lacks it), so
 neither side pays copy-on-write faults for memory that an earlier call in
-a long-lived caller freed. A clean batch removes an earlier run's errors
-sidecar. All outputs are deterministic functions of the inputs and flags;
-batch results are buffered and written in manifest order regardless of
-process count, so reruns and different ``--jobs`` values produce
-byte-identical files.
+a long-lived caller freed. Where this process may use at least as many
+CPUs as the batch has processes, process ``k`` runs on the ``k``-th of
+them, this one being process 0, so no two share a CPU; the caller gets its
+own affinity set back when the batch ends. A clean batch removes an
+earlier run's errors sidecar. All outputs are deterministic functions of
+the inputs and flags; batch results are buffered and written in manifest
+order regardless of process count, so reruns and different ``--jobs``
+values produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -120,16 +123,22 @@ def cmd_compute(args: argparse.Namespace) -> int:
         # leaves no maps behind.
         _check_output_path(args.report)
     volume_path = Path(args.volume)
-    vol = read_npy(volume_path)
     subject = volume_path.stem
-    result = multiscale_run(vol, schedule)
-    # The files go first, so a write that fails leaves stdout empty.
+    map_paths = []
     if args.emit_maps:
         map_dir = Path(args.emit_maps)
         map_dir.mkdir(parents=True, exist_ok=True)
-        # algorithm1 makes one map per scale, in schedule order
-        for cmap, e in zip(result.maps, result.profile):
-            write_npy(Volume3D(cmap.values), map_dir / f"{subject}_scale{e.scale_index}_map.npy", "<f8")
+        # algorithm1 makes one map per scale, in schedule order; each name
+        # is checked before the volume is read, so none fails after the run.
+        if schedule.mode == "algorithm1":
+            map_paths = [str(map_dir / f"{subject}_scale{k}_map.npy") for k in range(len(schedule.factors))]
+        for path in map_paths:
+            _check_output_path(path)
+    vol = read_npy(volume_path)
+    result = multiscale_run(vol, schedule)
+    # The files go first, so a write that fails leaves stdout empty.
+    for cmap, path in zip(result.maps, map_paths):
+        write_npy(Volume3D(cmap.values), path, "<f8")
     if args.report:
         report = {
             "volume": str(volume_path),
@@ -210,18 +219,39 @@ def _forked_results(tasks: list, procs: int) -> list:
     ``BrokenProcessPool`` error result, and the rest of the share goes to a
     fresh child. A share that cannot be forked runs in this process, and no
     subject is blamed for it. No child outlives the call.
+
+    When there are at least ``procs`` CPUs in this process's affinity set,
+    process ``k`` runs on the ``k``-th of them, so no two share a CPU: a
+    child inherits the affinity this process has when it forks, and this
+    process runs on the first CPU in between. On return its own affinity
+    set is what it was. A CPU the OS refuses places nothing.
     """
     results = [None] * len(tasks)
     mine = deque(range(0, len(tasks), procs))
     children = {}  # pipe read end -> (pid, indices the child has yet to report)
+    held = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    cpus = sorted(held) if 1 < procs <= len(held) else []
+
+    def place(i: int | None) -> None:
+        """Run this process, and the children it forks from now on, on the
+        CPU of the process that runs subject ``i``; on ``held`` for None."""
+        if cpus:
+            try:
+                os.sched_setaffinity(0, held if i is None else {cpus[i % procs]})
+            except OSError:
+                pass
 
     def start(share: list[int]) -> None:
+        # A fresh child after a kill gets the CPU of the one it replaces.
+        place(share[0])
         try:
             pid, reader = _start_child(tasks, share)
         except OSError:
             mine.extend(share)
         else:
             children[reader] = (pid, deque(share))
+        finally:
+            place(0)
 
     try:
         for k in range(1, procs):
@@ -254,6 +284,7 @@ def _forked_results(tasks: list, procs: int) -> list:
             reader.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        place(None)
     return results
 
 
@@ -437,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="processes that run subjects: with P = min(N, subjects), this one runs subjects 0, P, 2P, ... and "
-        "P-1 forked children the rest; all run here where os.fork is missing (default 0: one per CPU this process may use)",
+        "P-1 forked children the rest; all run here where os.fork is missing (default 0: one per CPU this process may use). "
+        "Where this process may use at least P CPUs, process k (this one is 0) runs on the k-th of them, and this "
+        "process gets its affinity set back at the end",
     )
     p.add_argument(
         "--strict",

@@ -560,6 +560,28 @@ class TestFlagErrors:
         assert run_cli(capsys, "compute", "v.npy", "--factors", "1,2", *flags) == (2, "", line + "\n")
         assert sorted(tmp_path.iterdir()) == [tmp_path / "rdir", tmp_path / "v.npy"]
 
+    @pytest.mark.parametrize("mode", ["algorithm1", "block-cascade", "sliding-cascade"])
+    def test_compute_map_name_too_long_reads_no_volume(self, tmp_path, capsys, monkeypatch, mode):
+        # A 245-character stem makes map names longer than the file system
+        # takes. algorithm1 opens each map name before the volume is read,
+        # so it exits 2 with the error open() gives and writes nothing; the
+        # cascades write no maps, so they run.
+        read, ran = msc3d.cli.read_npy, []
+        monkeypatch.setattr(msc3d.cli, "read_npy", lambda path: ran.append(Path(path).name) or read(path))
+        monkeypatch.chdir(tmp_path)
+        stem = "v" * 245
+        write_phantom(tmp_path / f"{stem}.npy", shape=(8, 8, 8))
+        argv = ["compute", f"{stem}.npy", "--mode", mode, "--factors", "1,2", "--emit-maps", "maps", "--report", "r.json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert os.listdir("maps") == []
+        if mode == "algorithm1":
+            assert (code, out, err) == (2, "", open_error(f"maps/{stem}_scale0_map.npy") + "\n")
+            assert ran == []
+            assert not os.path.exists("r.json")
+        else:
+            assert (code, err) == (0, "")
+            assert ran == [f"{stem}.npy"]
+
     def test_batch_output_in_missing_directory_runs_no_subject(self, tmp_path, capsys, monkeypatch):
         read, ran = msc3d.cli.read_npy, []
         monkeypatch.setattr(msc3d.cli, "read_npy", lambda path: ran.append(Path(path).name) or read(path))
@@ -1217,6 +1239,94 @@ class TestBatch:
         with pytest.raises(RuntimeError, match="the caller fails on s2"):
             main(["batch", str(manifest), str(tmp_path / "raised.csv"), *flags])
         no_child_left()
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_each_process_runs_on_its_own_cpu(self, tmp_path, capsys, monkeypatch):
+        # Every volume read logs the reading process and its affinity set.
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        if len(cpus) < 2:
+            pytest.skip("needs an affinity set of at least 2 CPUs")
+        read, log = msc3d.cli.read_npy, tmp_path / "cpus.log"
+
+        def logging_read(path):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {json.dumps(sorted(os.sched_getaffinity(0)))}\n")
+            return read(path)
+
+        monkeypatch.setattr(msc3d.cli, "read_npy", logging_read)
+        manifest = write_cohort(tmp_path, n=4, shape=(12, 12, 12))
+        assert run_cli(capsys, "batch", str(manifest), str(tmp_path / "j2.csv"), "--factors", "1,2", "--jobs", "2")[0] == 0
+        sets = {}
+        for line in log.read_text().splitlines():
+            pid, cpu_set = line.split(" ", 1)
+            sets.setdefault(int(pid), []).append(json.loads(cpu_set))
+        assert sets.pop(os.getpid()) == [cpus[:1]] * 2
+        assert list(sets.values()) == [[cpus[1:2]] * 2]
+        assert sorted(os.sched_getaffinity(0)) == cpus
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_affinity_is_restored_after_every_batch(self, tmp_path, capsys, monkeypatch):
+        # After a batch that succeeds, one that fails under --strict, and
+        # one whose own subject raises, this process's affinity set is the
+        # one it had before.
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("os.sched_setaffinity is missing")
+        held = os.sched_getaffinity(0)
+        manifest = write_cohort(tmp_path, n=4, shape=(12, 12, 12))
+        flags = ["--factors", "1,2", "--jobs", "2"]
+        assert run_cli(capsys, "batch", str(manifest), str(tmp_path / "cohort.csv"), *flags)[0] == 0
+        assert os.sched_getaffinity(0) == held
+        (tmp_path / "s1.npy").write_bytes(b"garbage")
+        assert run_cli(capsys, "batch", str(manifest), str(tmp_path / "strict.csv"), *flags, "--strict")[0] == 2
+        assert os.sched_getaffinity(0) == held
+        read, parent = msc3d.cli.read_npy, os.getpid()
+
+        def failing_read(path):
+            if Path(path).name == "s2.npy" and os.getpid() == parent:
+                raise RuntimeError("the caller fails on s2")
+            return read(path)
+
+        monkeypatch.setattr(msc3d.cli, "read_npy", failing_read)
+        with pytest.raises(RuntimeError, match="the caller fails on s2"):
+            main(["batch", str(manifest), str(tmp_path / "raised.csv"), *flags])
+        assert os.sched_getaffinity(0) == held
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize(
+        "jobs, affinity, placed",
+        [
+            ("2", "granted", [{1}, {0}, {0, 1}]),
+            ("2", "refused", [{1}, {0}, {0, 1}]),
+            ("2", "missing", []),
+            ("3", "granted", []),
+        ],
+        ids=["jobs_2", "refused", "without_sched_setaffinity", "more_processes_than_cpus"],
+    )
+    def test_placement_on_two_cpus(self, tmp_path, capsys, monkeypatch, jobs, affinity, placed):
+        # On 2 usable CPUs, --jobs 2 runs the child on the second CPU and
+        # this process on the first, then gives this process back both.
+        # A CPU the OS refuses, or an OS without sched_setaffinity, places
+        # nothing, and 3 processes on 2 CPUs are left to the OS. The rows
+        # are the --jobs 1 bytes either way.
+        manifest = write_cohort(tmp_path, n=3, shape=(12, 12, 12))
+        serial_csv = tmp_path / "serial.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")[0] == 0
+        calls = []
+
+        def set_affinity(pid, cpus):
+            calls.append(set(cpus))
+            if affinity == "refused":
+                raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+        monkeypatch.setattr(msc3d.cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if affinity == "missing":
+            monkeypatch.delattr(msc3d.cli.os, "sched_setaffinity", raising=False)
+        else:
+            monkeypatch.setattr(msc3d.cli.os, "sched_setaffinity", set_affinity, raising=False)
+        out_csv = tmp_path / "cohort.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", jobs) == (0, "", "")
+        assert calls == placed
+        assert out_csv.read_bytes() == serial_csv.read_bytes()
 
     @pytest.mark.parametrize("count, cpus", [(6, 6), (None, 1)])
     def test_usable_cpus_without_affinity_is_the_cpu_count(self, monkeypatch, count, cpus):
