@@ -116,6 +116,13 @@ def _check_output_path(path: str) -> None:
         os.unlink(os.path.realpath(path))
 
 
+def _read_for_run(path: str | Path) -> Volume3D:
+    """``read_npy(path)`` with its data writable, so that a sliding cascade
+    works in it instead of in a copy. Each read makes a fresh array, and
+    nothing reads the volume's values after the run."""
+    return Volume3D._of_checked(read_npy(path).data, writable=True)
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     schedule = _schedule_from_args(args)
     if args.report:
@@ -134,7 +141,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             map_paths = [str(map_dir / f"{subject}_scale{k}_map.npy") for k in range(len(schedule.factors))]
         for path in map_paths:
             _check_output_path(path)
-    vol = read_npy(volume_path)
+    vol = _read_for_run(volume_path)
     result = multiscale_run(vol, schedule)
     # The files go first, so a write that fails leaves stdout empty.
     for cmap, path in zip(result.maps, map_paths):
@@ -160,7 +167,7 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
     """One subject's result; its arrays are made afresh and freed when it returns."""
     subject_id, path, schedule = task
     try:
-        result = multiscale_run(read_npy(path), schedule)
+        result = multiscale_run(_read_for_run(path), schedule)
         rows = [(subject_id, e.scale_index, e.scale_factor, repr(e.complexity)) for e in result.profile]
         return (subject_id, "ok", rows)
     except (Msc3dError, OSError, MemoryError) as exc:

@@ -27,7 +27,12 @@ Every mode takes its block and window means relative to the volume's first
 voxel, so they round at the scale of the texture, not of a DC offset.
 ``algorithm1`` builds its block means as a pyramid, each factor from the
 one before it, and makes no full-size copy of the volume:
-``_run_algorithm1`` says which levels read the volume itself.
+``_run_algorithm1`` says which levels read the volume itself. The block
+cascade makes none either. The sliding cascade makes its relative field in
+a copy of the volume, or, when the volume's data is writable, in that data:
+every public way to make a ``Volume3D`` marks its data read-only, and only
+the CLI hands a run the writable buffer of its own read, which it does not
+read again.
 How the kernels stream their fields through slabs of about
 ``coarse.SLAB_ELEMENTS`` values is documented where it happens:
 ``complexity_map``, ``coarse.block_means``,
@@ -37,6 +42,7 @@ How the kernels stream their fields through slabs of about
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +63,21 @@ class ValueRangeError(InputError):
     """The volume's values overflow float64 in the complexity arithmetic."""
 
 
+def _whole_numbers(values, name: str) -> tuple[int, ...]:
+    """``values`` as ints. A number that is not whole, like 2.5 or inf,
+    raises rather than being truncated to another scale's value."""
+    ints = []
+    for value in values:
+        try:
+            whole = int(value)
+        except (OverflowError, ValueError):  # inf, nan
+            whole = None
+        if whole is None or isinstance(value, numbers.Number) and whole != value:
+            raise ValueError(f"{name} must be whole numbers, got {value!r}")
+        ints.append(whole)
+    return tuple(ints)
+
+
 @dataclass(frozen=True)
 class ScaleSchedule:
     """Ordered coarse-graining factors plus mode and sweep geometry."""
@@ -67,10 +88,10 @@ class ScaleSchedule:
     stride: tuple[int, int, int] = (2, 2, 2)
 
     def __post_init__(self) -> None:
-        factors = tuple(int(f) for f in self.factors)
+        factors = _whole_numbers(self.factors, "factors")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "window", tuple(int(w) for w in self.window))
-        object.__setattr__(self, "stride", tuple(int(s) for s in self.stride))
+        object.__setattr__(self, "window", _whole_numbers(self.window, "window"))
+        object.__setattr__(self, "stride", _whole_numbers(self.stride, "stride"))
         if not factors:
             raise ValueError("schedule needs at least one factor")
         if factors[0] < 1 or any(b <= a for a, b in zip(factors, factors[1:])):
@@ -309,9 +330,10 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     # means round at the scale of the texture, not of a DC offset.
     ref = float(current.flat[0])
     if schedule.mode == "sliding_cascade":
-        # The one relative copy is the running field: each step writes its
-        # window means over it.
-        current = current - ref
+        # The relative field is the running field: each step writes its
+        # window means over it. It is made in the volume's own data when
+        # that is writable, a buffer the CLI hands over, and else in a copy.
+        current = np.subtract(current, ref, out=current if current.flags.writeable else None)
     for k, (factor, inc) in enumerate(zip(schedule.factors, incs)):
         lattice_shape = current.shape
         try:
@@ -339,6 +361,9 @@ def _run_cascade(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
 
 def multiscale_run(v: Volume3D, schedule: ScaleSchedule) -> RunResult:
     """Run the full multiscale pipeline, keeping per-scale run metadata.
+
+    A volume with read-only data, as every public constructor makes it, is
+    left as it was; writable data is the run's to work in.
 
     A volume whose values overflow float64 in the kernels' sums and squares,
     or give a non-finite value at any scale, raises :class:`ValueRangeError`.

@@ -37,7 +37,8 @@ class Volume3D:
     The backing array is coerced to C-contiguous float64 and marked
     read-only; every voxel must be finite. Only ``read_npy``, which checks
     its payload as it reads it, skips these checks, through
-    :meth:`_of_checked`.
+    :meth:`_of_checked`; the CLI hands the array of its own read back
+    through it, writable, to the run.
     """
 
     data: np.ndarray
@@ -54,11 +55,16 @@ class Volume3D:
         object.__setattr__(self, "data", arr)
 
     @classmethod
-    def _of_checked(cls, arr: np.ndarray) -> Volume3D:
+    def _of_checked(cls, arr: np.ndarray, writable: bool = False) -> Volume3D:
         """The volume over ``arr``, which the caller has checked to be a
         C-contiguous float64 array of positive 3-D shape and finite values;
-        it is only marked read-only, not copied or checked again."""
-        arr.setflags(write=False)
+        it is only marked read-only, not copied or checked again.
+
+        ``writable`` marks ``arr`` writable instead, for a caller that owns
+        it and hands it to a run that may work in it: a sliding cascade then
+        makes its running field there rather than in a copy.
+        """
+        arr.setflags(write=writable)
         volume = object.__new__(cls)
         object.__setattr__(volume, "data", arr)
         return volume

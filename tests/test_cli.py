@@ -34,9 +34,10 @@ from msc3d import (
 )
 import msc3d
 from msc3d import coarse
-from msc3d.cli import MODE_FLAGS, _schedule_from_args, build_parser, main
+from msc3d.cli import MODE_FLAGS, _batch_task, _schedule_from_args, build_parser, main
 
 from . import oracles
+from .conftest import traced_peak
 from .test_npy_io import MALFORMED_HEADERS, make_npy_bytes
 
 
@@ -1408,6 +1409,79 @@ class TestBatch:
         gc.collect()
         assert len(refs) == 4
         assert all(ref() is None for ref in refs)
+
+
+class TestSlidingCascadeInTheReadBuffer:
+    """``compute`` and ``batch`` hand the sliding cascade the buffer they
+    read, so it makes its running field there, not in a copy; the results
+    are those of the library's run on a read-only volume."""
+
+    SCHEDULE = ScaleSchedule(factors=(1, 2, 4), mode="sliding_cascade")
+    # Odd shapes, read as <f4 or <f8, on DC offsets of 1e3 to 1e6.
+    VOLUMES = [
+        ((13, 11, 9), "<f4", 1e3),
+        ((20, 17, 23), "<f4", 1e6),
+        ((9, 15, 7), "<f8", 1e5),
+        ((17, 19, 13), "<f8", 1e4),
+    ]
+    FLAGS = ("--mode", "sliding-cascade", "--factors", "1,2,4")
+
+    def write_volumes(self, tmp_path):
+        """The volumes' paths, and a manifest listing them."""
+        rng = np.random.default_rng(2026)
+        paths = []
+        lines = ["subject_id,volume_path,age_years"]
+        for i, (shape, descr, offset) in enumerate(self.VOLUMES):
+            paths.append(tmp_path / f"s{i}.npy")
+            np.save(paths[-1], (offset + rng.random(shape)).astype(descr))
+            lines.append(f"s{i},s{i}.npy,{50 + i}")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(lines) + "\n")
+        return paths, manifest
+
+    def library_profile(self, path):
+        return multiscale_run(read_npy(path), self.SCHEDULE).profile
+
+    def test_compute_prints_the_library_run(self, tmp_path, capsys):
+        paths, _ = self.write_volumes(tmp_path)
+        for path in paths:
+            profile = self.library_profile(path)
+            want = "".join(f"{e.scale_index},{e.scale_factor},{e.complexity!r},{e.overlap!r}\n" for e in profile)
+            assert run_cli(capsys, "compute", str(path), *self.FLAGS) == (0, want, "")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_rows_are_the_library_runs(self, tmp_path, capsys, jobs):
+        paths, manifest = self.write_volumes(tmp_path)
+        out_csv = tmp_path / "cohort.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(out_csv), *self.FLAGS, "--jobs", str(jobs)) == (0, "", "")
+        want = ["subject_id,scale_index,scale_factor,complexity"] + [
+            f"s{i},{e.scale_index},{e.scale_factor},{e.complexity!r}"
+            for i, path in enumerate(paths)
+            for e in self.library_profile(path)
+        ]
+        assert out_csv.read_text().splitlines() == want
+
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
+    def test_compute_peaks_under_one_and_a_half_volumes(self, tmp_path, capsys, shape):
+        """The read volume is the one full-size field of a sliding compute:
+        the run adds only slab buffers. A copy would make it two."""
+        path = tmp_path / "v.npy"
+        np.save(path, np.random.default_rng(3).random(shape))
+        argv = ["compute", str(path), "--mode", "sliding-cascade"]
+        assert run_cli(capsys, *argv)[0] == 0
+        (code, _, err), peak = traced_peak(lambda: run_cli(capsys, *argv))
+        assert (code, err) == (0, "")
+        assert peak < 1.5 * math.prod(shape) * 8
+
+    @pytest.mark.parametrize("shape", [(64, 64, 64), (61, 73, 61)], ids=str)
+    def test_batch_subject_peaks_under_one_and_a_half_volumes(self, tmp_path, shape):
+        path = tmp_path / "v.npy"
+        np.save(path, np.random.default_rng(4).random(shape))
+        task = ("v", str(path), ScaleSchedule(mode="sliding_cascade"))
+        assert _batch_task(task)[1] == "ok"
+        (_, status, _), peak = traced_peak(lambda: _batch_task(task))
+        assert status == "ok"
+        assert peak < 1.5 * math.prod(shape) * 8
 
 
 class TestCorrelate:

@@ -15,6 +15,7 @@ from msc3d import (
     generate_phantom,
     multiscale_run,
     overlap,
+    read_npy,
 )
 from msc3d import coarse
 from msc3d.coarse import block_sums, edge_pad
@@ -267,6 +268,22 @@ class TestMultiscaleProfile:
         _, peak = traced_peak(lambda: multiscale_run(v, schedule))
         assert peak < 1.5 * v.data.nbytes
 
+    @pytest.mark.parametrize("source", ["constructed", "read_npy"])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_run_leaves_the_volume_as_it_was(self, mode, source, rng, tmp_path):
+        """A volume made through the public API is read-only, and a run in
+        any mode leaves its data as it was, to the bit: the sliding cascade
+        makes its running field in a copy."""
+        arr = 1e5 + rng.random((13, 11, 9))
+        if source == "read_npy":
+            np.save(tmp_path / "v.npy", arr)
+            v = read_npy(tmp_path / "v.npy")
+        else:
+            v = Volume3D(arr.copy())
+        multiscale_run(v, ScaleSchedule(factors=(1, 2, 4), mode=mode))
+        assert not v.data.flags.writeable
+        assert np.array_equal(v.data.view(np.uint64), arr.view(np.uint64))
+
     @pytest.mark.parametrize(
         ("shape", "factors", "volumes"),
         [((128, 128, 128), ScaleSchedule().factors, 0.5), ((121, 145, 121), ScaleSchedule().factors, 0.4)]
@@ -502,6 +519,27 @@ class TestScaleSchedule:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ScaleSchedule(**kwargs)
+
+    @pytest.mark.parametrize(
+        ("field", "values", "shown"),
+        [
+            ("factors", (1, 2.5), "2.5"),
+            ("factors", (1.9, 4), "1.9"),
+            ("window", (4.7, 4, 4), "4.7"),
+            ("stride", (2, np.float32(1.5), 2), "1.5"),
+            ("stride", (2, 2, math.inf), "inf"),
+            ("factors", (1, math.nan), "nan"),
+        ],
+    )
+    def test_non_whole_value_raises_naming_it(self, field, values, shown):
+        # Truncated, 2.5 would run factor 2 under the caller's label.
+        with pytest.raises(ValueError, match=rf"^{field} must be whole numbers, got .*{shown}"):
+            ScaleSchedule(**{field: values})
+
+    def test_whole_floats_become_ints(self):
+        sched = ScaleSchedule(factors=(1, 2.0), window=(4.0, np.int64(3), 4), stride=(np.float64(2), 1, 1))
+        assert (sched.factors, sched.window, sched.stride) == ((1, 2), (4, 3, 4), (2, 1, 1))
+        assert all(type(n) is int for n in sched.factors + sched.window + sched.stride)
 
     def test_map_type_requires_3d(self):
         with pytest.raises(ValueError):
