@@ -10,36 +10,25 @@ failing subject goes to the errors sidecar instead, ``BrokenProcessPool``
 if the child running it was killed, and the other subjects are still
 written: those a killed child had not reported run in a fresh child.
 
-Every ``--jobs`` value runs through one runner: this process runs its
-share of the subjects and forked children, none at ``--jobs 1``, run the
-rest. Before each fork this process hands its free heap back to the OS
-(glibc's ``malloc_trim``; nothing where the C library lacks it), so
-neither side pays copy-on-write faults for memory that an earlier call in
-a long-lived caller freed. Where this process may use at least as many
-CPUs as the batch has processes, process ``k`` runs on the ``k``-th of
-them, this one being process 0, so no two share a CPU; the caller gets its
-own affinity set back when the batch ends. A clean batch removes an
-earlier run's errors sidecar. All outputs are deterministic functions of
-the inputs and flags; batch results are buffered and written in manifest
-order regardless of process count, so reruns and different ``--jobs``
-values produce byte-identical files.
+``batch`` runs its subjects through ``msc3d.runner``, which only it
+imports, at every ``--jobs`` value. A clean batch removes an earlier run's
+errors sidecar. All outputs are deterministic functions of the inputs and
+flags; batch results are buffered and written in manifest order regardless
+of process count, so reruns and different ``--jobs`` values produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import dataclasses
 import functools
 import json
 import math
 import os
-import signal
 import sys
-from collections import deque
 from itertools import compress
-from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
 
 import numpy as np
@@ -175,133 +164,6 @@ def _batch_task(task: tuple[str, str, ScaleSchedule]):
         return (subject_id, "err", (_exit_code(exc), type(exc).__name__, str(exc)))
 
 
-def _release_free_heap() -> None:
-    """Hand this process's free heap pages back to the OS with glibc's
-    ``malloc_trim(0)``; a no-op where the C library has no such symbol
-    (musl, macOS)."""
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-        trim(0)
-
-
-def _start_child(tasks: list, share: list[int]) -> tuple[int, Connection]:
-    """Fork a child that runs ``tasks[i]`` for each ``i`` of ``share``, in
-    order, and sends each result down its own pipe as soon as it has it.
-
-    Returns the child's pid and the pipe's read end. Nothing is pickled on
-    the way in: the child starts with this process's memory, tasks included.
-    That memory is trimmed first, so free heap pages are not shared, and
-    later reuse of them costs neither side a copy-on-write fault.
-    """
-    reader, writer = Pipe(duplex=False)
-    _release_free_heap()
-    try:
-        pid = os.fork()
-    except OSError:
-        reader.close()
-        writer.close()
-        raise
-    if pid == 0:
-        try:
-            reader.close()
-            for i in share:
-                writer.send(_batch_task(tasks[i]))
-        finally:
-            os._exit(0)
-    writer.close()
-    return pid, reader
-
-
-def _forked_results(tasks: list, procs: int) -> list:
-    """The results of ``tasks``, in order, from this process and ``procs - 1``
-    forked children.
-
-    Subject ``i`` runs in process ``i % procs``, where process 0 is this one,
-    so ``procs == 1`` forks nothing and runs every subject here.
-    After each of its own subjects this process takes whatever results have
-    arrived, so no child waits long on a full pipe; then it waits for the
-    rest. A child whose pipe closes before it has reported its whole share
-    was killed on its first unreported subject: that subject gets a
-    ``BrokenProcessPool`` error result, and the rest of the share goes to a
-    fresh child. A share that cannot be forked runs in this process, and no
-    subject is blamed for it. No child outlives the call.
-
-    When there are at least ``procs`` CPUs in this process's affinity set,
-    process ``k`` runs on the ``k``-th of them, so no two share a CPU: a
-    child inherits the affinity this process has when it forks, and this
-    process runs on the first CPU in between. On return its own affinity
-    set is what it was. A CPU the OS refuses places nothing.
-    """
-    results = [None] * len(tasks)
-    mine = deque(range(0, len(tasks), procs))
-    children = {}  # pipe read end -> (pid, indices the child has yet to report)
-    held = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
-    cpus = sorted(held) if 1 < procs <= len(held) else []
-
-    def place(i: int | None) -> None:
-        """Run this process, and the children it forks from now on, on the
-        CPU of the process that runs subject ``i``; on ``held`` for None."""
-        if cpus:
-            try:
-                os.sched_setaffinity(0, held if i is None else {cpus[i % procs]})
-            except OSError:
-                pass
-
-    def start(share: list[int]) -> None:
-        # A fresh child after a kill gets the CPU of the one it replaces.
-        place(share[0])
-        try:
-            pid, reader = _start_child(tasks, share)
-        except OSError:
-            mine.extend(share)
-        else:
-            children[reader] = (pid, deque(share))
-        finally:
-            place(0)
-
-    try:
-        for k in range(1, procs):
-            start(list(range(k, len(tasks), procs)))
-        while mine or children:
-            if mine:
-                i = mine.popleft()
-                results[i] = _batch_task(tasks[i])
-                ready = wait(list(children), 0) if children else ()
-            else:
-                ready = wait(list(children))
-            for reader in ready:
-                pid, share = children[reader]
-                try:
-                    while reader.poll():
-                        result = reader.recv()
-                        results[share.popleft()] = result
-                except (EOFError, OSError):  # the child has exited
-                    del children[reader]
-                    reader.close()
-                    os.waitpid(pid, 0)
-                    if share:
-                        i = share.popleft()
-                        message = "the child process running this subject ended before reporting it"
-                        results[i] = (tasks[i][0], "err", (1, "BrokenProcessPool", message))
-                        if share:
-                            start(list(share))
-    finally:
-        for reader, (pid, _) in children.items():
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        place(None)
-    return results
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cmd_batch(args: argparse.Namespace) -> int:
     schedule = _schedule_from_args(args)
     manifest_path = Path(args.manifest)
@@ -314,13 +176,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
     _check_output_path(args.output)
     sidecar = out_path.with_suffix(".errors.csv")
     _check_output_path(str(sidecar))
-    jobs = args.jobs or _usable_cpus()
     # A relative volume path resolves against the manifest's directory.
     tasks = [(e.subject_id, str(manifest_path.parent / e.volume_path), schedule) for e in manifest]
-    # No more processes than subjects, this one included, and at least this
-    # one; without os.fork every subject runs here.
-    procs = max(1, min(jobs, len(tasks))) if hasattr(os, "fork") else 1
-    results = _forked_results(tasks, procs)
+    # Imported here, so the commands that never fork do not load multiprocessing.
+    from . import runner
+    results = [None] * len(tasks)
+    for i, result in runner.results(_batch_task, tasks, args.jobs):
+        if result is None:  # the child running subject i was killed
+            message = "the child process running this subject ended before reporting it"
+            result = (tasks[i][0], "err", (1, "BrokenProcessPool", message))
+        results[i] = result
 
     failures = [(sid, info) for sid, status, info in results if status == "err"]
     if args.strict and failures:

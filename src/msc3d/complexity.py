@@ -65,11 +65,12 @@ class ValueRangeError(InputError):
 
 def _whole_numbers(values, name: str) -> tuple[int, ...]:
     """``values`` as ints. A number that is not whole, like 2.5 or inf,
-    raises rather than being truncated to another scale's value."""
+    raises rather than being truncated to another scale's value, and text
+    or a bool raises rather than being read as digits or as 0 and 1."""
     ints = []
-    for value in values:
+    for value in (values,) if isinstance(values, (str, bytes)) else values:
         try:
-            whole = int(value)
+            whole = None if isinstance(value, (str, bytes, bool, np.bool_)) else int(value)
         except (OverflowError, ValueError):  # inf, nan
             whole = None
         if whole is None or isinstance(value, numbers.Number) and whole != value:

@@ -33,6 +33,7 @@ from msc3d import (
     write_npy,
 )
 import msc3d
+import msc3d.runner
 from msc3d import coarse
 from msc3d.cli import MODE_FLAGS, _batch_task, _schedule_from_args, build_parser, main
 
@@ -73,8 +74,8 @@ def write_cohort(tmp_path, n=3, shape=(12, 12, 12), ages=None):
     return manifest
 
 
-def forbidden_start_child(tasks, share):
-    """A stand-in for ``msc3d.cli._start_child`` in a batch that must fork
+def forbidden_start_child(run, tasks, share):
+    """A stand-in for ``msc3d.runner._start_child`` in a batch that must fork
     no child."""
     raise AssertionError("forked a child")
 
@@ -449,12 +450,12 @@ class TestParser:
     def test_import_builds_no_parser_and_loads_no_scipy(self):
         probe = (
             "import sys, msc3d.cli; print(msc3d.cli.build_parser.cache_info().currsize, 'scipy' in sys.modules, "
-            "'concurrent.futures' in sys.modules)"
+            "'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)"
         )
         done = subprocess.run(
             [sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=60
         )
-        assert (done.returncode, done.stdout, done.stderr) == (0, "0 False False\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0 False False False\n", "")
 
 
 class TestEntryPoint:
@@ -602,7 +603,7 @@ class TestFlagErrors:
     def test_batch_output_under_a_file_forks_no_child(self, tmp_path, capsys, monkeypatch, target):
         # The error is the one open() gives for the same path, and it comes
         # before any subject: --jobs 2 would otherwise fork a child.
-        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.setattr(msc3d.runner, "_start_child", forbidden_start_child)
         monkeypatch.chdir(tmp_path)
         write_cohort(tmp_path, n=2, shape=(8, 8, 8))
         held = sorted(tmp_path.iterdir())
@@ -616,7 +617,7 @@ class TestFlagErrors:
     def test_batch_output_that_is_a_directory_reads_no_subject(self, tmp_path, capsys, monkeypatch):
         read, ran = msc3d.cli.read_npy, []
         monkeypatch.setattr(msc3d.cli, "read_npy", lambda path: ran.append(Path(path).name) or read(path))
-        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.setattr(msc3d.runner, "_start_child", forbidden_start_child)
         monkeypatch.chdir(tmp_path)
         write_cohort(tmp_path, n=2, shape=(8, 8, 8))
         (tmp_path / "rdir").mkdir()
@@ -635,7 +636,7 @@ class TestFlagErrors:
         # so a directory there is reported before the first one.
         read, ran = msc3d.cli.read_npy, []
         monkeypatch.setattr(msc3d.cli, "read_npy", lambda path: ran.append(Path(path).name) or read(path))
-        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.setattr(msc3d.runner, "_start_child", forbidden_start_child)
         monkeypatch.chdir(tmp_path)
         write_cohort(tmp_path, n=2, shape=(8, 8, 8))
         (tmp_path / "out.errors.csv").mkdir()
@@ -658,7 +659,7 @@ class TestFlagErrors:
         # OUT.errors.csv are both opened before the first subject.
         read, ran = msc3d.cli.read_npy, []
         monkeypatch.setattr(msc3d.cli, "read_npy", lambda path: ran.append(Path(path).name) or read(path))
-        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.setattr(msc3d.runner, "_start_child", forbidden_start_child)
         monkeypatch.chdir(tmp_path)
         write_cohort(tmp_path, n=2, shape=(8, 8, 8))
         held = sorted(tmp_path.iterdir())
@@ -955,13 +956,13 @@ class TestBatch:
     def started_children(self, monkeypatch):
         """The subjects of each child the batch forks, in fork order; the
         children are real."""
-        start, shares = msc3d.cli._start_child, []
+        start, shares = msc3d.runner._start_child, []
 
-        def recording_start(tasks, share):
+        def recording_start(run, tasks, share):
             shares.append([tasks[i][0] for i in share])
-            return start(tasks, share)
+            return start(run, tasks, share)
 
-        monkeypatch.setattr(msc3d.cli, "_start_child", recording_start)
+        monkeypatch.setattr(msc3d.runner, "_start_child", recording_start)
         return shares
 
     @pytest.fixture
@@ -1007,7 +1008,7 @@ class TestBatch:
     def heap_releases_and_forks(self, monkeypatch):
         """Every free-heap release and every fork of this process, in order,
         as ``"release"`` and ``"fork"``; both still happen."""
-        release, fork, events = msc3d.cli._release_free_heap, os.fork, []
+        release, fork, events = msc3d.runner._release_free_heap, os.fork, []
 
         def recording_release():
             events.append("release")
@@ -1017,7 +1018,7 @@ class TestBatch:
             events.append("fork")
             return fork()
 
-        monkeypatch.setattr(msc3d.cli, "_release_free_heap", recording_release)
+        monkeypatch.setattr(msc3d.runner, "_release_free_heap", recording_release)
         monkeypatch.setattr(msc3d.cli.os, "fork", recording_fork)
         return events
 
@@ -1057,8 +1058,8 @@ class TestBatch:
             def __init__(self, name):
                 opened.append(name)
 
-        monkeypatch.setattr(msc3d.cli.ctypes, "CDLL", LibraryWithoutTrim)
-        assert msc3d.cli._release_free_heap() is None
+        monkeypatch.setattr(msc3d.runner.ctypes, "CDLL", LibraryWithoutTrim)
+        assert msc3d.runner._release_free_heap() is None
         assert opened == [None]
         for jobs in ("2", "3"):
             out_csv = tmp_path / f"j{jobs}.csv"
@@ -1118,20 +1119,20 @@ class TestBatch:
     def test_refused_fork_runs_the_share_here_and_blames_no_subject(self, tmp_path, capsys, monkeypatch, child_sigkilled_on_s3, refused):
         # A fork that fails with OSError leaves its share to this process:
         # all of it at the start, or the rest of a killed child's share.
-        start = msc3d.cli._start_child
+        start = msc3d.runner._start_child
         starts = []
 
-        def refusing_start(tasks, share):
+        def refusing_start(run, tasks, share):
             starts.append([tasks[i][0] for i in share])
             if refused == "at_start" or len(starts) > 1:
                 raise OSError(11, "Resource temporarily unavailable")
-            return start(tasks, share)
+            return start(run, tasks, share)
 
         manifest = write_cohort(tmp_path, n=8, shape=(12, 12, 12))
         serial_csv = tmp_path / "serial.csv"
         assert run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")[0] == 0
         child_sigkilled_on_s3()
-        monkeypatch.setattr(msc3d.cli, "_start_child", refusing_start)
+        monkeypatch.setattr(msc3d.runner, "_start_child", refusing_start)
         out_csv = tmp_path / "cohort.csv"
         assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")[0] == 0
         reads = child_sigkilled_on_s3()
@@ -1190,7 +1191,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("jobs", ["1", "2", "0"])
     def test_header_only_manifest_writes_only_the_header(self, tmp_path, capsys, monkeypatch, jobs):
-        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.setattr(msc3d.runner, "_start_child", forbidden_start_child)
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("subject_id,volume_path,age_years\n")
         out_csv = tmp_path / "cohort.csv"
@@ -1204,7 +1205,7 @@ class TestBatch:
         assert run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")[0] == 0
         reads_by_process()
         monkeypatch.delattr(msc3d.cli.os, "fork")
-        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.setattr(msc3d.runner, "_start_child", forbidden_start_child)
         out_csv = tmp_path / "cohort.csv"
         assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "2")[0] == 0
         assert reads_by_process() == {os.getpid(): ["s0", "s1", "s2"]}
@@ -1329,15 +1330,89 @@ class TestBatch:
         assert calls == placed
         assert out_csv.read_bytes() == serial_csv.read_bytes()
 
-    @pytest.mark.parametrize("count, cpus", [(6, 6), (None, 1)])
-    def test_usable_cpus_without_affinity_is_the_cpu_count(self, monkeypatch, count, cpus):
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize(
+        "count, shares", [(6, [["s1"], ["s2"], ["s3"]]), (2, [["s1", "s3"]]), (None, [])], ids=["6", "2", "none"]
+    )
+    def test_jobs_0_without_affinity_counts_the_cpus(self, tmp_path, capsys, monkeypatch, started_children, count, shares):
+        # Where the OS keeps no affinity set, --jobs 0 runs one process per
+        # CPU it counts, at most one per subject, and only this one when it
+        # counts none.
+        manifest = write_cohort(tmp_path, n=4, shape=(12, 12, 12))
+        serial_csv = tmp_path / "serial.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(serial_csv), "--factors", "1,2", "--jobs", "1")[0] == 0
         monkeypatch.delattr(msc3d.cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(msc3d.cli.os, "cpu_count", lambda: count)
-        assert msc3d.cli._usable_cpus() == cpus
+        out_csv = tmp_path / "cohort.csv"
+        assert run_cli(capsys, "batch", str(manifest), str(out_csv), "--factors", "1,2", "--jobs", "0") == (0, "", "")
+        assert started_children == shares
+        assert out_csv.read_bytes() == serial_csv.read_bytes()
+
+    @pytest.mark.usefixtures("time_limit")
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_runner_yields_every_index_once(self, jobs):
+        got = list(msc3d.runner.results(lambda n: n * n, list(range(7)), jobs))
+        assert sorted(got) == [(i, i * i) for i in range(7)]
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_runner_yields_each_result_as_it_arrives(self, tmp_path):
+        # The child's task 1 finishes only once the caller has been handed
+        # task 2, which this process runs after task 0; a runner that held
+        # its results back to the end would keep task 1 waiting for 10 s
+        # and hand them over in index order.
+        marker = tmp_path / "got_2"
+
+        def run(i):
+            stop = time.monotonic() + 10
+            while i == 1 and not marker.exists() and time.monotonic() < stop:
+                time.sleep(0.01)
+            return i
+
+        order = []
+        for i, result in msc3d.runner.results(run, list(range(4)), 2):
+            assert result == i
+            order.append(i)
+            if i == 2:
+                marker.touch()
+        assert order == [0, 2, 1, 3]
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_runner_killed_child_yields_none_once(self):
+        # The child running 1, 3, 5, 7 dies on 3; a fresh child runs 5 and 7.
+        parent = os.getpid()
+
+        def run(i):
+            if i == 3 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        got = list(msc3d.runner.results(run, list(range(8)), 2))
+        assert sorted(got, key=lambda pair: pair[0]) == [(i, None if i == 3 else i) for i in range(8)]
+
+    @pytest.mark.usefixtures("time_limit")
+    def test_runner_consumer_that_stops_early_leaves_no_child(self):
+        # The children are still busy when the caller stops after the first
+        # result; closing the generator kills and reaps them and gives this
+        # process its affinity set back.
+        parent = os.getpid()
+        held = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+        def run(i):
+            if os.getpid() != parent:
+                time.sleep(30)
+            return i
+
+        for i, result in msc3d.runner.results(run, list(range(4)), 2):
+            break
+        assert (i, result) == (0, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if held is not None:
+            assert os.sched_getaffinity(0) == held
 
     @pytest.mark.parametrize("jobs", ["-3", "-1", "abc"])
     def test_jobs_below_zero_or_not_an_integer_exit_2(self, tmp_path, capsys, monkeypatch, jobs):
-        monkeypatch.setattr(msc3d.cli, "_start_child", forbidden_start_child)
+        monkeypatch.setattr(msc3d.runner, "_start_child", forbidden_start_child)
         manifest = write_cohort(tmp_path, n=2, shape=(8, 8, 8))
         out_csv = tmp_path / "cohort.csv"
         with pytest.raises(SystemExit) as excinfo:

@@ -529,10 +529,16 @@ class TestScaleSchedule:
             ("stride", (2, np.float32(1.5), 2), "1.5"),
             ("stride", (2, 2, math.inf), "inf"),
             ("factors", (1, math.nan), "nan"),
+            ("factors", "16", "'16'"),
+            ("window", "444", "'444'"),
+            ("stride", (2, b"2", 2), "b'2'"),
+            ("factors", (True, 2), "True"),
+            ("window", (4, np.bool_(True), 4), "True"),
         ],
     )
     def test_non_whole_value_raises_naming_it(self, field, values, shown):
-        # Truncated, 2.5 would run factor 2 under the caller's label.
+        # Truncated, 2.5 would run factor 2 under the caller's label; read
+        # as digits, "16" would run factors 1 and 6, and True would run 1.
         with pytest.raises(ValueError, match=rf"^{field} must be whole numbers, got .*{shown}"):
             ScaleSchedule(**{field: values})
 
