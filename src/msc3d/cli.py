@@ -35,7 +35,7 @@ import numpy as np
 
 from .complexity import MODES, ScaleSchedule, ScheduleInfeasibleError, multiscale_run
 from .errors import InputError, Msc3dError, PhantomError, ScheduleError, StatsError
-from .npy_io import BATCH_COLUMNS, read_batch_csv, read_manifest, read_npy, write_npy
+from .npy_io import BATCH_COLUMNS, read_batch_csv, read_manifest, read_manifest_columns, read_npy, write_npy
 from .stats import EmptyAfterFilteringError, correlate_columns, log_log_columns, table_to_csv, table_to_text
 from .volume import PHANTOM_KINDS, InvalidSpecError, PhantomSpec, Volume3D, generate_phantom, mid_slice
 
@@ -213,9 +213,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    manifest = read_manifest(args.manifest)
+    sids, _, ages = read_manifest_columns(args.manifest)
     table = read_batch_csv(args.batch_csv)
-    columns = log_log_columns(table.subject_ids, table.complexity, manifest)
+    columns = log_log_columns(table.subject_ids, table.complexity, sids, ages)
     for sid in columns.missing:
         print(f"warning: subject {sid!r} has no rows in the batch CSV", file=sys.stderr)
     if not table.scale_indices:
@@ -231,13 +231,12 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     if not rows:
         raise EmptyAfterFilteringError("no scale could be scored")
     matched = len(columns.ln_age)
+    column_of = {k: j for j, k in enumerate(table.scale_indices)}
     for row in rows:
-        excluded = matched - row.n
-        if excluded:
-            print(
-                f"warning: scale {row.scale_index}: {excluded} subject(s) excluded (zero complexity)",
-                file=sys.stderr,
-            )
+        no_row = columns.no_row[column_of[row.scale_index]]
+        for excluded, reason in ((matched - row.n - no_row, "zero complexity"), (no_row, "no row at this scale")):
+            if excluded:
+                print(f"warning: scale {row.scale_index}: {excluded} subject(s) excluded ({reason})", file=sys.stderr)
 
     prefix = Path(args.output_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -253,7 +252,6 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     # Each subject's line is its "\nlog_age," cell, made once for every
     # scale, then its log C text; the file is those cells joined.
     age_cells = list(map("\n%r,".__mod__, columns.ln_age.tolist()))
-    column_of = {k: j for j, k in enumerate(table.scale_indices)}
     for row in rows:
         j = column_of[row.scale_index]
         usable = columns.usable(j)

@@ -28,6 +28,14 @@ quoted cell, so it is split on newlines and commas directly, with the row
 widths checked on the flat cell list. Any other text, and any file whose
 checks fail, goes through ``csv.reader`` row by row, which names the line
 of the file that the first bad row starts on.
+
+A batch CSV in the layout ``batch`` writes comes in blocks of K rows, one
+per subject, each with the first block's scale-index and factor texts and
+one id text. Its table is built with no per-row work: the ids are the
+blocks' stripped first cells, which must be unique, the first block's K
+distinct indices order the columns, and the complexity column is reshaped
+to (subjects, K). Any other file takes the general path, which places each
+row by its subject and scale and raises every error.
 """
 
 from __future__ import annotations
@@ -349,7 +357,12 @@ MANIFEST_COLUMNS = ("subject_id", "volume_path", "age_years")
 
 
 def read_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
-    """Parse a cohort manifest CSV in one columnar pass.
+    """Parse a cohort manifest CSV into one ``ManifestEntry`` per row."""
+    return tuple(map(tuple.__new__, repeat(ManifestEntry), zip(*read_manifest_columns(path))))
+
+
+def read_manifest_columns(path: str | Path) -> tuple[list[str], list[str], list[float]]:
+    """The subject-id, volume-path and age columns of a cohort manifest CSV.
 
     Every row needs 3 fields, a non-empty subject id and volume path, a
     subject id not seen before and an age that parses as a finite number
@@ -374,7 +387,7 @@ def read_manifest(path: str | Path) -> tuple[ManifestEntry, ...]:
         or math.inf in ages
     ):
         _raise_first_bad_manifest_row(path, text)
-    return tuple(map(tuple.__new__, repeat(ManifestEntry), zip(sids, volume_paths, ages)))
+    return sids, volume_paths, ages
 
 
 def _raise_first_bad_manifest_row(path: Path, text: str) -> NoReturn:
@@ -430,14 +443,59 @@ def read_batch_csv(path: str | Path) -> BatchTable:
     text, cols = _read_csv_columns(path, BATCH_COLUMNS)
     if cols is None:
         _raise_first_bad_row(path, text)
-    sid_col, k_col, factor_col, c_col = cols
-    if not sid_col:
+    c_col = cols[3]
+    if not c_col:
         return BatchTable((), (), (), np.empty((0, 0)))
+    try:
+        cs = np.fromiter(map(float, c_col), np.float64, len(c_col))
+    except ValueError:
+        _raise_first_bad_row(path, text)
+    if not np.isfinite(cs).all() or (cs < 0.0).any():
+        _raise_first_bad_row(path, text)
+    return _regular_table(cols, cs) or _table_of_rows(path, text, cols, cs)
+
+
+def _regular_table(cols: list[Sequence[str]], cs: np.ndarray) -> BatchTable | None:
+    """The table of a batch CSV in the layout ``batch`` writes (see the
+    module docstring), or ``None`` for a file in any other layout."""
+    sid_col, k_col, factor_col, _ = cols
+    rows = len(k_col)
+    try:
+        size = k_col.index(k_col[0], 1)
+    except ValueError:
+        size = rows
+    heads = sid_col[::size]
+    if (
+        rows % size
+        or k_col[size:] != k_col[:-size]
+        or factor_col[size:] != factor_col[:-size]
+        or not all(sid_col[j::size] == heads for j in range(1, size))
+    ):
+        return None
+    sids = tuple(map(str.strip, heads))
+    try:
+        indices, factors = list(map(int, k_col[:size])), list(map(int, factor_col[:size]))
+    except ValueError:
+        return None
+    if len(set(sids)) != len(sids) or len(set(indices)) != size:
+        return None
+    order = sorted(range(size), key=indices.__getitem__)
+    return BatchTable(
+        subject_ids=sids,
+        scale_indices=tuple(indices[j] for j in order),
+        scale_factors=tuple(factors[j] for j in order),
+        complexity=cs.reshape(len(sids), size)[:, order],
+    )
+
+
+def _table_of_rows(path: Path, text: str, cols: list[Sequence[str]], cs: np.ndarray) -> BatchTable:
+    """The table of a batch CSV in any row order, each row placed by its
+    subject and scale; a repeated cell or a scale with two factors raises."""
+    sid_col, k_col, factor_col, _ = cols
     try:
         # A few distinct (index, factor) texts repeat on every subject, so
         # each is parsed, and the index-to-factor rule checked, once.
         pairs = {texts: (int(texts[0]), int(texts[1])) for texts in set(zip(k_col, factor_col))}
-        cs = np.fromiter(map(float, c_col), np.float64, len(c_col))
     except ValueError:
         _raise_first_bad_row(path, text)
     factor_of = dict(pairs.values())
@@ -448,12 +506,7 @@ def read_batch_csv(path: str | Path) -> BatchTable:
     row_of = dict(zip(dict.fromkeys(sids), count()))
     cells = np.fromiter(map(row_of.__getitem__, sids), np.intp, len(sids)) * len(indices)
     cells += np.fromiter(map(col_of_text.__getitem__, k_col), np.intp, len(k_col))
-    if (
-        len(set(pairs.values())) != len(factor_of)
-        or np.bincount(cells).max() > 1
-        or not np.isfinite(cs).all()
-        or (cs < 0.0).any()
-    ):
+    if len(set(pairs.values())) != len(factor_of) or np.bincount(cells).max() > 1:
         _raise_first_bad_row(path, text)
     complexity = np.full(len(row_of) * len(indices), np.nan)
     complexity[cells] = cs

@@ -13,8 +13,9 @@ are clamped and rendered as "<1e-300".
 Everything works on a subject x scale complexity matrix, as
 ``npy_io.read_batch_csv`` returns it: :func:`log_log_columns` aligns it to
 manifest order and takes the logs once, and :func:`correlate_columns` fits
-every scale from those arrays. :func:`pearson_regression` fits one list of
-(x, y) pairs.
+every scale from those arrays; where the matrix's subject ids equal the
+manifest's, in order, the alignment is the identity and takes the matrix
+as it is. :func:`pearson_regression` fits one list of (x, y) pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import StatsError
-from .npy_io import ManifestEntry
 
 P_CLAMP = 1e-300
 
@@ -74,6 +74,7 @@ class LogLogColumns:
 
     ln_age: np.ndarray  # (n,)
     ln_c: np.ndarray  # (n, n_scales); NaN where C <= 0 or the subject has no value
+    no_row: tuple[int, ...]  # per scale, how many subjects of ln_c have no row there
     missing: tuple[str, ...]  # manifest subjects missing from the table, in manifest order
     unknown: tuple[str, ...]  # table subjects missing from the manifest, in table order
 
@@ -85,29 +86,36 @@ class LogLogColumns:
 def log_log_columns(
     subject_ids: Sequence[str],
     complexity: np.ndarray,
-    manifest: Sequence[ManifestEntry],
+    manifest_ids: Sequence[str],
+    ages: Sequence[float],
 ) -> LogLogColumns:
     """Align an ``(n_subjects, n_scales)`` complexity matrix, whose rows are
-    ``subject_ids``, to manifest order and take its logs.
+    ``subject_ids``, to the manifest's subjects ``manifest_ids`` and their
+    ``ages``, and take its logs.
 
     Zero (or missing) complexities are excluded, since their log is
     undefined. Logs go through ``math.log`` one value at a time.
     """
-    sids, _, ages = zip(*manifest) if manifest else ((), (), ())
-    row_of = dict(zip(subject_ids, count()))
-    # -1 marks a manifest subject without a row; popping leaves row_of with
-    # the table's subjects that the manifest does not name.
-    rows = np.fromiter(map(row_of.pop, sids, repeat(-1)), np.intp, len(sids))
-    found = rows >= 0
-    c = complexity[rows[found]]
+    if tuple(subject_ids) == tuple(manifest_ids):
+        c, found_ages, missing, unknown = complexity, ages, (), ()
+    else:
+        row_of = dict(zip(subject_ids, count()))
+        # -1 marks a manifest subject without a row; popping leaves row_of
+        # with the table's subjects that the manifest does not name.
+        rows = np.fromiter(map(row_of.pop, manifest_ids, repeat(-1)), np.intp, len(manifest_ids))
+        found = rows >= 0
+        c = complexity[rows[found]]
+        found_ages = compress(ages, found.tolist())
+        missing, unknown = tuple(compress(manifest_ids, (~found).tolist())), tuple(row_of)
     positive = c > 0.0
     ln_c = np.full(c.shape, np.nan)
     ln_c[positive] = np.fromiter(map(math.log, c[positive].tolist()), np.float64, np.count_nonzero(positive))
     return LogLogColumns(
-        np.fromiter(map(math.log, compress(ages, found.tolist())), np.float64, np.count_nonzero(found)),
+        np.fromiter(map(math.log, found_ages), np.float64, len(c)),
         ln_c,
-        tuple(compress(sids, (~found).tolist())),
-        tuple(row_of),
+        tuple(np.isnan(c).sum(axis=0).tolist()),
+        missing,
+        unknown,
     )
 
 

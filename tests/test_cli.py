@@ -39,7 +39,7 @@ from msc3d.cli import MODE_FLAGS, _batch_task, _schedule_from_args, build_parser
 
 from . import oracles
 from .conftest import traced_peak
-from .test_npy_io import MALFORMED_HEADERS, make_npy_bytes
+from .test_npy_io import MALFORMED_HEADERS, general_path_calls, make_npy_bytes
 
 
 def run_cli(capsys, *argv):
@@ -1732,6 +1732,87 @@ class TestCorrelate:
         for k, p in enumerate(pairs):
             scatter = "log_age,log_C\n" + "".join(f"{log_age!r},{log_c!r}\n" for log_c, log_age in p)
             assert (tmp_path / f"corr_scale{k}_scatter.csv").read_bytes() == scatter.encode()
+
+    def regular_cohort(self, n=60, factors=(1, 2, 4, 8)):
+        """Rows in the layout batch writes, some complexities zero, and the ages."""
+        rng = np.random.default_rng(11)
+        ages = [(f"sub{i:02d}", round(float(a), 2)) for i, a in enumerate(rng.uniform(45.0, 80.0, n))]
+        rows = [
+            (sid, k, factor, 0.0 if rng.random() < 0.05 else age ** (-0.3 * k) * math.exp(rng.normal(0.0, 0.1)))
+            for sid, age in ages
+            for k, factor in enumerate(factors)
+        ]
+        return rows, ages
+
+    def test_body_row_order_gives_the_same_outputs(self, tmp_path, capsys, monkeypatch):
+        # Reversed, the body is still in blocks of one row per scale, each
+        # block in the other scale order; sorted by scale, it is read row by
+        # row on the general path.
+        rows, ages = self.regular_cohort()
+        rows += [("ghost", k, factor, 0.5) for k, factor in enumerate((1, 2, 4, 8))]
+        ages += [("late", 90.0)]
+        calls = general_path_calls(monkeypatch)
+        outputs = []
+        for name, body in (("regular", rows), ("reversed", rows[::-1]), ("by_scale", sorted(rows, key=lambda r: r[1]))):
+            work = tmp_path / name
+            work.mkdir()
+            batch, manifest = self.write_tables(work, body, ages)
+            code, out, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(work / "out" / "corr"))
+            assert code == 0
+            outputs.append((out, err, {f.name: f.read_bytes() for f in (work / "out").iterdir()}))
+        assert calls == [tmp_path / "by_scale" / "cohort.csv"]
+        assert outputs[0][1].splitlines()[:2] == [
+            "warning: subject 'late' has no rows in the batch CSV",
+            "warning: subject 'ghost' is not in the manifest; ignored",
+        ]
+        assert len(outputs[0][2]) == 6
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_manifest_in_another_order_matches_loop_oracle(self, tmp_path, capsys):
+        factors = (1, 2, 4, 8)
+        batch_rows, ages = self.regular_cohort(factors=factors)
+        ages = [ages[i] for i in np.random.default_rng(12).permutation(len(ages))]
+        batch, manifest = self.write_tables(tmp_path, batch_rows, ages)
+        code, out, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "corr"))
+        assert code == 0
+        assert "excluded (zero complexity)" in err and "no row" not in err
+
+        pairs = [oracles.log_log_pairs_by_subject(batch_rows, ages, k) for k in range(len(factors))]
+        fits = [pearson_regression([(log_age, log_c) for log_c, log_age in p]) for p in pairs]
+        qs = benjamini_hochberg([fit.p for fit in fits])
+        rows = [
+            CorrelationRow(k, factor, len(p), fit.r, fit.p, q, fit.slope, fit.intercept)
+            for k, (factor, p, fit, q) in enumerate(zip(factors, pairs, fits, qs))
+        ]
+        assert (tmp_path / "corr.csv").read_bytes() == table_to_csv(rows).encode()
+        assert out == (tmp_path / "corr.txt").read_text() == table_to_text(rows)
+        for k, p in enumerate(pairs):
+            scatter = "log_age,log_C\n" + "".join(f"{log_age!r},{log_c!r}\n" for log_c, log_age in p)
+            assert (tmp_path / f"corr_scale{k}_scatter.csv").read_bytes() == scatter.encode()
+
+    def test_missing_row_is_not_counted_as_zero_complexity(self, tmp_path, capsys):
+        # all four subjects at scale 0, only a, b and c at scale 1
+        ages = [(sid, 50.0 + 7.0 * i) for i, sid in enumerate("abcd")]
+        rows = [(sid, 0, 1, age**-0.25) for sid, age in ages] + [(sid, 1, 2, 2.0 * age**-0.25) for sid, age in ages[:3]]
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        code, _, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert (code, err) == (0, "warning: scale 1: 1 subject(s) excluded (no row at this scale)\n")
+        table = (tmp_path / "c.csv").read_text().strip().splitlines()
+        assert [line.split(",")[2] for line in table[1:]] == ["4", "3"]
+
+    def test_zero_and_missing_rows_are_counted_apart(self, tmp_path, capsys):
+        ages = [(sid, 50.0 + 7.0 * i) for i, sid in enumerate("abcde")]
+        rows = [(sid, 0, 1, age**-0.25) for sid, age in ages] + [(sid, 1, 2, 2.0 * age**-0.25) for sid, age in ages[:4]]
+        rows[5] = ("a", 1, 2, 0.0)
+        batch, manifest = self.write_tables(tmp_path, rows, ages)
+        code, _, err = run_cli(capsys, "correlate", str(batch), str(manifest), str(tmp_path / "c"))
+        assert (code, err.splitlines()) == (
+            0,
+            [
+                "warning: scale 1: 1 subject(s) excluded (zero complexity)",
+                "warning: scale 1: 1 subject(s) excluded (no row at this scale)",
+            ],
+        )
 
     def test_same_output_at_every_blas_thread_count(self, tmp_path):
         # 20,000 subjects is above the length at which BLAS splits a dot

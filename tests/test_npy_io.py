@@ -431,6 +431,22 @@ def write_batch(tmp_path, body):
     return path
 
 
+REGULAR_ROWS = [f"s{i},{k},{2**k},{(i + 1) * 0.5 + k}" for i in range(4) for k in range(3)]
+
+
+def general_path_calls(monkeypatch):
+    """A list that records each call of the general batch-table path."""
+    calls = []
+    general = npy_io._table_of_rows
+
+    def recorded(*args):
+        calls.append(args[0])
+        return general(*args)
+
+    monkeypatch.setattr(npy_io, "_table_of_rows", recorded)
+    return calls
+
+
 class TestBatchCsv:
     def test_subject_by_scale_matrix(self, tmp_path):
         body = "b,1,2,0.5\na,0,1,3.0\nb,0,1,2.0\na,1,2,0.25\n"
@@ -498,6 +514,69 @@ class TestBatchCsv:
         path = write_batch(tmp_path, "a,0,1,2.0\na,1,2,1.0\nb,0,1,3.0\nb,1,4,1.0\n")
         with pytest.raises(MalformedRowError, match="line 5: scale 1 has factor 4, but factor 2 on line 3"):
             read_batch_csv(path)
+
+    # The layout batch writes: a block of one row per scale for each subject,
+    # each block with the first block's index and factor texts.
+    def test_permuted_rows_give_the_same_table(self, tmp_path):
+        permuted = [REGULAR_ROWS[i] for i in np.random.default_rng(3).permutation(len(REGULAR_ROWS))]
+        tables = []
+        for name, rows in (("regular", REGULAR_ROWS), ("permuted", permuted)):
+            (tmp_path / name).mkdir()
+            table = read_batch_csv(write_batch(tmp_path / name, "\n".join(rows) + "\n"))
+            assert table.subject_ids == tuple(dict.fromkeys(row.split(",")[0] for row in rows))
+            tables.append(table)
+        regular, shuffled = ({sid: row.tolist() for sid, row in zip(t.subject_ids, t.complexity)} for t in tables)
+        assert regular == shuffled
+        assert regular["s2"] == [1.5, 2.5, 3.5]
+        assert tables[0].scale_indices == tables[1].scale_indices == (0, 1, 2)
+        assert tables[0].scale_factors == tables[1].scale_factors == (1, 2, 4)
+
+    def test_block_order_of_indices_gives_sorted_columns(self, tmp_path, monkeypatch):
+        calls = general_path_calls(monkeypatch)
+        body = "".join(f"s{i},{k},{2**k},{10 * i + k}\n" for i in range(3) for k in (2, 0, 1))
+        table = read_batch_csv(write_batch(tmp_path, body))
+        assert calls == []
+        assert table.scale_indices == (0, 1, 2)
+        assert table.scale_factors == (1, 2, 4)
+        assert table.complexity.tolist() == [[0.0, 1.0, 2.0], [10.0, 11.0, 12.0], [20.0, 21.0, 22.0]]
+
+    @pytest.mark.parametrize("cell", [0, 1], ids=["id", "index"])
+    def test_one_padded_cell_falls_back_to_the_general_path(self, tmp_path, monkeypatch, cell):
+        calls = general_path_calls(monkeypatch)
+        rows = [row.split(",") for row in REGULAR_ROWS]
+        rows[7][cell] = f" {rows[7][cell]} "
+        path = write_batch(tmp_path, "".join(",".join(row) + "\n" for row in rows))
+        assert outcome(read_batch_csv, path) == outcome(oracles.read_batch_csv, path)
+        assert calls == [path]
+
+    def test_bad_complexity_mid_file_names_its_line(self, tmp_path):
+        rows = list(REGULAR_ROWS)
+        rows[6] = "s2,0,1,much"
+        with pytest.raises(MalformedRowError, match="line 8: could not convert string to float: 'much'"):
+            read_batch_csv(write_batch(tmp_path, "\n".join(rows) + "\n"))
+
+    def test_repeated_scale_in_the_first_block_is_reported_as_before(self, tmp_path):
+        path = write_batch(tmp_path, "a,0,1,2.0\na,0,1,3.0\nb,0,1,2.0\nb,0,1,3.0\n")
+        with pytest.raises(MalformedRowError, match="line 3: subject 'a' at scale 0 already given on line 2"):
+            read_batch_csv(path)
+
+    def test_batch_csv_never_reaches_the_general_path(self, tmp_path, monkeypatch):
+        from msc3d.cli import main
+
+        lines = ["subject_id,volume_path,age_years"]
+        for i in range(3):
+            write_npy(Volume3D(np.random.default_rng(i).random((8, 8, 8))), tmp_path / f"s{i}.npy")
+            lines.append(f"s{i},s{i}.npy,{50 + i}")
+        (tmp_path / "manifest.csv").write_text("\n".join(lines) + "\n")
+        path = tmp_path / "cohort.csv"
+        assert main(["batch", str(tmp_path / "manifest.csv"), str(path), "--factors", "1,2,4", "--jobs", "1"]) == 0
+        expected = outcome(oracles.read_batch_csv, path)
+
+        def refuse(*args):
+            raise AssertionError("a CSV that batch wrote took the general path")
+
+        monkeypatch.setattr(npy_io, "_table_of_rows", refuse)
+        assert outcome(read_batch_csv, path) == expected
 
 
 MANIFEST_HEADER = "subject_id,volume_path,age_years\n"

@@ -14,7 +14,6 @@ from msc3d import (
     table_to_csv,
     table_to_text,
 )
-from msc3d.npy_io import ManifestEntry
 from msc3d.stats import (
     P_CLAMP,
     DegenerateVarianceError,
@@ -29,13 +28,14 @@ from . import oracles
 
 
 def make_manifest(ages):
-    return tuple(ManifestEntry(f"s{i}", f"/data/s{i}.npy", age) for i, age in enumerate(ages))
+    """The subject-id and age columns of a manifest of subjects s0, s1, ..."""
+    return [f"s{i}" for i in range(len(ages))], list(ages)
 
 
 def scale0_pairs(manifest, complexity_of):
     """(ln C, ln age) pairs at scale 0 of the subjects in ``complexity_of``, in manifest order."""
     complexity = np.array([[c] for c in complexity_of.values()])
-    columns = log_log_columns(tuple(complexity_of), complexity, manifest)
+    columns = log_log_columns(tuple(complexity_of), complexity, *manifest)
     usable = columns.usable(0)
     return list(zip(columns.ln_c[usable, 0].tolist(), columns.ln_age[usable].tolist()))
 
@@ -70,7 +70,7 @@ def correlation_rows(manifest, complexities):
     """Correlation table of subjects s0, s1, ..., whose row of ``complexities``
     holds one value per scale; scale k has factor 2**k."""
     complexity = np.array(complexities, dtype=np.float64)
-    columns = log_log_columns([f"s{i}" for i in range(len(complexity))], complexity, manifest)
+    columns = log_log_columns([f"s{i}" for i in range(len(complexity))], complexity, *manifest)
     scales = range(complexity.shape[1])
     return correlate_columns(columns, scales, [2**k for k in scales])
 
@@ -109,22 +109,40 @@ class TestLogLogColumns:
     def test_aligns_to_manifest_and_lists_unknown_subjects(self):
         manifest = make_manifest([50.0, 60.0, 70.0, 80.0])
         complexity = np.array([[4.0, np.nan], [9.0, 0.0], [1.0, 2.0], [5.0, 5.0]])
-        columns = log_log_columns(("s2", "ghost", "s0", "late"), complexity, manifest)
+        columns = log_log_columns(("s2", "ghost", "s0", "late"), complexity, *manifest)
         assert columns.missing == ("s1", "s3")
         assert columns.unknown == ("ghost", "late")
         assert columns.ln_age.tolist() == [math.log(50.0), math.log(70.0)]
         assert columns.ln_c[:, 0].tolist() == [math.log(1.0), math.log(4.0)]
         assert columns.ln_c[0, 1] == math.log(2.0) and np.isnan(columns.ln_c[1, 1])
         assert columns.usable(1).tolist() == [True, False]
+        assert columns.no_row == (0, 1)
 
     def test_zero_and_missing_complexity_are_not_usable(self):
         manifest = make_manifest([50.0, 60.0, 70.0])
         complexity = np.array([[0.0], [np.nan], [3.0]])
-        columns = log_log_columns(("s0", "s1", "s2"), complexity, manifest)
+        columns = log_log_columns(("s0", "s1", "s2"), complexity, *manifest)
         usable = columns.usable(0)
         assert columns.ln_age[usable].tolist() == [math.log(70.0)]
         assert columns.ln_c[usable, 0].tolist() == [math.log(3.0)]
-        assert not log_log_columns(("s0",), np.zeros((1, 1)), manifest).usable(0).any()
+        assert not log_log_columns(("s0",), np.zeros((1, 1)), *manifest).usable(0).any()
+
+    def test_identity_alignment_equals_the_general_one(self):
+        # The table's ids equal the manifest's in order, so the matrix is used
+        # as it is; a reversed manifest aligns the same table row by row.
+        rng = np.random.default_rng(5)
+        ages = rng.uniform(45.0, 80.0, 12).tolist()
+        sids, _ = make_manifest(ages)
+        complexity = rng.uniform(0.5, 2.0, (12, 3))
+        complexity[[1, 4], 0] = 0.0
+        complexity[[2, 7, 9], 2] = np.nan
+        same = log_log_columns(tuple(sids), complexity, sids, ages)
+        reversed_ = log_log_columns(tuple(sids), complexity, sids[::-1], ages[::-1])
+        assert same.ln_age.tobytes() == reversed_.ln_age[::-1].tobytes()
+        assert same.ln_c.tobytes() == reversed_.ln_c[::-1].tobytes()
+        assert same.no_row == reversed_.no_row == (0, 0, 3)
+        assert same.missing == reversed_.missing == ()
+        assert same.unknown == reversed_.unknown == ()
 
 
 class TestPearsonRegression:
